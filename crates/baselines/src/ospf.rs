@@ -4,6 +4,12 @@
 //! which sets link weight inversely proportional to its capacity and evenly
 //! splits the traffic over multiple equal-cost shortest paths."
 //!
+//! The split is even per equal-cost *path* ([`SplitRule::EvenEcmp`]): a
+//! next hop with `k` shortest paths to the destination carries `k` shares.
+//! A router's hash-based ECMP splits evenly per *next hop* instead; the two
+//! differ wherever next hops lead to different numbers of equal-cost
+//! paths.
+//!
 //! Note OSPF routing ignores capacities entirely; at high load its flows
 //! exceed capacity (MLU > 1) — exactly the regime where Fig. 10 shows its
 //! utility collapsing to −∞ while "SPEF still works".
@@ -78,7 +84,7 @@ impl OspfRouting {
         &self.flows
     }
 
-    /// The even-split forwarding table.
+    /// The even-per-path forwarding table.
     pub fn forwarding_table(&self) -> &ForwardingTable {
         &self.fib
     }

@@ -70,8 +70,8 @@
 //! ```
 
 use spef_graph::batch::{
-    build_dag_set, build_dag_set_tiled, rebuild_dag_set_slots, validate_dag_inputs, DagSet,
-    Parallelism, RoutingWorkspace,
+    build_dag_set, rebuild_dag_set_slots, validate_dag_inputs, DagSet, Parallelism,
+    RoutingWorkspace,
 };
 use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
@@ -1050,50 +1050,6 @@ impl<'g> RoutingEngine<'g> {
             on_tile(offset, chunk, &s.tile_dags, &s.tile_tables)?;
             offset += chunk.len();
         }
-        s.spf_builds += 1;
-        Ok(())
-    }
-
-    /// Builds the DAGs of `dests` tile by tile under `weights`, invoking
-    /// `f(offset, tile dests, tile dags)` per tile — the build-only
-    /// companion of [`distribute_tiled`](Self::distribute_tiled) for
-    /// pipelines that materialise or stream per-destination routing state
-    /// (e.g. FIB rows) without a traffic pass. Peak DAG-arena memory is
-    /// O(tile·edges); the untiled DAG set and its fingerprint are
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build_dags`](Self::build_dags), plus whatever
-    /// `f` returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is zero.
-    pub fn for_each_dag_tile<F>(
-        &mut self,
-        weights: &[f64],
-        dests: &[NodeId],
-        tolerance: f64,
-        tile: usize,
-        f: F,
-    ) -> Result<(), SpefError>
-    where
-        F: FnMut(usize, &[NodeId], &DagSet) -> Result<(), SpefError>,
-    {
-        let s = &mut self.state;
-        build_dag_set_tiled(
-            self.graph,
-            s.in_csr.as_ref().expect("attached engine has a CSR"),
-            weights,
-            dests,
-            tolerance,
-            self.par,
-            tile,
-            &mut s.ws,
-            &mut s.tile_dags,
-            f,
-        )?;
         s.spf_builds += 1;
         Ok(())
     }

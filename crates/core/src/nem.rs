@@ -17,12 +17,12 @@
 //! `d(v) = Σ_r d_r · log Σ_k e^(−v^r_k) + Σ_e v_e f*_e` regenerates
 //! Fig. 12(b).
 
-use spef_graph::{Graph, ShortestPathDag};
+use spef_graph::{DagAccess, Graph, NodeId, ShortestPathDag};
 use spef_topology::TrafficMatrix;
 
 use crate::dual_decomp::StepRule;
-use crate::solver::{ConvergenceCriteria, TeWorkspace};
-use crate::traffic_dist::{distribute_batch, distribute_batch_tiled, Flows, SplitRule};
+use crate::solver::{ConvergenceCriteria, NemSession, TeWorkspace};
+use crate::traffic_dist::{distribute_block, validate_rule, Flows, SplitRule};
 use crate::SpefError;
 
 /// Configuration of Algorithm 2.
@@ -54,8 +54,12 @@ impl Default for NemConfig {
 pub struct NemOutcome {
     /// The second link weights `v`.
     pub second_weights: Vec<f64>,
-    /// The traffic distribution realised by exponential splitting under
-    /// `v` — SPEF's actual flows.
+    /// The exponential-split traffic distribution of the last iteration
+    /// that distributed. On an early convergence stop that is the
+    /// distribution under `second_weights`. When the run ends on its
+    /// iteration budget (unconverged, or any pinned run) `second_weights`
+    /// has taken one more projected-gradient step after it, so these flows
+    /// are one step behind the weights (and the FIB built from them).
     pub flows: Flows,
     /// Dual objective per iteration (Fig. 12(b)); empty unless
     /// `record_trace`.
@@ -64,7 +68,7 @@ pub struct NemOutcome {
     pub iterations: usize,
     /// Whether the ε-criterion was met. With *integerised* first weights
     /// the DAGs may not support `f*` exactly (§V.G), in which case the
-    /// algorithm reports `false` and returns its best iterate.
+    /// algorithm reports `false` and returns its last iterate.
     pub converged: bool,
 }
 
@@ -100,14 +104,17 @@ pub fn solve_second_weights(
     )
 }
 
-/// The session entry point: split tables, demand columns, flow vectors
-/// and the dual iterate `v` live in the workspace. A saved `v` for the
-/// same graph and destination set seeds the run (any `v ≥ 0` is a valid
-/// projected-gradient start); otherwise `v(0) = 0` as in §V.F. Reached
-/// through the [`TeSolver`](crate::TeSolver) impl on [`NemConfig`].
-pub(crate) fn solve_in(
+/// The session entry point: the dual iterate `v`, the flow and demand
+/// buffers and a one-destination split-table scratch live in the
+/// workspace. A saved `v` for the same graph and destination set seeds the
+/// run (any `v ≥ 0` is a valid projected-gradient start); otherwise
+/// `v(0) = 0` as in §V.F. Reached through the [`TeSolver`](crate::TeSolver)
+/// impl on [`NemConfig`] with owned DAGs, and from the SPEF pipeline with
+/// [`DagRef`](spef_graph::DagRef) views of the engine's flat DAG set;
+/// results are bit-identical either way.
+pub(crate) fn solve_in<D: DagAccess>(
     graph: &Graph,
-    dags: &[ShortestPathDag],
+    dags: &[D],
     traffic: &TrafficMatrix,
     target_flows: &[f64],
     config: &NemConfig,
@@ -139,7 +146,8 @@ pub(crate) fn solve_in(
     let default_scale = 1.0 / max_target;
 
     let dests = traffic.destinations();
-    // Effective tile: a tile covering every destination runs dense.
+    // Effective tile: a tile covering every destination runs dense. A
+    // tiled session keeps only the aggregate flows.
     let tile = ws.tile.filter(|&t| t < dests.len());
     let nem = &mut ws.nem;
     let warm = !pinned && nem.try_warm_start(graph, &dests, tile);
@@ -157,62 +165,16 @@ pub(crate) fn solve_in(
 
     for k in 0..config.convergence.max_iterations {
         iterations = k + 1;
-        // d(v) = Σ_r d_r log Σ_k e^{-v^r_k} + Σ_e v_e f*_e; the demand
-        // terms accumulate in ascending destination order on both paths
-        // (the tiled closure folds them per tile while that tile's split
-        // tables are live), so the trace is bit-identical either way.
-        let mut dual = 0.0;
-        if let Some(tile) = tile {
-            let record = config.record_trace;
-            distribute_batch_tiled(
-                graph,
-                &dests,
-                dags.iter(),
-                traffic,
-                SplitRule::Exponential(&nem.v),
-                tile,
-                &mut nem.tables,
-                &mut nem.scratch,
-                &mut nem.tile_cols,
-                &mut nem.flows,
-                |_, chunk, tables| {
-                    if record {
-                        for (i, &t) in chunk.iter().enumerate() {
-                            let table = tables.table(i);
-                            traffic.demands_to_into(t, &mut nem.demand_buf);
-                            for (s, &d) in nem.demand_buf.iter().enumerate() {
-                                if d > 0.0 {
-                                    dual += d * table.log_path_sum(s.into());
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-        } else {
-            distribute_batch(
-                graph,
-                &dests,
-                dags.iter(),
-                traffic,
-                SplitRule::Exponential(&nem.v),
-                &mut nem.tables,
-                &mut nem.scratch,
-                &mut nem.flows,
-            )?;
-            if config.record_trace {
-                for (i, &t) in dests.iter().enumerate() {
-                    let table = nem.tables.table(i);
-                    traffic.demands_to_into(t, &mut nem.demand_buf);
-                    for (s, &d) in nem.demand_buf.iter().enumerate() {
-                        if d > 0.0 {
-                            dual += d * table.log_path_sum(s.into());
-                        }
-                    }
-                }
-            }
-        }
+        // d(v) = Σ_r d_r log Σ_k e^{-v^r_k} + Σ_e v_e f*_e.
+        let mut dual = distribute(
+            nem,
+            graph,
+            dags,
+            &dests,
+            traffic,
+            tile.is_none(),
+            config.record_trace,
+        )?;
         if config.record_trace {
             for (ve, fe) in nem.v.iter().zip(target_flows) {
                 dual += ve * fe;
@@ -253,6 +215,74 @@ pub(crate) fn solve_in(
         iterations,
         converged,
     })
+}
+
+/// One Algorithm 3 pass under the exponential rule at the current `v`,
+/// one destination at a time through the session's one-destination
+/// split-table scratch: the batched kernel's operations in its order
+/// (each destination's flows join the aggregate in ascending destination
+/// order), so the flows are bit-identical to it. `keep_columns` keeps
+/// each destination's flow column (dense sessions); otherwise one scratch
+/// column is reused and only the aggregate survives. Returns the dual
+/// objective's demand terms `Σ_r d_r · log Σ_k e^(−v^r_k)` when `record`,
+/// else `0`.
+fn distribute<D: DagAccess>(
+    nem: &mut NemSession,
+    graph: &Graph,
+    dags: &[D],
+    dests: &[NodeId],
+    traffic: &TrafficMatrix,
+    keep_columns: bool,
+    record: bool,
+) -> Result<f64, SpefError> {
+    if dags.len() != dests.len() {
+        return Err(SpefError::InvalidInput(format!(
+            "{} DAGs supplied for {} destinations",
+            dags.len(),
+            dests.len()
+        )));
+    }
+    let rule = SplitRule::Exponential(&nem.v);
+    validate_rule(graph, rule)?;
+    let m = graph.edge_count();
+    if keep_columns {
+        nem.flows.reset(dests, m);
+    } else {
+        nem.flows.reset_aggregate(dests, m);
+    }
+    let (columns, aggregate) = nem.flows.parts_mut();
+    let mut dual = 0.0;
+    for (i, (dag, t)) in dags.iter().zip(dests).enumerate() {
+        let column = if keep_columns {
+            &mut columns[i..=i]
+        } else {
+            nem.column.clear();
+            nem.column.resize(m, 0.0);
+            std::slice::from_mut(&mut nem.column)
+        };
+        nem.table.reset(graph.node_count());
+        distribute_block(
+            graph,
+            std::slice::from_ref(t),
+            [dag],
+            traffic,
+            rule,
+            &mut nem.table,
+            &mut nem.scratch,
+            column,
+            aggregate,
+        )?;
+        if record {
+            let table = nem.table.table(0);
+            traffic.demands_to_into(*t, &mut nem.scratch.demands);
+            for (s, &d) in nem.scratch.demands.iter().enumerate() {
+                if d > 0.0 {
+                    dual += d * table.log_path_sum(s.into());
+                }
+            }
+        }
+    }
+    Ok(dual)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! exponential ratios of Eq. (22), computed locally from the second
 //! weights. *One more weight per link is enough.*
 
-use spef_graph::{NodeId, ShortestPathDag};
+use spef_graph::{DagRef, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::dual_decomp::{self, DualDecompConfig};
@@ -23,7 +23,7 @@ use crate::frank_wolfe::FrankWolfeConfig;
 use crate::nem::{self, NemConfig, NemOutcome};
 use crate::solver::TeWorkspace;
 use crate::te::{self, TeSolution};
-use crate::traffic_dist::{validate_rule, Flows, SplitRule, SplitTableSet};
+use crate::traffic_dist::{validate_rule, Flows, SplitRule};
 use crate::weights::{
     integerize, scale_weights, INTEGER_DIJKSTRA_TOLERANCE, NONINTEGER_DIJKSTRA_TOLERANCE,
 };
@@ -80,8 +80,8 @@ pub struct SpefConfig {
     pub dijkstra_tolerance: Option<f64>,
 }
 
-/// A fully built SPEF routing: both weight sets, the DAGs, the realised
-/// flows and the forwarding tables.
+/// A fully built SPEF routing: both weight sets, NEM's flows and the
+/// forwarding tables.
 #[derive(Debug, Clone)]
 pub struct SpefRouting {
     first_weights: Vec<f64>,
@@ -89,7 +89,6 @@ pub struct SpefRouting {
     te: TeSolution,
     target_flows: Vec<f64>,
     flows: Flows,
-    dags: Vec<ShortestPathDag>,
     fib: ForwardingTable,
     dijkstra_tolerance: f64,
     nem_converged: bool,
@@ -139,14 +138,15 @@ impl SpefRouting {
         &self.target_flows
     }
 
-    /// The flows SPEF actually realises with exponential splitting.
+    /// NEM's last distributed iterate: the exponential-split flows at the
+    /// second weights of its final distribution. When NEM stops on its
+    /// iteration budget (unconverged, or any pinned run) that distribution
+    /// is one projected-gradient step behind
+    /// [`second_weights`](Self::second_weights), which the FIB is built
+    /// from, so these are not exactly the flows the FIB forwards; see
+    /// [`NemOutcome::flows`](crate::NemOutcome::flows).
     pub fn flows(&self) -> &Flows {
         &self.flows
-    }
-
-    /// The per-destination shortest-path DAGs under the first weights.
-    pub fn dags(&self) -> &[ShortestPathDag] {
-        &self.dags
     }
 
     /// The forwarding tables (TABLE II, reduced to split ratios).
@@ -165,12 +165,12 @@ impl SpefRouting {
         self.nem_converged
     }
 
-    /// Maximum link utilization of the realised flows.
+    /// Maximum link utilization of [`flows`](Self::flows).
     pub fn max_link_utilization(&self, network: &Network) -> f64 {
         metrics::max_link_utilization(network, self.flows.aggregate())
     }
 
-    /// Normalized utility `Σ log(1 − u)` of the realised flows.
+    /// Normalized utility `Σ log(1 − u)` of [`flows`](Self::flows).
     pub fn normalized_utility(&self, network: &Network) -> f64 {
         metrics::normalized_utility(network, self.flows.aggregate())
     }
@@ -292,7 +292,7 @@ pub(crate) fn build_in(
         ws,
     );
     ws.put_engine(engine.into_state());
-    let (dags, nem_out, fib) = result?;
+    let (nem_out, fib) = result?;
 
     Ok(SpefRouting {
         first_weights,
@@ -300,7 +300,6 @@ pub(crate) fn build_in(
         te,
         target_flows,
         flows: nem_out.flows,
-        dags,
         fib,
         dijkstra_tolerance: tolerance,
         nem_converged: nem_out.converged,
@@ -318,59 +317,33 @@ fn route_stages(
     target_flows: &[f64],
     engine: &mut RoutingEngine<'_>,
     ws: &mut TeWorkspace,
-) -> Result<(Vec<ShortestPathDag>, NemOutcome, ForwardingTable), SpefError> {
+) -> Result<(NemOutcome, ForwardingTable), SpefError> {
     let g = engine.graph();
-    let tile = ws.tile.filter(|&t| t < dests.len());
 
-    // Step 2: per-destination shortest-path DAGs, built through the
-    // batched CSR engine and materialised for the public accessor. The
-    // tiled path routes the builds through the tile-sized arenas (peak
-    // O(tile·edges)); the DAGs are materialised in destination order
-    // either way, so the owned set is identical bit for bit.
-    let mut dags: Vec<ShortestPathDag> = Vec::with_capacity(dests.len());
-    if let Some(t) = tile {
-        engine.for_each_dag_tile(floored, dests, tolerance, t, |_, chunk, set| {
-            for i in 0..chunk.len() {
-                dags.push(set.to_shortest_path_dag(i, g));
-            }
-            Ok(())
-        })?;
-    } else {
-        engine.build_dags(floored, dests, tolerance)?;
-        for i in 0..engine.dag_set().len() {
-            dags.push(engine.dag_set().to_shortest_path_dag(i, g));
-        }
-    }
+    // Step 2: per-destination shortest-path DAGs, built once into the
+    // engine's flat DAG set (tiled sessions too: the tile bounds only the
+    // TE loops). NEM and the FIB read them through borrowed views.
+    engine.build_dags(floored, dests, tolerance)?;
+    let dags: Vec<DagRef<'_>> = engine.dag_set().iter().collect();
 
-    // Step 3: second weights via NEM (tiles internally off the same knob).
+    // Step 3: second weights via NEM.
     let nem_out = nem::solve_in(g, &dags, traffic, target_flows, &config.nem, ws)?;
 
-    // Step 4: forwarding tables (batched TABLE II rows). The tiled path
-    // streams each tile's rows straight into the flat FIB arena, so the
-    // only all-destinations structure ever held is the FIB itself.
+    // Step 4: forwarding tables (TABLE II rows), streamed destination by
+    // destination through NEM's one-destination split-table scratch, so
+    // the only all-destinations structure built is the FIB itself.
     let rule = SplitRule::Exponential(&nem_out.second_weights);
-    let fib = if let Some(t) = tile {
-        validate_rule(g, rule)?;
-        let mut tables = SplitTableSet::new();
-        let mut set = FibSet::new();
-        set.begin(g.node_count());
-        for chunk in dags.chunks(t) {
-            tables.reset(g.node_count());
-            for dag in chunk {
-                tables.push_table(g, dag, rule);
-            }
-            for (i, dag) in chunk.iter().enumerate() {
-                let table = tables.table(i);
-                set.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
-            }
-        }
-        ForwardingTable::from(set)
-    } else {
-        let tables = engine.build_split_tables(rule)?;
-        ForwardingTable::from_split_table_set(g.node_count(), dests, tables)
-    };
-
-    Ok((dags, nem_out, fib))
+    validate_rule(g, rule)?;
+    let mut fib = FibSet::new();
+    fib.begin(g.node_count());
+    let scratch = &mut ws.nem.table;
+    for dag in &dags {
+        scratch.reset(g.node_count());
+        scratch.push_table(g, dag, rule);
+        let table = scratch.table(0);
+        fib.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
+    }
+    Ok((nem_out, ForwardingTable::from(fib)))
 }
 
 /// Smallest Dijkstra tolerance that keeps every significantly-loaded edge

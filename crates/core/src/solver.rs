@@ -852,12 +852,15 @@ fn removal_projection(
 pub(crate) struct NemSession {
     pub(crate) v: Vec<f64>,
     pub(crate) flows: Flows,
-    pub(crate) tables: SplitTableSet,
+    /// One destination's split table at a time: NEM routes each
+    /// destination through it, and the SPEF pipeline streams its FIB rows
+    /// from it.
+    pub(crate) table: SplitTableSet,
     pub(crate) scratch: DistScratch,
-    /// Tile-sized per-destination flow columns for the tiled
-    /// distribution path (NEM only needs the aggregate).
-    pub(crate) tile_cols: Vec<Vec<f64>>,
-    pub(crate) demand_buf: Vec<f64>,
+    /// The flow column a tiled session routes each destination into
+    /// before folding it into the aggregate (dense sessions keep one
+    /// column per destination in `flows`).
+    pub(crate) column: Vec<f64>,
     saved: Option<TopoFingerprint>,
 }
 
@@ -971,11 +974,15 @@ impl TeWorkspace {
         TeWorkspace::default()
     }
 
-    /// Sets the destination tile size for subsequent solves: the FW/NEM/DD
-    /// inner loops and the SPEF pipeline then build DAGs and split tables
-    /// in tiles of at most `tile` destinations, bounding peak routing-
-    /// arena memory at O(tile·edges) instead of O(dests·edges). Results
-    /// are **bit-identical** to the dense path for every tile size (the
+    /// Sets the destination tile size for subsequent solves: the
+    /// Frank–Wolfe and Algorithm 1 inner loops then build DAGs and split
+    /// tables in tiles of at most `tile` destinations, bounding their
+    /// routing arenas at O(tile·edges) instead of O(dests·edges), and NEM
+    /// keeps only the aggregate flows instead of one column per
+    /// destination. The SPEF pipeline's NEM and FIB stages read one flat
+    /// DAG set over all destinations in either mode, so a tiled SPEF solve
+    /// still holds O(dests·edges) of DAG arena. Results are
+    /// **bit-identical** to the dense path for every tile size (the
     /// determinism contract pinned by `tests/tile_equivalence.rs`); only
     /// memory and the warm-start fingerprint (which includes the
     /// effective tile) change. `None` or `Some(0)` restores the dense
@@ -998,14 +1005,9 @@ impl TeWorkspace {
     pub fn arena_bytes(&self) -> usize {
         self.engine.as_ref().map_or(0, EngineState::arena_bytes)
             + self.engine_alt.as_ref().map_or(0, EngineState::arena_bytes)
-            + self.nem.tables.arena_bytes()
+            + self.nem.table.arena_bytes()
             + self.nem.flows.arena_bytes()
-            + self
-                .nem
-                .tile_cols
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
+            + self.nem.column.capacity() * std::mem::size_of::<f64>()
             + self.fw.flows.arena_bytes()
             + self.fw.target.arena_bytes()
             + self.dd.flows.arena_bytes()

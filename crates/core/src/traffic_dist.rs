@@ -4,8 +4,10 @@
 //! *first* link weights) and a split rule, this module computes the exact
 //! link flows that hop-by-hop forwarding produces:
 //!
-//! * [`SplitRule::EvenEcmp`] — OSPF behaviour: traffic toward `t` splits
-//!   evenly over all next hops on shortest paths;
+//! * [`SplitRule::EvenEcmp`] — the OSPF baseline: traffic toward `t`
+//!   splits evenly over all equal-cost shortest *paths*, so a next hop's
+//!   share is proportional to its number of shortest paths to `t` (the
+//!   exponential rule at `v = 0`) — not an even share per next hop;
 //! * [`SplitRule::Exponential`] — SPEF behaviour (Eq. 22): traffic splits
 //!   over next hops proportionally to `Σ_paths e^(−len₂(path))` where
 //!   `len₂` is the path length under the *second* weights.
@@ -51,7 +53,10 @@ use crate::SpefError;
 /// destination.
 #[derive(Debug, Clone, Copy)]
 pub enum SplitRule<'a> {
-    /// OSPF ECMP: even split over all shortest-path next hops.
+    /// ECMP as the OSPF baseline models it: an even split over all
+    /// equal-cost shortest **paths**. A next hop with `k` shortest paths to
+    /// the destination gets `k` shares, so this is not the per-next-hop
+    /// even split a router's hash-based ECMP performs.
     EvenEcmp,
     /// SPEF: exponential split driven by the second link weights
     /// (one `f64` per edge).
@@ -829,14 +834,18 @@ where
 /// locally from 0 within `tables`), routes the destination's demand column
 /// into `columns[i]`, and adds it into the **global** `aggregate`. The
 /// untiled [`distribute_batch`] runs exactly one block over all
-/// destinations; the tiled drivers run it once per tile with the same
-/// global aggregate, so the aggregate's floating-point accumulation order
-/// (ascending destination) is identical in both paths — that is the
-/// bit-determinism contract of the tiled engine.
+/// destinations; the tiled engine runs it once per tile and NEM once per
+/// destination, with the same global aggregate, so the aggregate's
+/// floating-point accumulation order (ascending destination) is identical
+/// on every path — that is the bit-determinism contract of the tiled
+/// engine.
 ///
 /// `tables` must already be reset for this block and `columns` must be
-/// zeroed, `m`-length and aligned with `dests`.
+/// zeroed, `m`-length and aligned with `dests`. Inlined because NEM calls
+/// it once per destination, and on small graphs the call overhead is a
+/// measurable share of an iteration.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub(crate) fn distribute_block<D, I>(
     graph: &Graph,
     dests: &[NodeId],
@@ -877,87 +886,6 @@ where
         for (agg, f) in aggregate.iter_mut().zip(flows.iter()) {
             *agg += f;
         }
-    }
-    Ok(())
-}
-
-/// Tile-by-tile variant of [`distribute_batch`] for callers that only need
-/// the aggregate link flows: split tables and per-destination columns are
-/// bounded by the tile size (peak O(tile·edges) instead of
-/// O(dests·edges)), and `out` holds the aggregate only
-/// ([`Flows::for_destination`] returns `None`). `on_tile(offset, tile
-/// dests, tables)` fires after each tile while its split tables are still
-/// live, letting callers fold per-destination quantities (NEM dual terms,
-/// FIB rows) without retaining the dense arenas.
-///
-/// Aggregate flows are bit-identical to the untiled path for every tile
-/// size: both run [`distribute_block`] over destinations in ascending
-/// order against the same global accumulator.
-///
-/// # Errors
-///
-/// Same conditions as [`distribute_batch`], plus whatever `on_tile`
-/// returns.
-///
-/// # Panics
-///
-/// Panics if `tile` is zero.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn distribute_batch_tiled<D, I, F>(
-    graph: &Graph,
-    dests: &[NodeId],
-    dags: I,
-    traffic: &TrafficMatrix,
-    rule: SplitRule<'_>,
-    tile: usize,
-    tables: &mut SplitTableSet,
-    scratch: &mut DistScratch,
-    columns: &mut Vec<Vec<f64>>,
-    out: &mut Flows,
-    mut on_tile: F,
-) -> Result<(), SpefError>
-where
-    D: DagAccess,
-    I: IntoIterator<Item = D>,
-    I::IntoIter: ExactSizeIterator,
-    F: FnMut(usize, &[NodeId], &SplitTableSet) -> Result<(), SpefError>,
-{
-    assert!(tile > 0, "tile size must be at least 1");
-    let mut dags = dags.into_iter();
-    if dests.len() != dags.len() {
-        return Err(SpefError::InvalidInput(format!(
-            "{} DAGs supplied for {} destinations",
-            dags.len(),
-            dests.len()
-        )));
-    }
-    validate_rule(graph, rule)?;
-    let m = graph.edge_count();
-    out.reset_aggregate(dests, m);
-
-    let mut offset = 0;
-    for chunk in dests.chunks(tile) {
-        if columns.len() < chunk.len() {
-            columns.resize_with(chunk.len(), Vec::new);
-        }
-        for col in &mut columns[..chunk.len()] {
-            col.clear();
-            col.resize(m, 0.0);
-        }
-        tables.reset(graph.node_count());
-        distribute_block(
-            graph,
-            chunk,
-            dags.by_ref().take(chunk.len()),
-            traffic,
-            rule,
-            tables,
-            scratch,
-            &mut columns[..chunk.len()],
-            &mut out.aggregate,
-        )?;
-        on_tile(offset, chunk, tables)?;
-        offset += chunk.len();
     }
     Ok(())
 }
@@ -1038,6 +966,47 @@ mod tests {
         let dags = build_dags(&g, &w, &tm.destinations(), 0.0).unwrap();
         let flows = traffic_distribution(&g, &dags, &tm, SplitRule::EvenEcmp).unwrap();
         assert_eq!(flows.aggregate(), &[1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn even_ecmp_splits_by_path_count_not_next_hop() {
+        // 0 → {1, 2} → 6: node 1 reaches 6 over two equal-cost paths (via
+        // 3 and via 4), node 2 over one (via 5). The rule shares evenly
+        // per path, so node 0 sends 2/3 via 1 and 1/3 via 2, where a
+        // per-next-hop split would send 1/2 each.
+        let mut g = Graph::with_nodes(7);
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (1, 4),
+            (2, 5),
+            (3, 6),
+            (4, 6),
+            (5, 6),
+        ] {
+            g.add_edge(u.into(), v.into());
+        }
+        let w = vec![1.0; 8];
+        let tm = demand(7, 0, 6, 3.0);
+        let dags = build_dags(&g, &w, &tm.destinations(), 0.0).unwrap();
+        let flows = traffic_distribution(&g, &dags, &tm, SplitRule::EvenEcmp).unwrap();
+        let expected = [2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        for (e, (&f, &x)) in flows.aggregate().iter().zip(&expected).enumerate() {
+            assert!((f - x).abs() < 1e-12, "e{e}: {f} vs {x}");
+        }
+        let table = SplitTable::build(&g, &dags[0], SplitRule::EvenEcmp).unwrap();
+        let hops = table.next_hops(0.into());
+        assert!(
+            (hops[0].1 - 2.0 / 3.0).abs() < 1e-12,
+            "via 1: {}",
+            hops[0].1
+        );
+        assert!(
+            (hops[1].1 - 1.0 / 3.0).abs() < 1e-12,
+            "via 2: {}",
+            hops[1].1
+        );
     }
 
     #[test]

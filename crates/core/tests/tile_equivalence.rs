@@ -1,26 +1,28 @@
 //! Property tests: the destination-tiled routing paths are
 //! **bit-identical** to the untiled ones for every tile size.
 //!
-//! The tiled engine ([`RoutingEngine::distribute_tiled`] /
-//! [`RoutingEngine::for_each_dag_tile`]) shrinks the DAG and split-table
-//! arenas from O(dests·edges) to O(tile·edges), but the determinism
-//! contract says results never move: each destination's flows are folded
-//! into the global aggregate destination by destination in ascending
-//! order — the exact operation sequence of the untiled batch. These tests
-//! pin that contract for random instances across adversarial tile sizes
-//! (1, a non-divisor, the whole set, and past the end), at the engine
-//! layer and through the full SPEF pipeline ([`TeWorkspace::set_tile_size`])
-//! for both the Frank–Wolfe and Algorithm 1 solvers.
+//! The tiled engine ([`RoutingEngine::distribute_tiled`]) shrinks the DAG
+//! and split-table arenas from O(dests·edges) to O(tile·edges), but the
+//! determinism contract says results never move: each destination's flows
+//! are folded into the global aggregate destination by destination in
+//! ascending order — the exact operation sequence of the untiled batch.
+//! These tests pin that contract for random instances across adversarial
+//! tile sizes (1, a non-divisor, the whole set, and past the end), at the
+//! engine layer and through the full SPEF pipeline
+//! ([`TeWorkspace::set_tile_size`]) for both the Frank–Wolfe and
+//! Algorithm 1 solvers. The pipeline is also checked against its
+//! decomposition into public steps, the one the benchmark traces.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use spef_core::protocol::support_slack_tolerance;
 use spef_core::{
-    ConvergenceCriteria, DualDecompConfig, FibSet, ForwardingTable, FrankWolfeConfig, NemConfig,
-    Objective, RoutingEngine, SpefConfig, SplitRule, TeInstance, TeSolver, TeSolverKind,
-    TeWorkspace,
+    dual_decomp, traffic_distribution_detailed, ConvergenceCriteria, DualDecompConfig, FibSet,
+    ForwardingTable, FrankWolfeConfig, NemConfig, NemInstance, NemOutcome, Objective,
+    RoutingEngine, SpefConfig, SplitRule, TeInstance, TeSolver, TeSolverKind, TeWorkspace,
 };
-use spef_graph::NodeId;
-use spef_topology::{gen, TrafficMatrix};
+use spef_graph::{NodeId, ShortestPathDag};
+use spef_topology::{gen, Network, TrafficMatrix};
 
 /// Strategy: a random duplex network, demands, and second weights.
 fn random_instance() -> impl Strategy<Value = (spef_topology::Network, TrafficMatrix, Vec<f64>)> {
@@ -57,6 +59,91 @@ fn tile_sizes(dests: usize) -> [usize; 4] {
 /// `-0.0` and `0.0` and hide a changed operation order).
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// An exact-weight Frank–Wolfe SPEF solve decomposed into its public
+/// steps, in the order the benchmark traces them: FW `solve_in`,
+/// `support_slack_tolerance`, floored `build_dags`, owned DAGs,
+/// `NemInstance`, then `build_split_tables` +
+/// `ForwardingTable::from_split_table_set`. FW and NEM run in `ws`, so
+/// they follow its tile setting.
+fn decomposed(
+    net: &Network,
+    tm: &TrafficMatrix,
+    obj: &Objective,
+    config: &SpefConfig,
+    ws: &mut TeWorkspace,
+) -> Steps {
+    let TeSolverKind::FrankWolfe(fw) = &config.solver else {
+        panic!("the decomposition covers the Frank-Wolfe pipeline only");
+    };
+    let g = net.graph();
+    let dests = tm.destinations();
+    let te = fw.solve_in(TeInstance::new(net, tm, obj), ws).unwrap();
+    let tol = support_slack_tolerance(g, &te.weights, &te.flows).unwrap();
+    let floored: Vec<f64> = te
+        .weights
+        .iter()
+        .map(|w| w.max(dual_decomp::WEIGHT_FLOOR))
+        .collect();
+    let mut engine = RoutingEngine::new(g);
+    engine.build_dags(&floored, &dests, tol).unwrap();
+    let dags: Vec<ShortestPathDag> = (0..dests.len())
+        .map(|i| engine.dag_set().to_shortest_path_dag(i, g))
+        .collect();
+    let nem = config
+        .nem
+        .solve_in(NemInstance::new(g, &dags, tm, te.flows.aggregate()), ws)
+        .unwrap();
+    let tables = engine
+        .build_split_tables(SplitRule::Exponential(&nem.second_weights))
+        .unwrap();
+    let fib = ForwardingTable::from_split_table_set(g.node_count(), &dests, tables);
+    Steps {
+        first_weights: te.weights,
+        target: te.flows.aggregate().to_vec(),
+        dags,
+        nem,
+        fib,
+    }
+}
+
+/// What [`decomposed`] produces: the first weights, NEM's target flows,
+/// the owned DAGs, the NEM outcome and the FIB.
+struct Steps {
+    first_weights: Vec<f64>,
+    target: Vec<f64>,
+    dags: Vec<ShortestPathDag>,
+    nem: NemOutcome,
+    fib: ForwardingTable,
+}
+
+/// The NEM dual objective `Σ_r d_r · log Σ_k e^(−v^r_k) + Σ_e v_e f*_e`
+/// at `v`, summed independently of the solver: demand terms in ascending
+/// destination order, then source order, then the link terms.
+fn dual_objective(
+    net: &Network,
+    tm: &TrafficMatrix,
+    dags: &[ShortestPathDag],
+    v: &[f64],
+    target: &[f64],
+) -> f64 {
+    let (_, tables) =
+        traffic_distribution_detailed(net.graph(), dags, tm, SplitRule::Exponential(v)).unwrap();
+    let mut column = Vec::new();
+    let mut dual = 0.0;
+    for (table, &t) in tables.iter().zip(&tm.destinations()) {
+        tm.demands_to_into(t, &mut column);
+        for (s, &d) in column.iter().enumerate() {
+            if d > 0.0 {
+                dual += d * table.log_path_sum(NodeId::new(s));
+            }
+        }
+    }
+    for (ve, fe) in v.iter().zip(target) {
+        dual += ve * fe;
+    }
+    dual
 }
 
 /// Asserts two forwarding tables agree cell for cell, bit for bit.
@@ -144,17 +231,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(bits(agg.aggregate()), bits(dense.aggregate()), "tile {}", tile);
             prop_assert!(agg.for_destination(dests[0]).is_none());
-
-            // Build-only tiling visits every destination's DAG in order.
-            let mut visited = Vec::new();
-            engine
-                .for_each_dag_tile(&w, &dests, 0.0, tile, |_, chunk, set| {
-                    prop_assert_eq!(set.destinations(), chunk);
-                    visited.extend_from_slice(chunk);
-                    Ok(())
-                })
-                .unwrap();
-            prop_assert_eq!(&visited, &dests);
         }
 
         // The tiled calls never clobbered the untiled DAG fingerprint:
@@ -229,6 +305,111 @@ proptest! {
                     dense.forwarding_table(),
                     net.node_count(),
                 )?;
+            }
+        }
+
+        // The Frank–Wolfe pipeline against its public steps, dense and at
+        // every tile size: a pinned NEM run, and a budgeted one (which may
+        // stop early) that records the dual trace. The traced case routes
+        // every ordered pair, so each destination folds several demand
+        // terms and a changed summation order changes the trace's bits.
+        let fw = TeSolverKind::FrankWolfe(FrankWolfeConfig {
+            convergence: ConvergenceCriteria::pinned(8),
+            ..FrankWolfeConfig::default()
+        });
+        let mut all_pairs = TrafficMatrix::new(net.node_count());
+        for s in net.graph().nodes() {
+            for t in net.graph().nodes() {
+                if s != t {
+                    let d = 0.1 + ((s.index() * 7 + t.index() * 3) % 5) as f64 * 0.05;
+                    all_pairs.set(s, t, d);
+                }
+            }
+        }
+        let all_pairs = all_pairs.scaled_to_network_load(&net, 0.03);
+        let cases = [
+            (
+                NemConfig {
+                    convergence: ConvergenceCriteria::pinned(20),
+                    ..NemConfig::default()
+                },
+                &tm,
+            ),
+            (
+                NemConfig {
+                    convergence: ConvergenceCriteria::budget(40),
+                    record_trace: true,
+                    ..NemConfig::default()
+                },
+                &all_pairs,
+            ),
+        ];
+        for (nem, tm) in cases {
+            let dests = tm.destinations();
+            let config = SpefConfig { solver: fw.clone(), nem, ..SpefConfig::default() };
+            let reference = decomposed(&net, tm, &obj, &config, &mut TeWorkspace::new());
+            let modes = std::iter::once(None).chain(tile_sizes(dests.len()).map(Some));
+            for tile in modes {
+                let mut ws = TeWorkspace::new();
+                ws.set_tile_size(tile);
+                let routing = config
+                    .solve_in(TeInstance::new(&net, tm, &obj), &mut ws)
+                    .unwrap();
+                let mut ws = TeWorkspace::new();
+                ws.set_tile_size(tile);
+                let steps = decomposed(&net, tm, &obj, &config, &mut ws);
+                let (nem, fib) = (&steps.nem, &steps.fib);
+                prop_assert_eq!(
+                    bits(routing.first_weights()), bits(&steps.first_weights), "tile {:?}", tile
+                );
+                prop_assert_eq!(
+                    bits(routing.second_weights()), bits(&nem.second_weights), "tile {:?}", tile
+                );
+                prop_assert_eq!(
+                    bits(routing.flows().aggregate()), bits(nem.flows.aggregate()),
+                    "tile {:?}", tile
+                );
+                for &t in &dests {
+                    // Dense sessions keep every column, tiled ones none (a
+                    // tile covering every destination runs dense).
+                    let tiled = tile.is_some_and(|t| t < dests.len());
+                    prop_assert_eq!(routing.flows().for_destination(t).is_some(), !tiled);
+                    prop_assert_eq!(
+                        routing.flows().for_destination(t).map(bits),
+                        nem.flows.for_destination(t).map(bits),
+                        "tile {:?} dest {:?}", tile, t
+                    );
+                }
+                prop_assert_eq!(routing.nem_converged(), nem.converged, "tile {:?}", tile);
+                prop_assert_eq!(nem.iterations, reference.nem.iterations, "tile {:?}", tile);
+                prop_assert_eq!(
+                    bits(&nem.dual_objective_trace), bits(&reference.nem.dual_objective_trace),
+                    "tile {:?}", tile
+                );
+                assert_tables_identical(routing.forwarding_table(), fib, net.node_count())?;
+            }
+
+            // The trace's last entry is the dual at the iterate before the
+            // final step, summed in ascending destination order.
+            if config.nem.record_trace {
+                let Steps { target, dags, nem, .. } = &reference;
+                let k = nem.iterations;
+                prop_assert_eq!(nem.dual_objective_trace.len(), k);
+                let v = if k == 1 {
+                    vec![0.0; net.link_count()]
+                } else {
+                    NemConfig {
+                        convergence: ConvergenceCriteria::pinned(k - 1),
+                        ..NemConfig::default()
+                    }
+                    .solve(NemInstance::new(net.graph(), dags, tm, target))
+                    .unwrap()
+                    .second_weights
+                };
+                prop_assert_eq!(
+                    nem.dual_objective_trace[k - 1].to_bits(),
+                    dual_objective(&net, tm, dags, &v, target).to_bits()
+                );
             }
         }
     }

@@ -302,49 +302,60 @@ pub struct DagRef<'a> {
     path_counts: &'a [u64],
 }
 
+// The accessors are `#[inline]` because the per-node loops of the
+// distribution kernel call them across the crate boundary.
 impl<'a> DagRef<'a> {
     /// The destination this DAG routes toward.
+    #[inline]
     pub fn target(&self) -> NodeId {
         self.target
     }
 
     /// The equal-cost tolerance the DAG was built with.
+    #[inline]
     pub fn tolerance(&self) -> f64 {
         self.tol
     }
 
     /// Shortest distance from `u` to the target (`f64::INFINITY` if
     /// unreachable).
+    #[inline]
     pub fn distance(&self, u: NodeId) -> f64 {
         self.dist[u.index()]
     }
 
     /// All per-node distances, indexed by node id.
+    #[inline]
     pub fn distances(&self) -> &'a [f64] {
         self.dist
     }
 
     /// DAG edges leaving `u`, in edge-id order.
+    #[inline]
     pub fn successors(&self, u: NodeId) -> &'a [EdgeId] {
         &self.succ[self.succ_off[u.index()]..self.succ_off[u.index() + 1]]
     }
 
     /// Returns `true` if edge `e` lies on some shortest path to the target.
+    #[inline]
     pub fn contains_edge(&self, e: EdgeId) -> bool {
         self.on_dag[e.index()]
     }
 
     /// Returns `true` if the target is reachable from `u`.
+    #[inline]
     pub fn reaches_target(&self, u: NodeId) -> bool {
         self.dist[u.index()].is_finite()
     }
 
     /// Reachable nodes in decreasing-distance order (target last).
+    #[inline]
     pub fn nodes_by_decreasing_distance(&self) -> &'a [NodeId] {
         self.order
     }
 
     /// Number of equal-cost shortest paths from `u`, saturating.
+    #[inline]
     pub fn path_count(&self, u: NodeId) -> u64 {
         self.path_counts[u.index()]
     }
@@ -392,15 +403,19 @@ impl DagAccess for ShortestPathDag {
 }
 
 impl DagAccess for DagRef<'_> {
+    #[inline]
     fn dag_target(&self) -> NodeId {
         self.target()
     }
+    #[inline]
     fn dag_distances(&self) -> &[f64] {
         self.distances()
     }
+    #[inline]
     fn dag_successors(&self, u: NodeId) -> &[EdgeId] {
         self.successors(u)
     }
+    #[inline]
     fn dag_order_desc(&self) -> &[NodeId] {
         self.nodes_by_decreasing_distance()
     }
@@ -622,56 +637,6 @@ pub fn rebuild_dag_set_slots(
         for task in tasks {
             build_one_dag(graph, in_csr, weights, tol, task);
         }
-    }
-    Ok(())
-}
-
-/// Builds the DAGs of `dests` one bounded **tile** at a time instead of in
-/// one dense `O(dests · (nodes + edges))` arena: each tile of at most
-/// `tile` destinations is built into `out` (overwriting the previous
-/// tile's data, so `out`'s high-water footprint is `O(tile · edges)`), the
-/// tile fans out across worker threads exactly like [`build_dag_set`], and
-/// `visit(offset, tile_dests, out)` is called before the next tile
-/// overwrites it. Per-destination results are bit-identical to the dense
-/// build: each destination's Dijkstra and classification are independent,
-/// so slicing the batch changes nothing but peak memory.
-///
-/// # Errors
-///
-/// Same conditions as [`build_dag_set`], plus whatever `visit` returns;
-/// the error type only needs a `From<GraphError>` conversion so callers in
-/// higher layers can thread their own error through the visitor.
-///
-/// # Panics
-///
-/// Panics if `tile` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn build_dag_set_tiled<E, F>(
-    graph: &Graph,
-    in_csr: &Csr,
-    weights: &[f64],
-    dests: &[NodeId],
-    tol: f64,
-    par: Parallelism,
-    tile: usize,
-    ws: &mut RoutingWorkspace,
-    out: &mut DagSet,
-    mut visit: F,
-) -> Result<(), E>
-where
-    E: From<GraphError>,
-    F: FnMut(usize, &[NodeId], &DagSet) -> Result<(), E>,
-{
-    assert!(tile > 0, "tile size must be at least 1");
-    let mut offset = 0;
-    for chunk in dests.chunks(tile) {
-        build_dag_set(graph, in_csr, weights, chunk, tol, par, ws, out)?;
-        visit(offset, chunk, out)?;
-        offset += chunk.len();
-    }
-    // An empty destination set still leaves `out` in a consistent state.
-    if dests.is_empty() {
-        build_dag_set(graph, in_csr, weights, dests, tol, par, ws, out)?;
     }
     Ok(())
 }

@@ -63,8 +63,8 @@ pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 
 pub use batch::{
-    batch_distances_to, build_dag_set, build_dag_set_tiled, DagAccess, DagRef, DagSet, DistanceSet,
-    Parallelism, RoutingWorkspace,
+    batch_distances_to, build_dag_set, DagAccess, DagRef, DagSet, DistanceSet, Parallelism,
+    RoutingWorkspace,
 };
 pub use csr::Csr;
 pub use dag::ShortestPathDag;

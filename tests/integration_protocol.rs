@@ -2,8 +2,8 @@
 //! evaluation backbones.
 
 use spef_core::{
-    metrics, ConvergenceCriteria, Objective, SpefConfig, TeInstance, TeSolver, TeSolverKind,
-    WeightMode,
+    dual_decomp, metrics, ConvergenceCriteria, Flows, FrankWolfeConfig, NemConfig, Objective,
+    RoutingEngine, SpefConfig, SplitRule, TeInstance, TeSolver, TeSolverKind, WeightMode,
 };
 use spef_topology::{standard, TrafficMatrix};
 
@@ -177,5 +177,72 @@ fn infeasible_demand_is_rejected_up_front() {
             .solve(TeInstance::new(&net, &tm, &obj))
             .unwrap_err(),
         spef_core::SpefError::Infeasible
+    );
+}
+
+#[test]
+fn nem_flows_are_one_step_behind_the_returned_second_weights() {
+    // NEM distributes, then steps `v`. A run that ends on its budget (here
+    // pinned, unconverged) returns the stepped weights, so `flows` is the
+    // distribution at the weights of a run one iteration shorter, not at
+    // the returned weights the FIB is built from.
+    let net = standard::abilene();
+    let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.12);
+    let obj = Objective::proportional(net.link_count());
+    let route = |nem_iterations| {
+        SpefConfig {
+            solver: TeSolverKind::FrankWolfe(FrankWolfeConfig {
+                convergence: ConvergenceCriteria::pinned(12),
+                ..FrankWolfeConfig::default()
+            }),
+            nem: NemConfig {
+                convergence: ConvergenceCriteria::pinned(nem_iterations),
+                ..NemConfig::default()
+            },
+            ..SpefConfig::default()
+        }
+        .solve(TeInstance::new(&net, &tm, &obj))
+        .unwrap()
+    };
+    let routing = route(40);
+    let shorter = route(39);
+    assert!(!routing.nem_converged());
+
+    // Fresh distributions over the pipeline's own DAGs.
+    let floored: Vec<f64> = routing
+        .first_weights()
+        .iter()
+        .map(|w| w.max(dual_decomp::WEIGHT_FLOOR))
+        .collect();
+    let mut engine = RoutingEngine::new(net.graph());
+    engine
+        .build_dags(&floored, &tm.destinations(), routing.dijkstra_tolerance())
+        .unwrap();
+    let mut at = |v: &[f64]| engine.distribute(&tm, SplitRule::Exponential(v)).unwrap();
+    let behind = at(shorter.second_weights());
+    let returned = at(routing.second_weights());
+    let bits = |f: &Flows| -> Vec<u64> { f.aggregate().iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(bits(routing.flows()), bits(&behind));
+    for &t in &tm.destinations() {
+        let column = |f: &Flows| -> Vec<u64> {
+            f.for_destination(t)
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(column(routing.flows()), column(&behind), "destination {t}");
+    }
+    assert_ne!(bits(routing.flows()), bits(&returned));
+
+    let reported = routing.max_link_utilization(&net);
+    let at_returned = metrics::max_link_utilization(&net, returned.aggregate());
+    assert!(
+        (reported - 0.748402).abs() < 5e-7,
+        "reported MLU {reported}"
+    );
+    assert!(
+        (at_returned - 0.748473).abs() < 5e-7,
+        "MLU at v {at_returned}"
     );
 }
