@@ -13,7 +13,8 @@
 //! * [`mlu_lp`] — the classic minimise-MLU linear program (TABLE I's
 //!   "MLU [19]" column), solved exactly with the `spef-lp` simplex.
 //!
-//! The β = 0 exact LP lives in `spef-core` (`solve_te` dispatches on β).
+//! The β = 0 exact LP lives in `spef-core` (`FrankWolfeConfig`'s `TeSolver`
+//! impl dispatches on β).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

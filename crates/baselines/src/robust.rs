@@ -22,16 +22,14 @@
 //! *circuit* failure that leaves the network connected (bridge circuits
 //! are skipped and counted — see [`RobustOutcome::skipped_circuits`]).
 //!
-//! Candidate evaluations probe the failure scenarios on **one** shared
-//! engine: each circuit is masked out with
-//! [`RoutingEngine::fail_links`], routed (an incremental refresh of the
-//! destinations the circuit dirtied — the weights are unchanged, so the
-//! SPF fingerprint holds), and restored — no per-scenario engines, no
-//! per-scenario DAG arenas, O(dests·edges) peak memory instead of
-//! O(circuits·dests·edges). `full_rebuild` keeps the legacy path —
-//! degraded topologies pre-built once, one engine per scenario — as the
-//! regression baseline; both paths produce bit-identical costs, so the
-//! search trajectory is the same.
+//! Each connected failure scenario is built once, as the degraded clone
+//! [`Network::without_links`] returns, with an engine, weight buffer and
+//! flow buffer of its own. Consecutive candidates differ in one or two
+//! weights, so every scenario engine sees a small weight delta that its
+//! incremental SPF absorbs by rebuilding only the destinations those
+//! weights can affect. [`RobustConfig::full_rebuild`] forces dense
+//! rebuilds on every engine; both modes produce bit-identical costs, so
+//! the search trajectory is the same.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,12 +91,11 @@ pub struct RobustOutcome {
     /// excluded from the scenario set (reported, never silent).
     pub skipped_circuits: usize,
     /// SPF build counters summed over every engine the search used — how
-    /// many probe routings took the incremental/topology-delta paths and
-    /// how many destination slots they rebuilt.
+    /// many probe routings took the incremental path and how many
+    /// destination slots they rebuilt.
     pub spf_stats: SpfStats,
-    /// Peak bytes reserved by the search's routing arenas: one engine's
-    /// worth on the masked path, the sum over the intact and per-scenario
-    /// engines on the `full_rebuild` path.
+    /// Peak bytes reserved by the search's routing arenas, summed over the
+    /// intact and per-scenario engines.
     pub arena_bytes: usize,
 }
 
@@ -133,137 +130,89 @@ impl RobustOutcome {
             .map(|c| (max_cap / c).round().clamp(1.0, config.max_weight as f64))
             .collect();
 
-        if config.full_rebuild {
-            // Legacy path: every degraded topology pre-built once, one
-            // engine + weight buffer + flow buffer per scenario. Kept as
-            // the regression baseline the masked path is diffed against.
-            let mut scenarios = Vec::new();
-            let mut skipped_circuits = 0usize;
-            for circuit in network.duplex_circuits() {
-                match network.without_links(&circuit) {
-                    Ok((degraded, kept)) => scenarios.push((degraded, kept)),
-                    Err(_) => skipped_circuits += 1,
-                }
-            }
-            let mut intact_engine = RoutingEngine::new(network.graph());
-            intact_engine.set_incremental(false);
-            let mut engines: Vec<RoutingEngine<'_>> = scenarios
-                .iter()
-                .map(|(degraded, _)| {
-                    let mut e = RoutingEngine::new(degraded.graph());
-                    e.set_incremental(false);
-                    e
-                })
-                .collect();
-            let mut degraded_weights: Vec<Vec<f64>> = scenarios
-                .iter()
-                .map(|(_, kept)| vec![0.0; kept.len()])
-                .collect();
-            let mut flows = intact_engine.distribute_fresh();
-            let mut scenario_flows: Vec<spef_core::Flows> = scenarios
-                .iter()
-                .map(|_| intact_engine.distribute_fresh())
-                .collect();
-
-            // Worst-case MLU of one candidate across all scenarios. The
-            // intact MLU is returned alongside so the final report does
-            // not need an extra pass.
-            let mut cost_of = |weights: &[f64]| -> Result<(f64, f64), SpefError> {
-                ospf::route_flows_into(&mut intact_engine, traffic, &dests, weights, &mut flows)?;
-                let intact = metrics::max_link_utilization(network, flows.aggregate());
-                let mut worst = intact;
-                for (i, (degraded, kept)) in scenarios.iter().enumerate() {
-                    let dw = &mut degraded_weights[i];
-                    for (slot, &old) in dw.iter_mut().zip(kept) {
-                        *slot = weights[old.index()];
-                    }
-                    let sf = &mut scenario_flows[i];
-                    ospf::route_flows_into(&mut engines[i], traffic, &dests, dw, sf)?;
-                    worst = worst.max(metrics::max_link_utilization(degraded, sf.aggregate()));
-                }
-                Ok((worst, intact))
-            };
-            let (weights, cost, intact_mlu, evaluations) =
-                first_improvement_search(m, config, &mut rng, start, &mut cost_of)?;
-
-            let mut spf_stats = intact_engine.spf_stats();
-            let mut arena_bytes = intact_engine.arena_bytes();
-            for e in &engines {
-                let s = e.spf_stats();
-                spf_stats.builds += s.builds;
-                spf_stats.incremental_builds += s.incremental_builds;
-                spf_stats.slots_rebuilt += s.slots_rebuilt;
-                spf_stats.last_dirty = spf_stats.last_dirty.max(s.last_dirty);
-                spf_stats.topology_builds += s.topology_builds;
-                spf_stats.masked_links += s.masked_links;
-                arena_bytes += e.arena_bytes();
-            }
-            return Ok(RobustOutcome {
-                weights,
-                worst_mlu: cost,
-                intact_mlu,
-                evaluations,
-                skipped_circuits,
-                spf_stats,
-                arena_bytes,
-            });
-        }
-
-        // Masked path: circuits are classified once (test-and-drop — no
-        // degraded Network is retained) and every candidate probes them
-        // on the one shared engine via fail/restore round-trips. The
-        // weights are identical across the intact and failed routings of
-        // a candidate, so the SPF fingerprint holds through every mask
-        // toggle and each probe costs one dirty-destination refresh. The
-        // MLU is folded over the intact link set — masked links carry
-        // zero flow, and utilisations are non-negative, so the maximum is
-        // bit-identical to folding over the degraded link set.
-        let mut circuits = Vec::new();
+        // Every degraded topology is built once, with one engine + weight
+        // buffer + flow buffer per scenario.
+        let mut scenarios = Vec::new();
         let mut skipped_circuits = 0usize;
         for circuit in network.duplex_circuits() {
             match network.without_links(&circuit) {
-                Ok(_) => circuits.push(circuit),
+                Ok(scenario) => scenarios.push(scenario),
                 Err(_) => skipped_circuits += 1,
             }
         }
-        let mut engine = RoutingEngine::new(network.graph());
-        let mut flows = engine.distribute_fresh();
+        let engine_for = |graph| {
+            let mut engine = RoutingEngine::new(graph);
+            engine.set_incremental(!config.full_rebuild);
+            engine
+        };
+        let mut intact_engine = engine_for(network.graph());
+        let mut engines: Vec<RoutingEngine<'_>> = scenarios
+            .iter()
+            .map(|(degraded, _)| engine_for(degraded.graph()))
+            .collect();
+        let mut degraded_weights: Vec<Vec<f64>> = scenarios
+            .iter()
+            .map(|(_, kept)| vec![0.0; kept.len()])
+            .collect();
+        let mut flows = intact_engine.distribute_fresh();
+        let mut scenario_flows: Vec<spef_core::Flows> = scenarios
+            .iter()
+            .map(|_| intact_engine.distribute_fresh())
+            .collect();
+
+        // Worst-case MLU of one candidate across all scenarios. The intact
+        // MLU is returned alongside so the final report does not need an
+        // extra pass.
         let mut cost_of = |weights: &[f64]| -> Result<(f64, f64), SpefError> {
-            ospf::route_flows_into(&mut engine, traffic, &dests, weights, &mut flows)?;
+            ospf::route_flows_into(&mut intact_engine, traffic, &dests, weights, &mut flows)?;
             let intact = metrics::max_link_utilization(network, flows.aggregate());
             let mut worst = intact;
-            for circuit in &circuits {
-                engine.fail_links(circuit)?;
-                ospf::route_flows_into(&mut engine, traffic, &dests, weights, &mut flows)?;
-                worst = worst.max(metrics::max_link_utilization(network, flows.aggregate()));
-                engine.restore_links(circuit)?;
+            for (i, (degraded, kept)) in scenarios.iter().enumerate() {
+                let dw = &mut degraded_weights[i];
+                for (slot, &old) in dw.iter_mut().zip(kept) {
+                    *slot = weights[old.index()];
+                }
+                let sf = &mut scenario_flows[i];
+                ospf::route_flows_into(&mut engines[i], traffic, &dests, dw, sf)?;
+                worst = worst.max(metrics::max_link_utilization(degraded, sf.aggregate()));
             }
             Ok((worst, intact))
         };
         let (weights, cost, intact_mlu, evaluations) =
             first_improvement_search(m, config, &mut rng, start, &mut cost_of)?;
+
+        let mut spf_stats = intact_engine.spf_stats();
+        let mut arena_bytes = intact_engine.arena_bytes();
+        for e in &engines {
+            let s = e.spf_stats();
+            spf_stats.builds += s.builds;
+            spf_stats.incremental_builds += s.incremental_builds;
+            spf_stats.slots_rebuilt += s.slots_rebuilt;
+            spf_stats.last_dirty = spf_stats.last_dirty.max(s.last_dirty);
+            arena_bytes += e.arena_bytes();
+        }
         Ok(RobustOutcome {
             weights,
             worst_mlu: cost,
             intact_mlu,
             evaluations,
             skipped_circuits,
-            spf_stats: engine.spf_stats(),
-            arena_bytes: engine.arena_bytes(),
+            spf_stats,
+            arena_bytes,
         })
     }
 }
 
-/// The shared first-improvement scan over integer weights: seeded-random
-/// link order, candidates `1..=max_weight` per link, keep the first
-/// candidate improving the cost, stop when a full rescan improves nothing
-/// or the evaluation budget runs out. The trajectory is a pure function
-/// of `(start, config, cost values)` — two cost functions that agree bit
-/// for bit walk the same path.
-///
 /// `(worst-case MLU, intact MLU)` of one candidate weight vector.
 type CandidateCost = Result<(f64, f64), SpefError>;
 
+/// The first-improvement scan over integer weights: seeded-random link
+/// order, candidates `1..=max_weight` per link, keep the first candidate
+/// improving the cost, stop when a full rescan improves nothing or the
+/// evaluation budget runs out. The trajectory is a pure function of
+/// `(start, config, cost values)` — two cost functions that agree bit for
+/// bit walk the same path.
+///
 /// Returns `(weights, cost, intact_mlu, evaluations)`.
 fn first_improvement_search(
     m: usize,
@@ -309,6 +258,7 @@ fn first_improvement_search(
 mod tests {
     use super::*;
     use crate::ospf::OspfRouting;
+    use spef_core::SplitRule;
     use spef_graph::EdgeId;
     use spef_topology::standard;
 
@@ -388,18 +338,71 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
         assert!(a.spf_stats.incremental_builds > 0, "{:?}", a.spf_stats);
         assert_eq!(b.spf_stats.incremental_builds, 0);
-        // Every probe toggles the mask in place on the shared engine.
-        assert!(a.spf_stats.topology_builds > 0, "{:?}", a.spf_stats);
-        assert!(a.spf_stats.masked_links > 0, "{:?}", a.spf_stats);
-        assert_eq!(b.spf_stats.topology_builds, 0);
-        // The masked path holds one engine's worth of arenas; the rebuild
-        // path holds one per scenario on top of the intact engine.
-        assert!(
-            a.arena_bytes * 2 < b.arena_bytes,
-            "masked {} vs rebuild {}",
-            a.arena_bytes,
-            b.arena_bytes
-        );
+    }
+
+    /// Even-ECMP MLU of `weights` on a fresh engine over `network`.
+    fn fresh_mlu(network: &Network, tm: &TrafficMatrix, weights: &[f64]) -> f64 {
+        let mut engine = RoutingEngine::new(network.graph());
+        engine.build_dags(weights, &tm.destinations(), 0.0).unwrap();
+        let flows = engine.distribute(tm, SplitRule::EvenEcmp).unwrap();
+        metrics::max_link_utilization(network, flows.aggregate())
+    }
+
+    #[test]
+    fn reported_mlus_match_fresh_engines_on_degraded_clones() {
+        // The search's persistent per-scenario engines must report exactly
+        // what fresh engines compute for its final weights: the intact MLU,
+        // and the worst case over the intact network and every connected
+        // circuit's `without_links` clone. On this CERNET2 matrix the
+        // search moves off its start point within the budget; on Abilene
+        // it does not.
+        let (abilene, abilene_tm) = abilene_instance(0.05);
+        let cernet2 = standard::cernet2();
+        let cernet2_tm =
+            TrafficMatrix::fortz_thorup(&cernet2, 2).scaled_to_network_load(&cernet2, 0.05);
+        for (net, tm, moves) in [(abilene, abilene_tm, false), (cernet2, cernet2_tm, true)] {
+            let name = net.name();
+            let start = RobustOutcome::local_search(
+                &net,
+                &tm,
+                &RobustConfig {
+                    max_evaluations: 1,
+                    ..RobustConfig::default()
+                },
+            )
+            .unwrap()
+            .weights;
+            for full_rebuild in [false, true] {
+                let cfg = RobustConfig {
+                    max_evaluations: 60,
+                    full_rebuild,
+                    ..RobustConfig::default()
+                };
+                let out = RobustOutcome::local_search(&net, &tm, &cfg).unwrap();
+                if moves {
+                    assert_ne!(out.weights, start, "{name}: search never moved");
+                }
+                let intact = fresh_mlu(&net, &tm, &out.weights);
+                let mut worst = intact;
+                for circuit in net.duplex_circuits() {
+                    let Ok((degraded, kept)) = net.without_links(&circuit) else {
+                        continue;
+                    };
+                    let dw: Vec<f64> = kept.iter().map(|&e| out.weights[e.index()]).collect();
+                    worst = worst.max(fresh_mlu(&degraded, &tm, &dw));
+                }
+                assert_eq!(
+                    out.intact_mlu.to_bits(),
+                    intact.to_bits(),
+                    "{name}, full_rebuild {full_rebuild}"
+                );
+                assert_eq!(
+                    out.worst_mlu.to_bits(),
+                    worst.to_bits(),
+                    "{name}, full_rebuild {full_rebuild}"
+                );
+            }
+        }
     }
 
     #[test]

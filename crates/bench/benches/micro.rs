@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spef_baselines::fortz_thorup::{FtConfig, FtOutcome};
-use spef_baselines::robust::{RobustConfig, RobustOutcome};
 use spef_core::{
     build_dags, traffic_distribution, ConvergenceCriteria, FibSet, ForwardingTable,
     FrankWolfeConfig, NemConfig, NemInstance, Objective, RoutingEngine, SplitRule, TeInstance,
@@ -894,128 +893,6 @@ fn bench_incremental_spf(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_topology_delta(c: &mut Criterion) {
-    // The PR 10 masked-vs-rebuild pairs: failure scenarios handled by
-    // failing links *in place* (CSR masking + dirty-destination DAG
-    // patches on one persistent engine) against the legacy shape (one
-    // topology clone + one engine per scenario). Both modes run once
-    // during setup, are asserted bit-identical, and the topology-patch
-    // counters and arena footprints are printed so the lanes double as
-    // the topology-delta witness.
-    let mut group = c.benchmark_group("topology_delta");
-    group.sample_size(10);
-
-    // Robust weight search on Abilene: every candidate weight vector is
-    // scored against the intact network plus every single-circuit
-    // failure. The masked path keeps one engine and fail/restores each
-    // circuit around a routing; the rebuild path keeps an engine and a
-    // degraded topology clone per scenario.
-    let net = standard::abilene();
-    let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.05);
-    let cfg_masked = RobustConfig {
-        max_evaluations: 60,
-        ..RobustConfig::default()
-    };
-    let cfg_rebuild = RobustConfig {
-        full_rebuild: true,
-        ..cfg_masked
-    };
-    let t0 = std::time::Instant::now();
-    let rebuild = RobustOutcome::local_search(&net, &tm, &cfg_rebuild).expect("robust rebuild");
-    let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = std::time::Instant::now();
-    let masked = RobustOutcome::local_search(&net, &tm, &cfg_masked).expect("robust masked");
-    let masked_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(rebuild.weights, masked.weights);
-    assert_eq!(rebuild.worst_mlu.to_bits(), masked.worst_mlu.to_bits());
-    assert_eq!(rebuild.intact_mlu.to_bits(), masked.intact_mlu.to_bits());
-    assert_eq!(rebuild.spf_stats.topology_builds, 0);
-    assert!(
-        masked.spf_stats.topology_builds > 0,
-        "masked search never took the topology-patch path: {:?}",
-        masked.spf_stats
-    );
-    assert!(
-        masked.arena_bytes * 2 < rebuild.arena_bytes,
-        "masked search arenas ({}) are not under half the per-scenario \
-         engines' ({})",
-        masked.arena_bytes,
-        rebuild.arena_bytes
-    );
-    eprintln!(
-        "robust_search_abilene rebuild vs masked: {rebuild_ms:.1}ms -> {masked_ms:.1}ms; \
-         {} topology patches over {} masked links, arenas {} -> {} bytes",
-        masked.spf_stats.topology_builds,
-        masked.spf_stats.masked_links,
-        rebuild.arena_bytes,
-        masked.arena_bytes
-    );
-    group.bench_function("robust_search_abilene_rebuild", |b| {
-        b.iter(|| RobustOutcome::local_search(&net, &tm, &cfg_rebuild).expect("robust rebuild"))
-    });
-    group.bench_function("robust_search_abilene_masked", |b| {
-        b.iter(|| RobustOutcome::local_search(&net, &tm, &cfg_masked).expect("robust masked"))
-    });
-
-    // A persistent MLU probe walked across every Abilene circuit: the
-    // failure-sweep shape, one fail/route/restore round trip per circuit
-    // with no topology clone. Probed with a varied (non-InvCap) weight
-    // vector: under InvCap at tolerance 0 Abilene's equal-cost ties make
-    // every circuit a member of most destination DAGs, so the >1/2-dirty
-    // gate always falls back to a dense masked rebuild; varied weights
-    // thin the DAGs and exercise the dirty-slot patches this lane
-    // witnesses. Bit-identity vs the per-circuit full-rebuild probe is
-    // asserted in setup (and vs cold degraded topologies in
-    // `reconfig::tests::mlu_probe_matches_degraded_free_function`).
-    let w: Vec<f64> = (0..net.link_count())
-        .map(|e| 1.0 + (e % 7) as f64)
-        .collect();
-    let dests = tm.destinations();
-    let circuits: Vec<_> = net
-        .duplex_circuits()
-        .into_iter()
-        .filter(|c| net.without_links(c).is_ok())
-        .collect();
-    let mut probe = spef_experiments::reconfig::MluProbe::new(false);
-    let mut full_probe = spef_experiments::reconfig::MluProbe::new(true);
-    for circuit in &circuits {
-        let a = probe
-            .mlu(&net, &tm, &dests, &w, 0.0, circuit)
-            .expect("masked probe");
-        let b = full_probe
-            .mlu(&net, &tm, &dests, &w, 0.0, circuit)
-            .expect("full probe");
-        assert_eq!(a.to_bits(), b.to_bits(), "masked vs full-rebuild MLU");
-    }
-    let stats = probe.spf_stats();
-    assert!(
-        stats.topology_builds > 0,
-        "masked failure chain never took the topology-patch path: {stats:?}"
-    );
-    eprintln!(
-        "failure_chain_abilene_masked: {} circuits, {} topology patches \
-         over {} masked links, {} slots rebuilt",
-        circuits.len(),
-        stats.topology_builds,
-        stats.masked_links,
-        stats.slots_rebuilt
-    );
-    group.bench_function("failure_chain_abilene_masked", |b| {
-        b.iter(|| {
-            let mut worst = 0.0f64;
-            for circuit in &circuits {
-                worst = worst.max(
-                    probe
-                        .mlu(&net, &tm, &dests, &w, 0.0, circuit)
-                        .expect("masked probe"),
-                );
-            }
-            worst
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     micro,
     bench_dijkstra_dag,
@@ -1027,7 +904,6 @@ criterion_group!(
     bench_simplex,
     bench_simplex_mlu,
     bench_incremental_spf,
-    bench_topology_delta,
     bench_simulator
 );
 criterion_main!(micro);

@@ -39,13 +39,14 @@
 //!   can outlive any single borrowed graph. Attaching to a different
 //!   topology (checked structurally, edge list against edge list)
 //!   rebuilds the CSR and invalidates the DAG fingerprint.
-//! * [`RoutingEngine::fail_links`]/[`RoutingEngine::restore_links`]
-//!   apply **topology deltas in place**: links are masked out of (or back
-//!   into) the CSR view and only the destinations whose cached DAG used —
-//!   or could newly use — a toggled link are rebuilt, bit-identical to a
-//!   cold engine over the degraded topology. Failure sweeps probe
-//!   thousands of (weights × failed-link) points; this keeps each probe
-//!   at dirty-set cost instead of a dense SPF batch.
+//!
+//! A link failure is a different topology: callers route it on the
+//! degraded clone [`Network::without_links`] returns, on an engine of its
+//! own or on a state re-attached to the clone. A persistent per-failure
+//! engine sees its next weight change as a weight delta, which the
+//! incremental path of [`RoutingEngine::build_dags`] absorbs.
+//!
+//! [`Network::without_links`]: spef_topology::Network::without_links
 //!
 //! ```
 //! use spef_core::{RoutingEngine, SplitRule};
@@ -73,7 +74,7 @@ use spef_graph::batch::{
     build_dag_set, rebuild_dag_set_slots, validate_dag_inputs, DagSet, Parallelism,
     RoutingWorkspace,
 };
-use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId};
+use spef_graph::{Csr, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
 
 use crate::traffic_dist::{
@@ -91,11 +92,6 @@ const INCR_MAX_CHANGED_QUARTERS: usize = 1;
 /// destinations are dirty: a dense batch amortises better than per-slot
 /// bookkeeping once most slots rebuild anyway.
 const INCR_MAX_DIRTY_HALVES: usize = 1;
-
-/// Topology-delta rebuilds give up (dense fallback on the next build) when
-/// more than this many quarters of the links are masked out — a view that
-/// degraded is no longer a small delta of the cached build.
-const MASK_MAX_MASKED_QUARTERS: usize = 1;
 
 /// The split rule a distribution ran under, reduced to a cheap tag (the
 /// exponential rule's weight vector is cached separately, bit for bit).
@@ -117,23 +113,16 @@ pub struct SpfStats {
     pub builds: u64,
     /// Builds served by the incremental dirty-destination path.
     pub incremental_builds: u64,
-    /// Total destination slots re-run across all incremental and
-    /// topology-delta builds (`slots_rebuilt / (incremental_builds +
-    /// topology_builds)` = mean dirty set per probe).
+    /// Total destination slots re-run across all incremental builds
+    /// (`slots_rebuilt / incremental_builds` = mean dirty set per probe).
     pub slots_rebuilt: u64,
-    /// Dirty-slot count of the most recent incremental or topology-delta
-    /// build.
+    /// Dirty-slot count of the most recent incremental build.
     pub last_dirty: u64,
-    /// Topology-delta rebuilds served in place by
-    /// [`RoutingEngine::fail_links`]/[`RoutingEngine::restore_links`]
-    /// (including calls whose dirty set was empty; dense fallbacks are
-    /// not counted — they surface as a plain build instead).
+    /// Always 0. Failure scenarios route on their own degraded topology
+    /// clone, so no build ever patches a topology change in place; the
+    /// field stays only because the benchmark's per-layer report reads
+    /// it.
     pub topology_builds: u64,
-    /// Cumulative number of links masked out by
-    /// [`RoutingEngine::fail_links`] over this state's lifetime (a
-    /// counter, not a gauge — see [`RoutingEngine::masked_links`] for the
-    /// currently-masked count).
-    pub masked_links: u64,
 }
 
 /// The detached, owned arenas of a [`RoutingEngine`]: everything the
@@ -192,11 +181,6 @@ pub struct EngineState {
     incremental_builds: u64,
     slots_rebuilt: u64,
     last_dirty: u64,
-    topology_builds: u64,
-    masked_links_total: u64,
-    /// Scratch of [`RoutingEngine::fail_links`]/`restore_links`: the
-    /// deduplicated subset of the requested links that actually toggles.
-    toggle_scratch: Vec<EdgeId>,
 }
 
 impl EngineState {
@@ -234,8 +218,7 @@ impl EngineState {
             incremental_builds: self.incremental_builds,
             slots_rebuilt: self.slots_rebuilt,
             last_dirty: self.last_dirty,
-            topology_builds: self.topology_builds,
-            masked_links: self.masked_links_total,
+            topology_builds: 0,
         }
     }
 
@@ -461,19 +444,7 @@ impl<'g> RoutingEngine<'g> {
         let m = self.graph.edge_count();
         let d = dests.len();
         s.delta_scratch.clear();
-        // Weight changes on masked links cannot affect the routed view;
-        // skipping them keeps failure-time dirty sets small. The full
-        // vector is still recorded below, so a later restore sees the
-        // current weight.
-        let disabled = s
-            .in_csr
-            .as_ref()
-            .expect("attached engine has a CSR")
-            .disabled_edges();
         for (e, u, v) in self.graph.edges() {
-            if !disabled.is_empty() && disabled[e.index()] {
-                continue;
-            }
             let old = s.last_weights[e.index()];
             let new = weights[e.index()];
             if old.to_bits() != new.to_bits() {
@@ -544,182 +515,6 @@ impl<'g> RoutingEngine<'g> {
         s.last_weights.copy_from_slice(weights);
         s.dags_valid = true;
         Ok(true)
-    }
-
-    /// Masks `links` out of the engine's routed view — the in-place form
-    /// of rebuilding the engine over
-    /// [`without_links`](spef_topology::Network::without_links) — and
-    /// patches the cached DAG set so it stays bit-identical to a dense
-    /// build over the degraded view under the cached weights.
-    ///
-    /// A removed link dirties only the destinations whose cached DAG
-    /// contains it; clean slots keep their arenas untouched (a shortest
-    /// path that never used the link cannot change when it disappears).
-    /// Dirty slots rebuild in place via the PR 9 slot machinery. The call
-    /// falls back to invalidating the fingerprint — so the next
-    /// [`build_dags`](Self::build_dags) runs dense over the masked view —
-    /// when there is no cached build to patch, incremental paths are off,
-    /// more than a quarter of the links are masked, or more than half the
-    /// destinations are dirty.
-    ///
-    /// Masking is idempotent: already-masked links are skipped. The mask
-    /// survives [`into_state`](Self::into_state)/[`with_state`]
-    /// round-trips onto the same topology and is dropped when the state
-    /// attaches to a different one.
-    ///
-    /// [`with_state`]: Self::with_state
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::LinkOutOfRange`] if a link id is outside the graph;
-    /// the engine is unchanged. Errors from the slot rebuild invalidate
-    /// the fingerprint before propagating.
-    pub fn fail_links(&mut self, links: &[EdgeId]) -> Result<(), GraphError> {
-        self.set_links_enabled(links, false)
-    }
-
-    /// Unmasks `links`, restoring them to the engine's routed view — the
-    /// inverse of [`fail_links`](Self::fail_links) — and patches the
-    /// cached DAG set to match a dense build over the restored view.
-    ///
-    /// A restored link `(u, v)` dirties only the destinations where the
-    /// one-slack test `w + dist[v] - dist[u] <= tol` against the cached
-    /// distances says it could join a shortest path (an unreachable `u`
-    /// counts as joinable: the link may create the first path). Slack
-    /// strictly above the tolerance means every path through the link
-    /// loses each relaxation and classification it could enter, so the
-    /// cached slot already equals the dense result bit for bit.
-    ///
-    /// Restoring is idempotent; the same fallbacks (and the same error
-    /// surface) as [`fail_links`](Self::fail_links) apply.
-    ///
-    /// # Errors
-    ///
-    /// See [`fail_links`](Self::fail_links).
-    pub fn restore_links(&mut self, links: &[EdgeId]) -> Result<(), GraphError> {
-        self.set_links_enabled(links, true)
-    }
-
-    /// Number of links currently masked out of the routed view (a gauge;
-    /// [`SpfStats::masked_links`] is the cumulative counter).
-    pub fn masked_links(&self) -> usize {
-        self.state
-            .in_csr
-            .as_ref()
-            .map_or(0, |csr| csr.masked_count())
-    }
-
-    /// Shared implementation of
-    /// [`fail_links`](Self::fail_links)/[`restore_links`](Self::restore_links).
-    fn set_links_enabled(&mut self, links: &[EdgeId], enabled: bool) -> Result<(), GraphError> {
-        let m = self.graph.edge_count();
-        for &e in links {
-            if e.index() >= m {
-                return Err(GraphError::LinkOutOfRange { edge: e, edges: m });
-            }
-        }
-        let s = &mut self.state;
-        let csr = s.in_csr.as_mut().expect("attached engine has a CSR");
-        // Reduce the request to the links that actually toggle, so
-        // repeated fails/restores are idempotent and the dirty scan never
-        // sees a no-op link.
-        s.toggle_scratch.clear();
-        for &e in links {
-            if csr.edge_enabled(e) != enabled && !s.toggle_scratch.contains(&e) {
-                s.toggle_scratch.push(e);
-            }
-        }
-        if s.toggle_scratch.is_empty() {
-            return Ok(());
-        }
-        let changed = csr.set_links_enabled(&s.toggle_scratch, enabled);
-        debug_assert_eq!(changed, s.toggle_scratch.len());
-        if !enabled {
-            s.masked_links_total += changed as u64;
-        }
-        if !s.dags_valid {
-            // Nothing cached to patch; the next build runs dense over the
-            // new view. Distribution caches may reference the old view.
-            s.invalidate();
-            return Ok(());
-        }
-        let masked = s
-            .in_csr
-            .as_ref()
-            .expect("attached engine has a CSR")
-            .masked_count();
-        if s.full_rebuild_only || masked * 4 > m * MASK_MAX_MASKED_QUARTERS {
-            s.invalidate();
-            return Ok(());
-        }
-        // Classify dirty destinations against the cached build. Failing:
-        // a link off the cached DAG never carried a winning relaxation or
-        // classification, so removing it leaves distances and the DAG bit
-        // for bit. Restoring: slack strictly above the tolerance means the
-        // link still loses everywhere; `du = +inf` forces dirty (the link
-        // may create the destination's first path from `u`).
-        let d = s.last_dests.len();
-        s.dirty.clear();
-        s.dirty.resize(d, false);
-        let mut dirty_count = 0usize;
-        for (i, flag) in s.dirty.iter_mut().enumerate() {
-            let dag = s.dags.dag(i);
-            let is_dirty = if enabled {
-                let dist = dag.distances();
-                s.toggle_scratch.iter().any(|&e| {
-                    let dv = dist[self.graph.target(e).index()];
-                    if !dv.is_finite() {
-                        // The head cannot reach this destination, so the
-                        // link is dead weight either way.
-                        return false;
-                    }
-                    let du = dist[self.graph.source(e).index()];
-                    let w = s.last_weights[e.index()];
-                    // The classifier's slack test (`du = +inf` gives
-                    // `-inf <= tol`, forcing dirty as documented above).
-                    w + dv - du <= s.last_tolerance
-                })
-            } else {
-                s.toggle_scratch.iter().any(|&e| dag.contains_edge(e))
-            };
-            if is_dirty {
-                *flag = true;
-                dirty_count += 1;
-            }
-        }
-        if dirty_count * 2 > d * INCR_MAX_DIRTY_HALVES {
-            s.invalidate();
-            return Ok(());
-        }
-        s.topology_builds += 1;
-        s.last_dirty = dirty_count as u64;
-        if dirty_count == 0 {
-            return Ok(());
-        }
-        if let Err(e) = rebuild_dag_set_slots(
-            self.graph,
-            s.in_csr.as_ref().expect("attached engine has a CSR"),
-            &s.last_weights,
-            &s.dirty,
-            self.par,
-            &mut s.ws,
-            &mut s.dags,
-        ) {
-            s.invalidate();
-            return Err(e);
-        }
-        s.spf_builds += 1;
-        s.slots_rebuilt += dirty_count as u64;
-        if s.pending.len() == d {
-            for (p, &flag) in s.pending.iter_mut().zip(&s.dirty) {
-                *p |= flag;
-            }
-        } else {
-            s.pending.clear();
-            s.pending.resize(d, false);
-            s.pending_all = true;
-        }
-        Ok(())
     }
 
     /// The current DAG set (destinations of the last
@@ -1380,113 +1175,47 @@ mod tests {
 
     #[test]
     fn fail_restore_matches_cold_engines_on_both_topologies() {
+        // One detached state walked intact → degraded clone → intact for
+        // every single-link failure: each attach to a different topology
+        // rebuilds the CSR and drops the fingerprint, so every routing
+        // equals a cold dense engine's on that topology, bit for bit.
         let net = standard::fig4();
         let tm = standard::fig4_demands();
         let dests = tm.destinations();
         let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let intact = dense_reference(&net, &tm, &dests, &w, 0.0);
 
-        let mut engine = RoutingEngine::new(net.graph());
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        let mut flows = engine.distribute_fresh();
-        engine
-            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
-            .unwrap();
-
+        let mut state = EngineState::new();
+        let mut flows = Flows::empty();
         let mut probed = 0;
         for e in 0..net.link_count() {
-            let circuit = [spef_graph::EdgeId::new(e)];
-            // Skip cut links; the mask would disconnect the network.
-            let Ok((degraded, kept)) = net.without_links(&circuit) else {
+            // Skip cut links; failing one disconnects the network.
+            let Ok((degraded, kept)) = net.without_links(&[spef_graph::EdgeId::new(e)]) else {
                 continue;
             };
             probed += 1;
-            engine.fail_links(&circuit).unwrap();
-            // Same weights, same dests: the fingerprint skips the batch.
-            engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine
-                .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
-                .unwrap();
-
-            // Cold dense engine over the physically degraded topology,
-            // weights remapped through the kept-edge list.
             let dw: Vec<f64> = kept.iter().map(|&ke| w[ke.index()]).collect();
-            let cold = dense_reference(&degraded, &tm, &dests, &dw, 0.0);
-            let mut mapped = vec![0.0f64; net.link_count()];
-            for (j, &ke) in kept.iter().enumerate() {
-                mapped[ke.index()] = cold.aggregate()[j];
-            }
-            for (i, (a, b)) in flows.aggregate().iter().zip(&mapped).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "edge {i} diverged with link {e} failed"
-                );
-            }
+            let mut engine = RoutingEngine::with_state(degraded.graph(), state);
+            engine.build_dags(&dw, &dests, 0.0).unwrap();
+            engine
+                .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
+                .unwrap();
+            assert_eq!(
+                flows,
+                dense_reference(&degraded, &tm, &dests, &dw, 0.0),
+                "link {e} failed"
+            );
 
-            // Restore: back to the intact answer, bit for bit.
-            engine.restore_links(&circuit).unwrap();
+            let mut engine = RoutingEngine::with_state(net.graph(), engine.into_state());
             engine.build_dags(&w, &dests, 0.0).unwrap();
             engine
                 .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
                 .unwrap();
-            assert_eq!(flows, dense_reference(&net, &tm, &dests, &w, 0.0));
+            assert_eq!(flows, intact, "link {e} restored");
+            state = engine.into_state();
         }
-        assert!(probed > 0, "no single-link circuit kept fig4 connected");
-        let stats = engine.spf_stats();
-        assert!(
-            stats.topology_builds > 0,
-            "never patched in place: {stats:?}"
-        );
-        assert_eq!(stats.masked_links, probed);
-        assert_eq!(engine.masked_links(), 0);
-    }
-
-    #[test]
-    fn fail_links_is_idempotent_and_checks_ids() {
-        let net = standard::fig4();
-        let mut engine = RoutingEngine::new(net.graph());
-        let bad = spef_graph::EdgeId::new(net.link_count());
-        assert!(matches!(
-            engine.fail_links(&[bad]),
-            Err(GraphError::LinkOutOfRange { .. })
-        ));
-        let e = spef_graph::EdgeId::new(0);
-        engine.fail_links(&[e]).unwrap();
-        engine.fail_links(&[e, e]).unwrap();
-        assert_eq!(engine.masked_links(), 1);
-        assert_eq!(engine.spf_stats().masked_links, 1);
-        engine.restore_links(&[e]).unwrap();
-        engine.restore_links(&[e]).unwrap();
-        assert_eq!(engine.masked_links(), 0);
-    }
-
-    #[test]
-    fn fail_links_with_incremental_off_still_matches_cold() {
-        let net = standard::fig4();
-        let tm = standard::fig4_demands();
-        let dests = tm.destinations();
-        let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
-        let mut engine = RoutingEngine::new(net.graph());
-        engine.set_incremental(false);
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        let mut flows = engine.distribute_fresh();
-        let circuit = [spef_graph::EdgeId::new(0)];
-        let (degraded, kept) = net.without_links(&circuit).unwrap();
-        engine.fail_links(&circuit).unwrap();
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        engine
-            .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
-            .unwrap();
-        let dw: Vec<f64> = kept.iter().map(|&ke| w[ke.index()]).collect();
-        let cold = dense_reference(&degraded, &tm, &dests, &dw, 0.0);
-        let mut mapped = vec![0.0f64; net.link_count()];
-        for (j, &ke) in kept.iter().enumerate() {
-            mapped[ke.index()] = cold.aggregate()[j];
-        }
-        for (a, b) in flows.aggregate().iter().zip(&mapped) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(engine.spf_stats().topology_builds, 0);
+        assert!(probed > 0, "no single-link failure kept fig4 connected");
+        assert_eq!(state.spf_stats().topology_builds, 0);
     }
 
     #[test]

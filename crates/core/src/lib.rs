@@ -86,8 +86,6 @@ pub use protocol::{ForwardingTable, SpefConfig, SpefRouting, TeSolverKind, Weigh
 pub use solver::{
     ConvergenceCriteria, NemInstance, TeInstance, TeSolver, TeWorkspace, STALE_WEIGHT_DAG_RTOL,
 };
-#[allow(deprecated)]
-pub use te::solve_te;
 pub use te::TeSolution;
 pub use traffic_dist::{
     build_dags, traffic_distribution, traffic_distribution_detailed, Flows, SplitRule, SplitTable,

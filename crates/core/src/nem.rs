@@ -17,7 +17,7 @@
 //! `d(v) = Σ_r d_r · log Σ_k e^(−v^r_k) + Σ_e v_e f*_e` regenerates
 //! Fig. 12(b).
 
-use spef_graph::{DagAccess, Graph, NodeId, ShortestPathDag};
+use spef_graph::{DagAccess, Graph, NodeId};
 use spef_topology::TrafficMatrix;
 
 use crate::dual_decomp::StepRule;
@@ -70,38 +70,6 @@ pub struct NemOutcome {
     /// the DAGs may not support `f*` exactly (§V.G), in which case the
     /// algorithm reports `false` and returns its last iterate.
     pub converged: bool,
-}
-
-/// Runs Algorithm 2: computes second weights `v` such that exponential
-/// splitting over `dags` reproduces the target distribution within ε.
-///
-/// `dags` must be aligned with `traffic.destinations()` and
-/// `target_flows` is the aggregate optimal distribution `f*`.
-///
-/// # Errors
-///
-/// * [`SpefError::InvalidInput`] on size mismatches,
-/// * [`SpefError::UnroutableDemand`] if a demand pair has no path on its
-///   DAG (can happen with aggressively rounded integer weights).
-#[deprecated(
-    note = "use the TeSolver session API: `config.solve(NemInstance::new(graph, dags, traffic, target_flows))` \
-            or `solve_in` with a TeWorkspace"
-)]
-pub fn solve_second_weights(
-    graph: &Graph,
-    dags: &[ShortestPathDag],
-    traffic: &TrafficMatrix,
-    target_flows: &[f64],
-    config: &NemConfig,
-) -> Result<NemOutcome, SpefError> {
-    solve_in(
-        graph,
-        dags,
-        traffic,
-        target_flows,
-        config,
-        &mut TeWorkspace::new(),
-    )
 }
 
 /// The session entry point: the dual iterate `v`, the flow and demand
@@ -292,7 +260,7 @@ mod tests {
     use crate::solver::{ConvergenceCriteria, TeInstance, TeSolver, TeWorkspace};
     use crate::traffic_dist::build_dags;
     use crate::Objective;
-    use spef_graph::NodeId;
+    use spef_graph::{NodeId, ShortestPathDag};
     use spef_topology::{standard, Network};
 
     /// Cold-solve helper: the module's tests exercise the algorithm, not the

@@ -1057,8 +1057,6 @@ impl TeWorkspace {
             total.incremental_builds += s.incremental_builds;
             total.slots_rebuilt += s.slots_rebuilt;
             total.last_dirty = total.last_dirty.max(s.last_dirty);
-            total.topology_builds += s.topology_builds;
-            total.masked_links += s.masked_links;
         }
         total
     }

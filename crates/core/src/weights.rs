@@ -25,7 +25,7 @@ pub const INTEGER_DIJKSTRA_TOLERANCE: f64 = 1.0;
 /// Computes the optimal first weights `w_e = V'_e(s_e)` from a spare-
 /// capacity vector (Eq. 6b). Only valid for β > 0, where no optimal spare
 /// capacity is zero (Theorem 4.1's uniqueness case); for β = 0 the weights
-/// come from the LP duals instead (see [`solve_te`](crate::solve_te)).
+/// come from the LP duals instead (see [`crate::te`]).
 ///
 /// # Errors
 ///

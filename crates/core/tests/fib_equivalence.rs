@@ -10,8 +10,9 @@
 //! `partition_point` selection over precomputed cumulative probabilities
 //! must pick the exact edge the linear walk picked — that equality, plus
 //! the unchanged RNG stream, is what makes netsim `SimReport`s
-//! bit-identical across the representation swap (pinned end-to-end by the
-//! committed `BENCH_pre_pr5_nested_fib.json` sweep baseline in CI).
+//! bit-identical across the representation swap (pinned end-to-end in CI
+//! by the committed `BENCH_sim.json` sweep baseline, which equals the
+//! nested-`Vec` FIB's reports bit for bit).
 
 use proptest::prelude::*;
 use spef_core::{FibSet, ForwardingTable, RoutingEngine, SplitRule};

@@ -265,6 +265,9 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         }
     }
 
+    if family_all && grid_customised {
+        return Err("--family all is a fixed regression surface; it takes no grid flags".into());
+    }
     let scenarios = if family_all {
         // The full regression surface: the PR 2 `te` grid followed by the
         // PR 4 `sim` family, as one report (the PR 6 baseline pair). The
@@ -302,13 +305,8 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     );
     if let Some(spf) = &report.spf {
         println!(
-            "  spf: {} builds ({} incremental, {} slots rebuilt), \
-             {} topology patches over {} masked links",
-            spf.builds,
-            spf.incremental_builds,
-            spf.slots_rebuilt,
-            spf.topology_builds,
-            spf.masked_links
+            "  spf: {} builds ({} incremental, {} slots rebuilt)",
+            spf.builds, spf.incremental_builds, spf.slots_rebuilt
         );
     }
     if report.failures.is_empty() {
@@ -424,5 +422,25 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn family_all_rejects_grid_flags() {
+        let json = std::env::temp_dir().join("repro-family-all-rejects-grid-flags.json");
+        let argv = [
+            "--family",
+            "all",
+            "--json",
+            json.to_str().unwrap(),
+            "--topologies",
+            "fig1",
+        ];
+        let err = run_sweep(argv.into_iter().map(String::from)).unwrap_err();
+        assert!(err.contains("--family all"), "{err}");
     }
 }

@@ -76,12 +76,10 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     );
     let mut rows = Vec::new();
     let mut skipped_bridges = 0usize;
-    // Two persistent probes over the *intact* network, one per weight
-    // setting: each circuit is failed in place with a mask round-trip, so
-    // neither probe ever rebuilds its engine, and the constant weight
-    // vectors let the SPF fingerprint survive between circuits. Results
-    // are bit-identical to cold routing on the `without_links` topology
-    // (pinned in `reconfig::tests::mlu_probe_matches_degraded_free_function`).
+    // Two persistent probes, one per weight setting: each routes the
+    // circuit's `without_links` clone in one retained engine state's
+    // arenas, bit-identical to cold routing on that clone (pinned in
+    // `reconfig::tests::mlu_probe_matches_degraded_free_function`).
     let mut ospf_probe = MluProbe::new(false);
     let mut stale_probe = MluProbe::new(false);
 

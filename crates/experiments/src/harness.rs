@@ -146,9 +146,9 @@ pub struct ScaleScenarioResult {
 /// workspace, failure-stage probe, robust weight search and
 /// reconfiguration transient the batch executed. Execution metadata —
 /// like `threads` and `tile_size` it sits outside the bit-diffed fields
-/// (the incremental and masked engine paths are bit-identical to dense
-/// rebuilds; only these counters move), so sweeps diff clean across
-/// engine modes while the dirty-set effectiveness stays visible per run.
+/// (the incremental engine path is bit-identical to dense rebuilds; only
+/// these counters move), so sweeps diff clean across engine modes while
+/// the dirty-set effectiveness stays visible per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpfStatsResult {
     /// SPF batch builds actually executed (fingerprint skips excluded).
@@ -157,11 +157,6 @@ pub struct SpfStatsResult {
     pub incremental_builds: u64,
     /// Destination slots rebuilt in place across all delta builds.
     pub slots_rebuilt: u64,
-    /// In-place topology patches after `fail_links`/`restore_links`
-    /// (dense fallbacks excluded).
-    pub topology_builds: u64,
-    /// Cumulative links masked by `fail_links` calls.
-    pub masked_links: u64,
 }
 
 impl SpfStatsResult {
@@ -170,8 +165,6 @@ impl SpfStatsResult {
             builds: s.builds,
             incremental_builds: s.incremental_builds,
             slots_rebuilt: s.slots_rebuilt,
-            topology_builds: s.topology_builds,
-            masked_links: s.masked_links,
         }
     }
 }
@@ -183,8 +176,6 @@ fn add_spf(total: &mut SpfStats, s: SpfStats) {
     total.incremental_builds += s.incremental_builds;
     total.slots_rebuilt += s.slots_rebuilt;
     total.last_dirty = total.last_dirty.max(s.last_dirty);
-    total.topology_builds += s.topology_builds;
-    total.masked_links += s.masked_links;
 }
 
 /// Measurements of one successfully solved scenario.
@@ -306,8 +297,7 @@ pub struct BatchReport {
     /// Aggregate SPF-engine counters of the batch ([`SpfStatsResult`]);
     /// `None` when the batch executed no SPF builds (or the report
     /// predates the field). Execution metadata — outside the bit-diffed
-    /// fields, so masked/incremental sweeps diff clean against dense
-    /// baselines.
+    /// fields, so incremental sweeps diff clean against dense baselines.
     pub spf: Option<SpfStatsResult>,
 }
 
@@ -830,11 +820,9 @@ fn sim_stage(
 type RobustMemo = Vec<(String, f64)>;
 
 /// Persistent failure-stage MLU probes, one per weight setting (OSPF /
-/// stale-SPEF). Shared across every scenario of a chain so circuit probes
-/// ride in-place mask round-trips on retained engine state instead of
-/// building a fresh engine (and a fresh degraded `Network` routing) per
-/// scenario — results are bit-identical either way (see
-/// [`reconfig::MluProbe`]).
+/// stale-SPEF). Shared across every scenario of a chain so each circuit's
+/// degraded clone is routed in one retained engine state's warmed arenas
+/// and flow buffer (see [`reconfig::MluProbe`]).
 struct FailureProbes {
     ospf: reconfig::MluProbe,
     stale: reconfig::MluProbe,
@@ -900,9 +888,7 @@ fn failure_stage(
     let dests = solved.traffic.destinations();
     let remap = |vals: &[f64]| -> Vec<f64> { kept.iter().map(|&old| vals[old.index()]).collect() };
 
-    // OSPF reconvergence: InvCap weights on the survivors, even ECMP —
-    // probed by masking the circuit on the persistent intact-network
-    // engine (bit-identical to cold routing on `degraded`).
+    // OSPF reconvergence: InvCap weights on the survivors, even ECMP.
     let invcap: Vec<f64> = solved
         .network
         .capacities()
@@ -1123,7 +1109,7 @@ fn run_chain(
     ws.set_incremental(!options.full_rebuild);
     let mut sim_ws = SimWorkspace::new();
     // One probe pair per chain: every failure-stage circuit of the chain
-    // rides mask round-trips on the same retained engine state.
+    // is routed in the same retained engine state.
     let mut probes = FailureProbes::new(options.full_rebuild);
     let mut spf = SpfStats::default();
     // Chains are short (one entry per load × sim/failure point), so

@@ -34,7 +34,7 @@ use spef_core::{
     metrics, EngineState, Flows, RoutingEngine, SpefError, SpfStats, SplitRule,
     STALE_WEIGHT_DAG_RTOL,
 };
-use spef_graph::{EdgeId, NodeId};
+use spef_graph::{EdgeId, GraphError, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
 /// Transient measurements of one ordered weight migration.
@@ -72,18 +72,15 @@ fn even_ecmp_mlu(
 /// A persistent even-ECMP MLU probe over failure circuits: one detached
 /// engine state plus one flow buffer, reused across calls.
 ///
-/// Each [`MluProbe::mlu`] call attaches the saved state to the *intact*
-/// network, masks the probed circuit in place with
-/// [`RoutingEngine::fail_links`], routes, folds the MLU, and restores the
-/// mask before detaching again. Because the weights passed across calls
-/// are typically identical (a fixed routing probed under many circuits),
-/// the SPF fingerprint survives every round-trip and each probe rebuilds
-/// only the destinations whose DAGs used the failed links. The MLU is
-/// bit-identical to [`even_ecmp_mlu`] on the matching `without_links`
-/// degraded network with kept-remapped weights: the masked adjacency
-/// compacts to the degraded one entry for entry, masked links carry zero
-/// flow, and link utilisations are non-negative, so the intact-link fold
-/// reaches the same maximum.
+/// Each [`MluProbe::mlu`] call builds the circuit's degraded clone with
+/// [`Network::without_links`], remaps the weights to the kept links,
+/// re-attaches the saved state to the clone, routes, and folds the MLU
+/// over the degraded links — bit for bit the cold free-function test
+/// oracle `even_ecmp_mlu` on that clone. A clone of a different topology
+/// than the previous call's rebuilds the CSR and runs one dense SPF batch
+/// in the warmed arenas; probing the same circuit again keeps the SPF
+/// fingerprint, so unchanged weights skip the batch and a few changed
+/// weights take the incremental path.
 ///
 /// An empty `circuit` degenerates to a persistent intact-network MLU
 /// evaluation.
@@ -95,8 +92,8 @@ pub struct MluProbe {
 
 impl MluProbe {
     /// Creates an empty probe. `full_rebuild` forces dense SPF rebuilds
-    /// on every call (the regression baseline); the default incremental
-    /// mode patches masks and weights in place.
+    /// on every call; the default incremental mode rebuilds only the
+    /// destinations a weight change can affect (bit-identical either way).
     pub fn new(full_rebuild: bool) -> MluProbe {
         MluProbe {
             state: None,
@@ -110,9 +107,11 @@ impl MluProbe {
     ///
     /// # Errors
     ///
-    /// Propagates routing errors and out-of-range circuit ids. On error
-    /// the saved state is discarded — a half-masked engine is never
-    /// reattached, so the next call starts cold.
+    /// * [`SpefError::InvalidInput`] if a circuit link is out of range or
+    ///   failing the circuit disconnects the network (a bridge circuit);
+    ///   the saved state is kept.
+    /// * Routing errors from the degraded network; the saved state is
+    ///   dropped, so the next call starts cold.
     pub fn mlu(
         &mut self,
         network: &Network,
@@ -122,23 +121,33 @@ impl MluProbe {
         dijkstra_tolerance: f64,
         circuit: &[EdgeId],
     ) -> Result<f64, SpefError> {
+        let m = network.link_count();
+        if weights.len() != m {
+            return Err(GraphError::WeightCount {
+                expected: m,
+                got: weights.len(),
+            }
+            .into());
+        }
+        if let Some(e) = circuit.iter().find(|e| e.index() >= m) {
+            return Err(SpefError::InvalidInput(format!(
+                "link {e} out of range for a network with {m} links"
+            )));
+        }
+        let (degraded, kept) = network
+            .without_links(circuit)
+            .map_err(|e| SpefError::InvalidInput(format!("failing links {circuit:?}: {e}")))?;
+        let degraded_weights: Vec<f64> = kept.iter().map(|e| weights[e.index()]).collect();
         let mut engine = match self.state.take() {
-            Some(state) => RoutingEngine::with_state(network.graph(), state),
-            None => RoutingEngine::new(network.graph()),
+            Some(state) => RoutingEngine::with_state(degraded.graph(), state),
+            None => RoutingEngine::new(degraded.graph()),
         };
         engine.set_incremental(!self.full_rebuild);
-        let mut flows = self
-            .flows
-            .take()
-            .unwrap_or_else(|| engine.distribute_fresh());
-        engine.fail_links(circuit)?;
-        engine.build_dags(weights, dests, dijkstra_tolerance)?;
-        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut flows)?;
-        let mlu = metrics::max_link_utilization(network, flows.aggregate());
-        engine.restore_links(circuit)?;
+        let flows = self.flows.get_or_insert_with(|| engine.distribute_fresh());
+        engine.build_dags(&degraded_weights, dests, dijkstra_tolerance)?;
+        engine.distribute_into(traffic, SplitRule::EvenEcmp, flows)?;
         self.state = Some(engine.into_state());
-        self.flows = Some(flows);
-        Ok(mlu)
+        Ok(metrics::max_link_utilization(&degraded, flows.aggregate()))
     }
 
     /// SPF counters accumulated by the saved engine state (zeroed until
@@ -368,37 +377,75 @@ mod tests {
         // One persistent probe across every connected circuit must
         // reproduce the cold free-function MLU on the corresponding
         // `without_links` network bit for bit, under both engine modes.
-        // Varied integer weights keep the DAGs thin enough that some
-        // circuits sit on few of them, so the in-place patch path (not
-        // just its dense fallback) is exercised; invcap with tolerance 0
-        // ties so many equal-cost paths on Abilene that every circuit
-        // dirties more than half the destinations.
-        let (net, tm) = abilene_instance(0.05);
-        let dests = tm.destinations();
-        let weights: Vec<f64> = (0..net.link_count())
-            .map(|e| 1.0 + (e % 7) as f64)
-            .collect();
-        let mut masked = MluProbe::new(false);
-        let mut dense = MluProbe::new(true);
-        let mut probed = 0usize;
-        for circuit in net.duplex_circuits() {
-            let Ok((degraded, kept)) = net.without_links(&circuit) else {
-                continue;
-            };
-            let dw: Vec<f64> = kept.iter().map(|e| weights[e.index()]).collect();
-            let expect = even_ecmp_mlu(&degraded, &tm, &dests, &dw, 0.0).unwrap();
-            for probe in [&mut masked, &mut dense] {
-                let got = probe
-                    .mlu(&net, &tm, &dests, &weights, 0.0, &circuit)
-                    .unwrap();
-                assert_eq!(got.to_bits(), expect.to_bits());
+        // Varied integer weights give the probe DAGs other than InvCap's.
+        let cernet2 = standard::cernet2();
+        let cernet2_tm =
+            TrafficMatrix::fortz_thorup(&cernet2, 1).scaled_to_network_load(&cernet2, 0.05);
+        for (net, tm) in [abilene_instance(0.05), (cernet2, cernet2_tm)] {
+            let dests = tm.destinations();
+            let weights: Vec<f64> = (0..net.link_count())
+                .map(|e| 1.0 + (e % 7) as f64)
+                .collect();
+            let mut incremental = MluProbe::new(false);
+            let mut dense = MluProbe::new(true);
+            let mut probed = 0usize;
+            for circuit in net.duplex_circuits() {
+                let Ok((degraded, kept)) = net.without_links(&circuit) else {
+                    continue;
+                };
+                let dw: Vec<f64> = kept.iter().map(|e| weights[e.index()]).collect();
+                let expect = even_ecmp_mlu(&degraded, &tm, &dests, &dw, 0.0).unwrap();
+                for probe in [&mut incremental, &mut dense] {
+                    let got = probe
+                        .mlu(&net, &tm, &dests, &weights, 0.0, &circuit)
+                        .unwrap();
+                    assert_eq!(got.to_bits(), expect.to_bits(), "{}", net.name());
+                }
+                probed += 1;
             }
-            probed += 1;
+            assert!(probed > 0, "{}", net.name());
+            assert_eq!(incremental.spf_stats().builds, probed as u64);
         }
-        assert!(probed > 0);
-        let stats = masked.spf_stats();
-        assert!(stats.topology_builds > 0, "{stats:?}");
-        assert_eq!(dense.spf_stats().topology_builds, 0);
+    }
+
+    #[test]
+    fn mlu_probe_rejects_bridges_and_keeps_working() {
+        // A triangle a-b-c with d hanging off c: the c-d circuit is a
+        // bridge, the triangle's circuits are not.
+        let mut b = Network::builder("kite");
+        let a = b.add_node("a", (0.0, 0.0));
+        let bn = b.add_node("b", (1.0, 0.0));
+        let c = b.add_node("c", (0.5, 1.0));
+        let d = b.add_node("d", (0.5, 2.0));
+        b.add_duplex_link(a, bn, 2.0);
+        b.add_duplex_link(bn, c, 2.0);
+        b.add_duplex_link(c, a, 2.0);
+        b.add_duplex_link(c, d, 1.0);
+        let net = b.build().unwrap();
+        let mut tm = TrafficMatrix::new(4);
+        tm.set(a, d, 0.3);
+        tm.set(bn, a, 0.2);
+        tm.set(d, bn, 0.1);
+        let dests = tm.destinations();
+        let weights = vec![1.0; net.link_count()];
+        let circuits = net.duplex_circuits();
+        assert!(net.without_links(&circuits[3]).is_err());
+
+        let mut probe = MluProbe::new(false);
+        probe
+            .mlu(&net, &tm, &dests, &weights, 0.0, &circuits[0])
+            .unwrap();
+        assert!(matches!(
+            probe.mlu(&net, &tm, &dests, &weights, 0.0, &circuits[3]),
+            Err(SpefError::InvalidInput(_))
+        ));
+        let (degraded, kept) = net.without_links(&circuits[1]).unwrap();
+        let dw: Vec<f64> = kept.iter().map(|e| weights[e.index()]).collect();
+        let expect = even_ecmp_mlu(&degraded, &tm, &dests, &dw, 0.0).unwrap();
+        let got = probe
+            .mlu(&net, &tm, &dests, &weights, 0.0, &circuits[1])
+            .unwrap();
+        assert_eq!(got.to_bits(), expect.to_bits());
     }
 
     #[test]

@@ -164,12 +164,11 @@ fn sim_results_roundtrip_and_drift_catches_sim_fields() {
 
 #[test]
 fn pre_sim_reports_still_parse_and_sim_less_results_omit_the_field() {
-    // The committed PR 2/PR 3 baselines predate the sim stage; their
+    // The committed grid baseline predates the sim stage; its
     // `ScenarioResult` objects carry no `sim` key and must keep parsing
-    // (the CI regression gate reads them on every PR).
+    // (the CI regression gate reads it on every PR).
     let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../BENCH_post_pr2_batched_engine.json"),
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_grid.json"),
     )
     .expect("committed baseline readable");
     let baseline = BatchReport::from_json(&text).expect("pre-sim baseline parses");
@@ -265,18 +264,18 @@ fn failure_results_roundtrip_and_drift_catches_failure_fields() {
 fn spf_metadata_is_surfaced_but_never_diffed() {
     // The batch-level SPF counters are execution metadata: present on any
     // run that routed traffic, round-tripping through JSON, but outside
-    // the bit-diffed result fields — an engine-mode flip (masked topology
-    // deltas vs full rebuilds) moves the counters while `result_drift`
-    // stays empty.
-    let masked = run_batch(failure_scenarios(), &BatchOptions::default());
-    let spf = masked.spf.expect("failure sweep carries spf metadata");
+    // the bit-diffed result fields — an engine-mode flip (incremental SPF
+    // vs full rebuilds) moves the counters while `result_drift` stays
+    // empty.
+    let incremental = run_batch(failure_scenarios(), &BatchOptions::default());
+    let spf = incremental.spf.expect("failure sweep carries spf metadata");
     assert!(spf.builds > 0);
     assert!(
-        spf.masked_links > 0,
-        "failure probes never masked a link: {spf:?}"
+        spf.incremental_builds > 0,
+        "failure sweep never took the incremental path: {spf:?}"
     );
-    let back = BatchReport::from_json(&masked.to_json()).expect("parses back");
-    assert_eq!(back, masked);
+    let back = BatchReport::from_json(&incremental.to_json()).expect("parses back");
+    assert_eq!(back, incremental);
 
     let rebuild = run_batch(
         failure_scenarios(),
@@ -286,20 +285,19 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
         },
     );
     let rebuild_spf = rebuild.spf.expect("rebuild sweep carries spf metadata");
-    assert_eq!(rebuild_spf.topology_builds, 0);
+    assert_eq!(rebuild_spf.incremental_builds, 0);
     assert_ne!(spf, rebuild_spf, "engine modes should differ in SPF work");
     assert!(
-        masked.result_drift(&rebuild).is_empty(),
+        incremental.result_drift(&rebuild).is_empty(),
         "spf metadata leaked into the diffed fields: {:?}",
-        masked.result_drift(&rebuild)
+        incremental.result_drift(&rebuild)
     );
 
-    // The committed pre-PR 10 baselines predate the field; they must keep
-    // parsing with the metadata absent (the CI regression gate reads them
-    // on every PR).
+    // The committed failure baseline predates the field; it must keep
+    // parsing with the metadata absent (the CI regression gate reads it on
+    // every PR).
     let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../BENCH_post_pr7_warm_failures.json"),
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_failure.json"),
     )
     .expect("committed baseline readable");
     let baseline = BatchReport::from_json(&text).expect("pre-spf baseline parses");
@@ -331,12 +329,11 @@ fn out_of_range_circuit_is_a_scenario_failure_not_a_panic() {
 
 #[test]
 fn pre_failure_reports_still_parse_and_failure_less_results_omit_the_field() {
-    // The committed PR 6 baselines predate the failure stage; their
+    // The committed te+sim baseline predates the failure stage; its
     // `ScenarioResult` objects carry no `failure` key and must keep
-    // parsing (the CI regression gate reads them on every PR).
+    // parsing (the CI regression gate reads it on every PR).
     let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../BENCH_post_pr6_warm_solvers.json"),
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_all.json"),
     )
     .expect("committed baseline readable");
     let baseline = BatchReport::from_json(&text).expect("pre-failure baseline parses");

@@ -662,17 +662,10 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
     dijkstra_csr(in_csr, weights, target, dist, scratch);
 
     // Classify edges (in id order, exactly like the legacy path) and count
-    // successors per node. Edges masked out of the CSR must never join the
-    // DAG even when the slack test would accept them: the distances above
-    // were computed over the masked view, so an undirected-symmetric failed
-    // edge can still look tight here.
-    let disabled = in_csr.disabled_edges();
+    // successors per node.
     on_dag[..m].fill(false);
     scratch.cursor[..n].fill(0);
     for (e, u, v) in graph.edges() {
-        if !disabled.is_empty() && disabled[e.index()] {
-            continue;
-        }
         let (du, dv) = (dist[u.index()], dist[v.index()]);
         if !du.is_finite() || !dv.is_finite() {
             continue;

@@ -15,37 +15,8 @@
 //! edges in exactly the same sequence as ones that iterate
 //! [`Graph::out_edges`]/[`Graph::in_edges`] — a prerequisite for the
 //! batched routing engine's bit-identical-to-legacy guarantee.
-//!
-//! # Edge masking
-//!
-//! A `Csr` supports **topology deltas** without rebuilding: individual
-//! edges can be disabled ([`Csr::set_links_enabled`]) and later
-//! re-enabled, modelling link failures and repairs in place. While a mask
-//! is active the live `offsets`/`entries` view is recompacted to the
-//! enabled edges only — in the *original relative order*, so the masked
-//! view is exactly the CSR a graph with those edges removed would freeze.
-//! Algorithms that traverse only the CSR (Dijkstra) therefore produce
-//! bit-identical results on the masked view and on the physically
-//! degraded graph; algorithms that additionally iterate the full edge
-//! list must skip masked edges via [`Csr::disabled_edges`]. The pristine
-//! adjacency is retained, so a mask round trip (fail then restore) ends
-//! with the identical enabled view it started from.
 
 use crate::{EdgeId, Graph, NodeId};
-
-/// The retained pristine adjacency plus the per-edge mask, present only
-/// while at least one [`Csr::set_links_enabled`] call has run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CsrMask {
-    /// Unmasked offsets, as originally frozen.
-    offsets: Vec<usize>,
-    /// Unmasked entries, as originally frozen.
-    entries: Vec<(EdgeId, NodeId)>,
-    /// `disabled[e]`: edge `e` is currently masked out.
-    disabled: Vec<bool>,
-    /// Number of `true` flags in `disabled`.
-    masked: usize,
-}
 
 /// A frozen CSR view of one direction of a [`Graph`]'s adjacency.
 ///
@@ -53,16 +24,11 @@ struct CsrMask {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// `offsets[u]..offsets[u + 1]` indexes `entries` for node `u`;
-    /// length `node_count + 1`. With a mask active, covers the enabled
-    /// edges only.
+    /// length `node_count + 1`.
     offsets: Vec<usize>,
     /// `(edge, neighbor)` pairs grouped by node. For an out-CSR the
     /// neighbor is the edge's target; for an in-CSR it is the source.
-    /// With a mask active, holds the enabled edges only, in the original
-    /// relative order.
     entries: Vec<(EdgeId, NodeId)>,
-    /// Mask bookkeeping; `None` until the first masking call.
-    mask: Option<Box<CsrMask>>,
 }
 
 impl Csr {
@@ -95,11 +61,7 @@ impl Csr {
             }
             offsets.push(entries.len());
         }
-        Csr {
-            offsets,
-            entries,
-            mask: None,
-        }
+        Csr { offsets, entries }
     }
 
     /// Number of nodes this CSR covers.
@@ -107,97 +69,9 @@ impl Csr {
         self.offsets.len() - 1
     }
 
-    /// Number of `(edge, neighbor)` entries currently visible — the
-    /// graph's edge count minus any masked edges.
+    /// Number of `(edge, neighbor)` entries — the graph's edge count.
     pub fn entry_count(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Number of edges currently masked out by
-    /// [`set_links_enabled`](Self::set_links_enabled).
-    pub fn masked_count(&self) -> usize {
-        self.mask.as_ref().map_or(0, |m| m.masked)
-    }
-
-    /// Whether edge `e` is currently enabled (not masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask is active and `e` is out of range for the graph
-    /// this CSR was frozen from.
-    pub fn edge_enabled(&self, e: EdgeId) -> bool {
-        self.mask.as_ref().is_none_or(|m| !m.disabled[e.index()])
-    }
-
-    /// The per-edge disabled flags, indexed by edge id — **empty** when no
-    /// edge is currently masked, so callers can hoist the no-mask case to
-    /// a single `is_empty` check per edge.
-    pub fn disabled_edges(&self) -> &[bool] {
-        match &self.mask {
-            Some(m) if m.masked > 0 => &m.disabled,
-            _ => &[],
-        }
-    }
-
-    /// Disables (`enabled == false`) or re-enables (`enabled == true`) the
-    /// given edges and recompacts the live view in O(|N| + |J|). Edges
-    /// already in the requested state are left alone; returns the number
-    /// of edges whose state actually changed. The enabled entries keep
-    /// their original relative order, so the masked view is bit-for-bit
-    /// the CSR of the graph with the masked edges removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge id is out of range for the graph this CSR was
-    /// frozen from.
-    pub fn set_links_enabled(&mut self, links: &[EdgeId], enabled: bool) -> usize {
-        if self.mask.is_none() {
-            if enabled || links.is_empty() {
-                return 0;
-            }
-            self.mask = Some(Box::new(CsrMask {
-                offsets: self.offsets.clone(),
-                entries: self.entries.clone(),
-                disabled: vec![false; self.entries.len()],
-                masked: 0,
-            }));
-        }
-        let mask = self.mask.as_mut().expect("mask just ensured");
-        let mut changed = 0;
-        for &e in links {
-            assert!(
-                e.index() < mask.disabled.len(),
-                "edge {e} out of range for a CSR over {} edges",
-                mask.disabled.len()
-            );
-            if mask.disabled[e.index()] == enabled {
-                mask.disabled[e.index()] = !enabled;
-                changed += 1;
-            }
-        }
-        if changed == 0 {
-            return 0;
-        }
-        if enabled {
-            mask.masked -= changed;
-        } else {
-            mask.masked += changed;
-        }
-        // Recompact the live view from the pristine copy, reusing the
-        // live vectors' capacity (no steady-state allocation).
-        let n = mask.offsets.len() - 1;
-        self.entries.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        for u in 0..n {
-            for &(e, v) in &mask.entries[mask.offsets[u]..mask.offsets[u + 1]] {
-                if !mask.disabled[e.index()] {
-                    self.entries.push((e, v));
-                }
-            }
-            self.offsets.push(self.entries.len());
-        }
-        changed
     }
 
     /// The `(edge, neighbor)` pairs incident to `u` in this direction.
@@ -268,68 +142,5 @@ mod tests {
         let csr = Csr::out_of(&g);
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.entry_count(), 0);
-    }
-
-    /// The masked view must equal the CSR of the graph with those edges
-    /// physically removed — same entries, same relative order.
-    fn degraded_reference(g: &Graph, removed: &[EdgeId]) -> Vec<Vec<(EdgeId, NodeId)>> {
-        let csr = Csr::in_of(g);
-        g.nodes()
-            .map(|v| {
-                csr.neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|(e, _)| !removed.contains(e))
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn mask_compacts_to_the_degraded_adjacency() {
-        let g = diamond();
-        let mut csr = Csr::in_of(&g);
-        let removed = [EdgeId::new(1), EdgeId::new(2)];
-        assert_eq!(csr.set_links_enabled(&removed, false), 2);
-        assert_eq!(csr.masked_count(), 2);
-        assert_eq!(csr.entry_count(), 2);
-        assert!(!csr.edge_enabled(EdgeId::new(1)));
-        assert!(csr.edge_enabled(EdgeId::new(0)));
-        let reference = degraded_reference(&g, &removed);
-        for v in g.nodes() {
-            assert_eq!(csr.neighbors(v), reference[v.index()], "in edges of {v}");
-        }
-        assert_eq!(csr.disabled_edges(), &[false, true, true, false]);
-    }
-
-    #[test]
-    fn mask_round_trip_restores_the_pristine_view() {
-        let g = diamond();
-        let pristine = Csr::in_of(&g);
-        let mut csr = pristine.clone();
-        csr.set_links_enabled(&[EdgeId::new(0), EdgeId::new(3)], false);
-        assert_eq!(
-            csr.set_links_enabled(&[EdgeId::new(0), EdgeId::new(3)], true),
-            2
-        );
-        assert_eq!(csr.masked_count(), 0);
-        assert_eq!(csr.entry_count(), pristine.entry_count());
-        assert!(csr.disabled_edges().is_empty());
-        for v in g.nodes() {
-            assert_eq!(csr.neighbors(v), pristine.neighbors(v));
-        }
-    }
-
-    #[test]
-    fn mask_calls_are_idempotent() {
-        let g = diamond();
-        let mut csr = Csr::in_of(&g);
-        assert_eq!(csr.set_links_enabled(&[EdgeId::new(2)], true), 0);
-        assert_eq!(csr.set_links_enabled(&[EdgeId::new(2)], false), 1);
-        assert_eq!(csr.set_links_enabled(&[EdgeId::new(2)], false), 0);
-        assert_eq!(csr.masked_count(), 1);
-        assert_eq!(csr.set_links_enabled(&[EdgeId::new(2)], true), 1);
-        assert_eq!(csr.set_links_enabled(&[], false), 0);
-        assert_eq!(csr.masked_count(), 0);
     }
 }

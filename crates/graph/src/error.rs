@@ -30,13 +30,6 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         nodes: usize,
     },
-    /// An edge id referred to a link outside the graph.
-    LinkOutOfRange {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Number of edges in the graph.
-        edges: usize,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -51,9 +44,6 @@ impl fmt::Display for GraphError {
             GraphError::NegativeCycle => write!(f, "graph contains a negative-cost cycle"),
             GraphError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range for graph with {nodes} nodes")
-            }
-            GraphError::LinkOutOfRange { edge, edges } => {
-                write!(f, "link {edge} out of range for graph with {edges} links")
             }
         }
     }
@@ -100,10 +90,6 @@ mod tests {
             GraphError::NodeOutOfRange {
                 node: NodeId::new(9),
                 nodes: 4,
-            },
-            GraphError::LinkOutOfRange {
-                edge: EdgeId::new(7),
-                edges: 4,
             },
         ];
         for e in errors {
