@@ -30,18 +30,25 @@
 //! `d̄_st = d_st + Σ_{(j,s)} f^t_js` is complete before its outgoing flow
 //! is assigned.
 //!
-//! Two execution paths produce identical results:
+//! Two execution paths produce the same values, bit for bit:
 //!
-//! * the **legacy per-destination path** ([`build_dags`] →
-//!   [`traffic_distribution`]) with owned [`ShortestPathDag`]s and
-//!   [`SplitTable`]s — the readable reference;
+//! * the **reference per-destination path** ([`ShortestPathDag::build`]
+//!   → [`SplitTable::build`]) with owned DAGs and tables — the readable
+//!   version the equivalence tests compare against;
 //! * the **batched path** ([`crate::RoutingEngine`]) where DAGs, split
 //!   tables and flows live in flat reusable arenas ([`SplitTableSet`])
 //!   and a solver iteration performs zero steady-state allocations.
 //!
-//! Both funnel through the same distribution kernel, generic over
-//! [`DagAccess`], and the public wrappers here now ride the batched CSR
-//! engine internally.
+//! The batched path skips work whose result is fixed before it runs. Its
+//! split rows skip the `exp` and `ln` calls that IEEE 754 fixes at
+//! `exp(±0) = 1` and `ln(1) = +0`: a one-successor row gets ratio `1.0`
+//! with no call, and a term equal to its row's max adds `1.0` to the sum.
+//! Its DAGs take the processing order from Dijkstra's settle order, which
+//! is already by distance, and sort only the runs of equal distance by
+//! node id ([`spef_graph::batch`]). The public wrappers here
+//! ([`build_dags`], [`traffic_distribution`]) ride the batched engine,
+//! and both DAG storages go through one distribution kernel, generic
+//! over [`DagAccess`].
 
 use spef_graph::batch::{build_dag_set, DagAccess, DagSet, Parallelism, RoutingWorkspace};
 use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId, ShortestPathDag};
@@ -255,10 +262,10 @@ impl SplitTableSet {
             + self.log_z.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Appends the split table of one destination DAG. Mirrors
-    /// [`SplitTable::build`] operation for operation so ratios and log
-    /// path sums come out bit-identical; the rule's weight vector must be
-    /// pre-validated.
+    /// Appends the split table of one destination DAG: the same ratios
+    /// and log path sums as [`SplitTable::build`], bit for bit (see
+    /// [`SplitTableSet::build_block`] for the calls it skips). The rule's
+    /// weight vector must be pre-validated.
     pub(crate) fn push_table<D: DagAccess>(&mut self, graph: &Graph, dag: &D, rule: SplitRule<'_>) {
         let n = self.n;
         let span_base = self.spans.len();
@@ -272,9 +279,9 @@ impl SplitTableSet {
     /// (freshly rebuilt) DAG — the delta step of the incremental
     /// distribution path. The old rows become arena garbage; new entries
     /// are appended and the arena compacts once garbage outweighs live
-    /// rows. Row values are produced by the exact operation sequence of
-    /// [`SplitTableSet::push_table`], so a rebuilt table is bit-identical
-    /// to a dense rebuild of the whole set.
+    /// rows. Rows come from the same [`SplitTableSet::build_block`] as
+    /// [`SplitTableSet::push_table`], so a rebuilt table has the same
+    /// values, bit for bit, as a dense rebuild of the whole set.
     ///
     /// # Panics
     ///
@@ -325,7 +332,17 @@ impl SplitTableSet {
     /// The shared row-construction body of [`SplitTableSet::push_table`]
     /// and [`SplitTableSet::rebuild_table`]: fills block `block`'s spans
     /// and log-Z slots (which must already be cleared) by appending entry
-    /// rows, mirroring [`SplitTable::build`] operation for operation.
+    /// rows with the same values as [`SplitTable::build`], bit for bit.
+    ///
+    /// It skips the `exp` and `ln` calls whose results are fixed, since
+    /// `exp(±0) = 1` and `ln(1) = +0` exactly (IEEE 754, C99 Annex F):
+    ///
+    /// * a row with one successor, term `t`, gets ratio `1.0` and
+    ///   `log Z = t + 0.0`: what `max + ln(exp(t − max))` and
+    ///   `exp(t − log Z)` evaluate to;
+    /// * in a longer row, each term equal to the max adds `1.0` to the sum
+    ///   in its place instead of `exp(0)`; the `ln` and the ratio `exp`s
+    ///   stay.
     fn build_block<D: DagAccess>(
         &mut self,
         block: usize,
@@ -364,14 +381,26 @@ impl SplitTableSet {
                 self.entries.truncate(start);
                 continue; // all successors stranded
             }
-            let sum_exp: f64 = self.entries[start..]
-                .iter()
-                .map(|&(_, t)| (t - max_term).exp())
-                .sum();
-            let lz = max_term + sum_exp.ln();
-            self.log_z[lz_base + u.index()] = lz;
-            for slot in &mut self.entries[start..] {
-                slot.1 = (slot.1 - lz).exp();
+            if succ.len() == 1 {
+                // `+ 0.0` as the reference adds ln(1) = +0: it maps −0 to +0.
+                self.log_z[lz_base + u.index()] = max_term + 0.0;
+                self.entries[start].1 = 1.0;
+            } else {
+                let sum_exp: f64 = self.entries[start..]
+                    .iter()
+                    .map(|&(_, t)| {
+                        if t == max_term {
+                            1.0
+                        } else {
+                            (t - max_term).exp()
+                        }
+                    })
+                    .sum();
+                let lz = max_term + sum_exp.ln();
+                self.log_z[lz_base + u.index()] = lz;
+                for slot in &mut self.entries[start..] {
+                    slot.1 = (slot.1 - lz).exp();
+                }
             }
             self.spans[span_base + u.index()] = (start, succ.len());
         }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use spef_core::{traffic_distribution, RoutingEngine, SplitRule, SplitTable};
-use spef_graph::{NodeId, Parallelism, ShortestPathDag};
+use spef_graph::{EdgeId, NodeId, Parallelism, ShortestPathDag};
 use spef_topology::{gen, TrafficMatrix};
 
 /// Strategy: a small random duplex network, a demand set, and a random
@@ -65,7 +65,10 @@ proptest! {
     }
 
     /// Engine split tables equal legacy `SplitTable::build` exactly:
-    /// same next-hop sets, same ratios, same log path sums.
+    /// same next-hop sets, same ratio bits, same log path sum bits. The
+    /// third rule mixes `+∞` second weights (a `−∞` log-term, which
+    /// `validate_rule` accepts) and `exp`-underflowing ones into the
+    /// tie-prone multiples of 0.29.
     #[test]
     fn engine_split_tables_match_legacy((net, tm, v) in random_instance()) {
         let g = net.graph();
@@ -73,19 +76,39 @@ proptest! {
         let w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
         let mut engine = RoutingEngine::new(g);
         engine.build_dags(&w, &dests, 0.0).unwrap();
+        let extreme: Vec<f64> = v
+            .iter()
+            .enumerate()
+            .map(|(e, &x)| match e % 5 {
+                0 => f64::INFINITY,
+                1 => 800.0,
+                _ => x,
+            })
+            .collect();
+        let bits = |hops: &[(EdgeId, f64)]| -> Vec<(EdgeId, u64)> {
+            hops.iter().map(|&(e, r)| (e, r.to_bits())).collect()
+        };
 
-        for rule in [SplitRule::EvenEcmp, SplitRule::Exponential(&v)] {
+        for rule in [
+            SplitRule::EvenEcmp,
+            SplitRule::Exponential(&v),
+            SplitRule::Exponential(&extreme),
+        ] {
             let tables = engine.build_split_tables(rule).unwrap();
             for (i, &t) in dests.iter().enumerate() {
                 let dag = ShortestPathDag::build(g, &w, t, 0.0).unwrap();
                 let legacy = SplitTable::build(g, &dag, rule).unwrap();
                 let view = tables.table(i);
                 for u in g.nodes() {
-                    prop_assert_eq!(view.next_hops(u), legacy.next_hops(u));
-                    // log path sums agree exactly (== also holds for the
-                    // NEG_INFINITY of unreachable nodes).
+                    prop_assert_eq!(bits(view.next_hops(u)), bits(legacy.next_hops(u)));
                     let (a, b) = (view.log_path_sum(u), legacy.log_path_sum(u));
-                    prop_assert!(a == b, "log_path_sum mismatch at {}: {} vs {}", u, a, b);
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "log_path_sum mismatch at {}: {} vs {}",
+                        u,
+                        a,
+                        b
+                    );
                 }
             }
         }
@@ -118,4 +141,16 @@ proptest! {
             prop_assert_eq!(flows.aggregate(), fresh.aggregate());
         }
     }
+}
+
+/// The split-table kernel skips the `exp` and `ln` calls whose results
+/// are fixed: `exp(±0) = 1` and `ln(1) = +0` exactly (IEEE 754, C99
+/// Annex F). A libm that broke this would shift every committed result,
+/// so it fails here first.
+#[test]
+fn exp_and_ln_are_exact_where_the_split_kernel_skips_them() {
+    use std::hint::black_box;
+    assert_eq!(black_box(0.0f64).exp().to_bits(), 1.0f64.to_bits());
+    assert_eq!(black_box(-0.0f64).exp().to_bits(), 1.0f64.to_bits());
+    assert_eq!(black_box(1.0f64).ln().to_bits(), 0.0f64.to_bits());
 }

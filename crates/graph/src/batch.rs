@@ -641,9 +641,12 @@ pub fn rebuild_dag_set_slots(
     Ok(())
 }
 
-/// Per-destination DAG build into arena slices. Mirrors the legacy
-/// [`ShortestPathDag::build`] step by step so floating-point results and
-/// all orderings are identical.
+/// Per-destination DAG build into arena slices. Produces the same values
+/// as the legacy [`ShortestPathDag::build`], bit for bit, with every
+/// ordering identical. Distances and edge classification follow the
+/// legacy steps; the processing order is derived instead of sorted: the
+/// reversed settle order of [`dijkstra_csr`] is already by decreasing
+/// distance, so only its runs of equal distance are sorted by node id.
 fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: DagTask<'_>) {
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -659,7 +662,11 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         path_counts,
     } = task;
 
-    dijkstra_csr(in_csr, weights, target, dist, scratch);
+    let mut len = 0;
+    dijkstra_csr(in_csr, weights, target, dist, scratch, |u| {
+        order[len] = u;
+        len += 1;
+    });
 
     // Classify edges (in id order, exactly like the legacy path) and count
     // successors per node.
@@ -691,22 +698,17 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         }
     }
 
-    // Reachable nodes by decreasing distance (id-tiebroken, so the order is
-    // unique and schedule-independent).
-    let mut len = 0;
-    for (u, d) in dist.iter().enumerate() {
-        if d.is_finite() {
-            order[len] = NodeId::new(u);
-            len += 1;
-        }
-    }
+    // Reachable nodes by decreasing distance, id-tiebroken. Dijkstra
+    // settled exactly the reachable nodes in non-decreasing distance, so
+    // reversing the settle order leaves only the runs of equal distance
+    // to sort: a zero weight (or one lost to rounding) can settle a node
+    // after an equal-distance node with a larger id.
     *order_len = len;
     let order = &mut order[..len];
-    order.sort_unstable_by(|a, b| {
-        dist[b.index()]
-            .total_cmp(&dist[a.index()])
-            .then_with(|| a.index().cmp(&b.index()))
-    });
+    order.reverse();
+    for run in order.chunk_by_mut(|a, b| dist[a.index()] == dist[b.index()]) {
+        run.sort_unstable();
+    }
 
     // Path counts by increasing distance.
     path_counts[..n].fill(0);
@@ -724,14 +726,22 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
 }
 
 /// Dijkstra toward `origin` over the in-edge CSR, writing distances into
-/// `dist`. Weights are assumed pre-validated. Relaxation order matches the
-/// legacy [`crate::distances_to`] exactly.
+/// `dist` and passing each node to `on_settle` as it is settled. Weights
+/// are assumed pre-validated. Pops and relaxations follow the legacy
+/// [`crate::distances_to`] exactly, so the distances are the same values,
+/// bit for bit.
+///
+/// Weights are non-negative and float addition is monotone, so every
+/// entry pushed is no smaller than the one just popped: nodes are settled
+/// in non-decreasing distance, each exactly once, and the settled nodes
+/// are exactly those with a finite distance.
 fn dijkstra_csr(
     in_csr: &Csr,
     weights: &[f64],
     origin: NodeId,
     dist: &mut [f64],
     scratch: &mut SlotScratch,
+    mut on_settle: impl FnMut(NodeId),
 ) {
     dist.fill(f64::INFINITY);
     scratch.settled.fill(false);
@@ -746,6 +756,7 @@ fn dijkstra_csr(
             continue;
         }
         scratch.settled[u.index()] = true;
+        on_settle(u);
         for &(e, v) in in_csr.neighbors(u) {
             let nd = d + weights[e.index()];
             if nd < dist[v.index()] {
@@ -825,10 +836,12 @@ pub fn batch_distances_to(
         tasks
             .collect::<Vec<_>>()
             .into_par_iter()
-            .for_each(|((scratch, dist), &t)| dijkstra_csr(in_csr, weights, t, dist, scratch));
+            .for_each(|((scratch, dist), &t)| {
+                dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {})
+            });
     } else {
         for ((scratch, dist), &t) in tasks {
-            dijkstra_csr(in_csr, weights, t, dist, scratch);
+            dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {});
         }
     }
     Ok(())

@@ -14,7 +14,11 @@ use crate::{Graph, GraphError, NodeId};
 /// A `(distance, node)` heap entry ordered as a min-heap by distance.
 ///
 /// Shared with the batched engine in [`crate::batch`] so both paths pop
-/// nodes in exactly the same order (distance, then node id).
+/// nodes in the same order (distance, then node id) and relax the same
+/// edges in the same sequence, which gives the same distances, bit for
+/// bit. The batched DAG processing order does not depend on this pop
+/// order: it reverses the settle order and sorts each run of equal
+/// distance by node id.
 #[derive(Debug, PartialEq)]
 pub(crate) struct HeapEntry {
     pub(crate) dist: f64,

@@ -41,12 +41,46 @@ fn random_network() -> impl Strategy<Value = (Graph, Vec<f64>)> {
     })
 }
 
+/// Strategy: the same networks with integer weights in `0..=3`, so
+/// distances tie often, and zero weights settle equal-distance nodes out
+/// of id order.
+fn tie_heavy_network() -> impl Strategy<Value = (Graph, Vec<f64>)> {
+    random_network().prop_map(|(g, w)| {
+        let w = w.iter().map(|x| (x * 0.4).floor()).collect();
+        (g, w)
+    })
+}
+
 fn build_batched(g: &Graph, w: &[f64], dests: &[NodeId], tol: f64, par: Parallelism) -> DagSet {
     let csr = Csr::in_of(g);
     let mut ws = RoutingWorkspace::new();
     let mut set = DagSet::new();
     build_dag_set(g, &csr, w, dests, tol, par, &mut ws, &mut set).unwrap();
     set
+}
+
+/// Asserts that the engine's DAG of every destination equals the legacy
+/// DAG on every observable.
+fn assert_matches_legacy(g: &Graph, w: &[f64], tol: f64, par: Parallelism) {
+    let dests: Vec<NodeId> = g.nodes().collect();
+    let set = build_batched(g, w, &dests, tol, par);
+    for (i, &t) in dests.iter().enumerate() {
+        let legacy = ShortestPathDag::build(g, w, t, tol).unwrap();
+        let view = set.dag(i);
+        // Exact float equality: same relaxation order, same sums.
+        assert_eq!(view.distances(), legacy.distances());
+        assert_eq!(
+            view.nodes_by_decreasing_distance(),
+            legacy.nodes_by_decreasing_distance()
+        );
+        for u in g.nodes() {
+            assert_eq!(view.successors(u), legacy.successors(u));
+            assert_eq!(view.path_count(u), legacy.path_count(u));
+        }
+        for e in g.edge_ids() {
+            assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
+        }
+    }
 }
 
 proptest! {
@@ -57,23 +91,20 @@ proptest! {
         (g, w) in random_network(),
         tol in prop_oneof![Just(0.0f64), 0.0f64..2.0],
     ) {
-        let dests: Vec<NodeId> = g.nodes().collect();
-        let set = build_batched(&g, &w, &dests, tol, Parallelism::Never);
-        for (i, &t) in dests.iter().enumerate() {
-            let legacy = ShortestPathDag::build(&g, &w, t, tol).unwrap();
-            let view = set.dag(i);
-            // Exact float equality: same relaxation order, same sums.
-            prop_assert_eq!(view.distances(), legacy.distances());
-            prop_assert_eq!(
-                view.nodes_by_decreasing_distance(),
-                legacy.nodes_by_decreasing_distance()
-            );
-            for u in g.nodes() {
-                prop_assert_eq!(view.successors(u), legacy.successors(u));
-                prop_assert_eq!(view.path_count(u), legacy.path_count(u));
-            }
-            for e in g.edge_ids() {
-                prop_assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
+        assert_matches_legacy(&g, &w, tol, Parallelism::Never);
+    }
+
+    /// The same on tie-heavy integer weights, whose processing orders have
+    /// many equal-distance runs that must come out id-sorted, serially
+    /// and under the threaded fan-out.
+    #[test]
+    fn tie_heavy_dag_set_is_bit_identical_to_legacy(
+        (g, w) in tie_heavy_network(),
+        tol in 0.1f64..2.0,
+    ) {
+        for tol in [0.0, tol] {
+            for par in [Parallelism::Never, Parallelism::Always] {
+                assert_matches_legacy(&g, &w, tol, par);
             }
         }
     }
