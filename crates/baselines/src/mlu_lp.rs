@@ -35,14 +35,18 @@ impl MluSolution {
     /// The LP has `|D|·|J| + 1` variables; intended for the paper's small
     /// and mid-size networks (Fig. 1, Fig. 4, Abilene, CERNET2). For the
     /// 50–100-node sweeps the paper itself does not report MLU-LP numbers.
+    /// The simplex tableau is dense, rows × columns: hier200's would take
+    /// 65 GB and hier500's 2.5 TB. A tableau the allocator refuses is an
+    /// error, not an aborted process.
     ///
     /// # Errors
     ///
     /// * [`SpefError::UnroutableDemand`]-class infeasibility surfaces as
     ///   [`SpefError::Infeasible`] (an LP has no notion of which pair
     ///   failed),
-    /// * [`SpefError::InvalidInput`] on size mismatches or an empty
-    ///   traffic matrix.
+    /// * [`SpefError::InvalidInput`] on size mismatches, an empty
+    ///   traffic matrix, or a tableau the allocator refuses
+    ///   ([`SimplexError::TooLarge`]).
     pub fn solve(network: &Network, traffic: &TrafficMatrix) -> Result<MluSolution, SpefError> {
         MluSolution::solve_in(network, traffic, &mut SimplexWorkspace::new())
     }
@@ -215,6 +219,31 @@ mod tests {
                     < 1e-7
             );
         }
+    }
+
+    #[test]
+    fn oversized_lp_is_an_error_and_the_workspace_recovers() {
+        // The scale ladder's hier500 (500 nodes, all-pairs demand): a
+        // ~10⁶-variable LP whose dense tableau would take 2.5 TB.
+        let big = spef_topology::gen::tiered_network("Tier500", 10, 7, 6, 0x7E5);
+        let big_tm = TrafficMatrix::fortz_thorup(&big, 1);
+        let mut ws = spef_lp::SimplexWorkspace::new();
+        let err = MluSolution::solve_in(&big, &big_tm, &mut ws);
+        assert!(matches!(err, Err(SpefError::InvalidInput(_))), "{err:?}");
+
+        let bits = |sol: &MluSolution| -> Vec<u64> {
+            let mut v = vec![sol.mlu.to_bits()];
+            for &t in sol.flows.destinations() {
+                let f = sol.flows.for_destination(t).unwrap();
+                v.extend(f.iter().map(|x| x.to_bits()));
+            }
+            v.extend(sol.link_prices.iter().map(|x| x.to_bits()));
+            v
+        };
+        let net = standard::abilene();
+        let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.1);
+        let reused = MluSolution::solve_in(&net, &tm, &mut ws).unwrap();
+        assert_eq!(bits(&reused), bits(&MluSolution::solve(&net, &tm).unwrap()));
     }
 
     #[test]

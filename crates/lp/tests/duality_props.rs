@@ -120,6 +120,15 @@ proptest! {
     ) {
         let built = build_routing_lp(&g, &caps, &costs, s, t, demand);
         let Ok(sol) = built.lp.solve() else { return Ok(()); };
+        // Extraction canonicalises noise: every entry below 1e-11 in
+        // magnitude, either zero included, is exactly `+0.0`. The kernel's
+        // bit-identity with a full-row update rests on this (it may leave
+        // `-0.0` where the full-row update left `+0.0`, and vice versa).
+        for &v in sol.values().iter().chain(sol.duals()) {
+            if v.abs() < 1e-11 {
+                prop_assert_eq!(v.to_bits(), 0.0f64.to_bits(), "uncanonical zero {:e}", v);
+            }
+        }
         // Strong duality: c'x == b'y over all rows.
         let mut by = 0.0;
         for (e, &cap) in caps.iter().enumerate() {
