@@ -63,10 +63,9 @@ impl OspfRouting {
         let mut engine = RoutingEngine::new(g);
         let dests = validate_ospf_inputs(network, traffic)?;
         let flows = route_flows(&mut engine, traffic, &dests, weights)?;
-        // Flatten the engine's split-table arenas straight into the CSR
-        // FIB — no owned per-row vectors are materialised.
-        let fib =
-            ForwardingTable::from_split_table_set(g.node_count(), &dests, engine.split_tables());
+        // The same per-destination stream as the SPEF pipeline's FIB: no
+        // all-destinations split tables, no owned per-row vectors.
+        let fib = engine.build_forwarding_table(SplitRule::EvenEcmp)?;
         Ok(OspfRouting {
             weights: weights.to_vec(),
             flows,

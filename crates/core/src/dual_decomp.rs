@@ -247,7 +247,7 @@ fn run(
             let mut dual = 0.0;
             if record {
                 for (e, ((&s, &w), &c)) in dd.spare.iter().zip(&dd.weights).zip(caps).enumerate() {
-                    dual += objective.utility(e.into(), s) - w * s + w * c;
+                    dual += objective.utility_at(e, s) - w * s + w * c;
                 }
             }
             // DD only needs the aggregate Route_t flows: tiled distribution
@@ -266,9 +266,9 @@ fn run(
                         for (i, &t) in chunk.iter().enumerate() {
                             let dag = dags.dag(i);
                             traffic.demands_to_into(t, &mut dd.demand_buf);
-                            for (s, &d) in dd.demand_buf.iter().enumerate() {
+                            for (&d, dist) in dd.demand_buf.iter().zip(dag.distances()) {
                                 if d > 0.0 {
-                                    dual -= d * dag.distance(s.into());
+                                    dual -= d * dist;
                                 }
                             }
                         }
@@ -286,14 +286,14 @@ fn run(
             if config.record_trace {
                 let mut dual = 0.0;
                 for (e, ((&s, &w), &c)) in dd.spare.iter().zip(&dd.weights).zip(caps).enumerate() {
-                    dual += objective.utility(e.into(), s) - w * s + w * c;
+                    dual += objective.utility_at(e, s) - w * s + w * c;
                 }
                 for (i, &t) in dests.iter().enumerate() {
                     let dag = engine.dag_set().dag(i);
                     traffic.demands_to_into(t, &mut dd.demand_buf);
-                    for (s, &d) in dd.demand_buf.iter().enumerate() {
+                    for (&d, dist) in dd.demand_buf.iter().zip(dag.distances()) {
                         if d > 0.0 {
-                            dual -= d * dag.distance(s.into());
+                            dual -= d * dist;
                         }
                     }
                 }

@@ -8,12 +8,15 @@
 //!
 //! * the in-edge [`Csr`] adjacency is built **once** per engine;
 //! * weight validation runs once per batch, not once per destination;
-//! * DAGs ([`DagSet`]), split tables ([`SplitTableSet`]), demand columns
-//!   and flow vectors live in flat arenas that are reused across calls —
-//!   after the first iteration the cycle performs **zero allocations**
-//!   on the sequential path (with parallel fan-out engaged, only the
-//!   `O(dests)`-pointer task list is allocated per call, never the
-//!   arena data);
+//! * DAGs ([`DagSet`]), demand columns and flow vectors live in flat
+//!   arenas that are reused across calls — after the first iteration the
+//!   cycle performs **zero allocations** on the sequential path (with
+//!   parallel fan-out engaged, only the `O(dests)`-pointer task lists are
+//!   allocated per call, never the arena data);
+//! * split tables ([`SplitTableSet`]) stream one destination at a time
+//!   through a one-destination scratch, and the Dijkstra scratch is one
+//!   per worker thread, so only the DAG set (4-byte ids), the demand
+//!   cache and the flow columns grow with the destination count;
 //! * DAG construction fans destinations out across worker threads when
 //!   the batch is large enough, with bit-identical results regardless of
 //!   schedule (each destination writes only its own arena slices).
@@ -77,6 +80,7 @@ use spef_graph::batch::{
 use spef_graph::{Csr, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
 
+use crate::fib::{FibSet, ForwardingTable};
 use crate::traffic_dist::{
     distribute_batch, distribute_block, distribute_one_into, next_flow_stamp, validate_rule,
     DistScratch, Flows, SplitRule, SplitTableSet,
@@ -138,7 +142,12 @@ pub struct EngineState {
     topo_edges: Vec<(NodeId, NodeId)>,
     ws: RoutingWorkspace,
     dags: DagSet,
+    /// One table per destination, filled only by
+    /// [`RoutingEngine::build_split_tables`].
     tables: SplitTableSet,
+    /// One destination's split table: every distribution and FIB build
+    /// streams its destinations through it.
+    table: SplitTableSet,
     scratch: DistScratch,
     /// Tile-sized arenas for the tiled execution path. Kept separate from
     /// `dags`/`tables` so tiled runs never clobber the untiled DAG set
@@ -164,9 +173,7 @@ pub struct EngineState {
     /// `true` when the pending set is meaningless (dense build, shape
     /// change, or no distribution yet): the next distribution runs dense.
     pending_all: bool,
-    /// Split tables aligned with the current DAG set under the
-    /// `last_rule_*` fingerprint below.
-    tables_valid: bool,
+    /// The rule of the last successful untiled distribution.
     last_rule_kind: RuleKind,
     /// Bitwise copy of the exponential rule's weight vector (empty for
     /// even ECMP).
@@ -246,7 +253,6 @@ impl EngineState {
     /// Invalidates everything the incremental distribution path relies
     /// on; the next distribution runs the dense kernel.
     fn drop_distribution_caches(&mut self) {
-        self.tables_valid = false;
         self.demand_cache_valid = false;
         self.pending_all = true;
         self.out_stamp = 0;
@@ -256,10 +262,13 @@ impl EngineState {
     /// Bytes currently reserved by the engine's routing arenas (DAG sets,
     /// split tables, tile scratch, Dijkstra workspace), by capacity — a
     /// high-water mark, since the arenas only ever grow across reuse.
+    /// [`crate::TeWorkspace::arena_bytes`] also counts the rest of the
+    /// state: the CSR, the fingerprints and the demand cache.
     pub fn arena_bytes(&self) -> usize {
         self.ws.arena_bytes()
             + self.dags.arena_bytes()
             + self.tables.arena_bytes()
+            + self.table.arena_bytes()
             + self.tile_dags.arena_bytes()
             + self.tile_tables.arena_bytes()
             + self.tile_cols.capacity() * std::mem::size_of::<Vec<f64>>()
@@ -268,6 +277,24 @@ impl EngineState {
                 .iter()
                 .map(|c| c.capacity() * std::mem::size_of::<f64>())
                 .sum::<usize>()
+    }
+
+    /// Bytes the state holds beside its routing arenas, by capacity: the
+    /// CSR adjacency, the topology, weight and rule fingerprints, the
+    /// incremental paths' demand cache and flags, and the distribution
+    /// scratch.
+    pub(crate) fn cache_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.in_csr.as_ref().map_or(0, Csr::arena_bytes)
+            + self.topo_edges.capacity() * size_of::<(NodeId, NodeId)>()
+            + self.last_weights.capacity() * size_of::<f64>()
+            + self.last_dests.capacity() * size_of::<NodeId>()
+            + self.delta_scratch.capacity() * size_of::<(NodeId, NodeId, f64, f64)>()
+            + self.dirty.capacity()
+            + self.pending.capacity()
+            + self.last_rule_v.capacity() * size_of::<f64>()
+            + self.demand_cache.capacity() * size_of::<f64>()
+            + self.scratch.arena_bytes()
     }
 }
 
@@ -524,8 +551,11 @@ impl<'g> RoutingEngine<'g> {
     }
 
     /// The split tables of the last
-    /// [`distribute_into`](Self::distribute_into) call, aligned with the
-    /// DAG destinations — the batched form of the paper's TABLE II rows.
+    /// [`build_split_tables`](Self::build_split_tables) call, aligned with
+    /// its DAG destinations — the batched form of the paper's TABLE II
+    /// rows. Nothing else fills them: distributions and FIB builds stream
+    /// one destination's table at a time, so after those alone this set
+    /// is empty.
     pub fn split_tables(&self) -> &SplitTableSet {
         &self.state.tables
     }
@@ -538,8 +568,9 @@ impl<'g> RoutingEngine<'g> {
 
     /// Algorithm 3 over the engine's current DAG set: routes the demand
     /// columns of the DAG destinations under `rule`, writing flows into
-    /// `out` (reshaped as needed, zero allocations once warm) and split
-    /// tables into the engine.
+    /// `out` (reshaped as needed, zero allocations once warm). Each
+    /// destination's split table is built into the engine's
+    /// one-destination scratch, used, and dropped.
     ///
     /// The traffic matrix must cover the engine's graph; demand columns
     /// are taken for exactly the destinations the DAGs were built for.
@@ -562,8 +593,8 @@ impl<'g> RoutingEngine<'g> {
     /// mutation clears), the rule is bit-identical, and the DAG set only
     /// changed in slots the engine tracked, the call refreshes **only**
     /// the destinations whose DAG or demand column changed — rebuilding
-    /// their split tables in place — and re-folds the aggregate from all
-    /// columns in ascending destination order: the same additions, in
+    /// their split tables in the scratch — and re-folds the aggregate from
+    /// all columns in ascending destination order: the same additions, in
     /// the same order, as the dense kernel. Results are bit-identical
     /// either way; any precondition miss falls back to the dense path.
     pub fn distribute_into(
@@ -576,7 +607,6 @@ impl<'g> RoutingEngine<'g> {
             return Ok(());
         }
         let s = &mut self.state;
-        s.tables_valid = false;
         s.out_stamp = 0;
         distribute_batch(
             self.graph,
@@ -584,9 +614,10 @@ impl<'g> RoutingEngine<'g> {
             s.dags.iter(),
             traffic,
             rule,
-            &mut s.tables,
+            &mut s.table,
             &mut s.scratch,
             out,
+            |_| {},
         )?;
         self.record_distribution(traffic, rule, out);
         Ok(())
@@ -623,7 +654,6 @@ impl<'g> RoutingEngine<'g> {
                 s.last_rule_v.extend_from_slice(v);
             }
         }
-        s.tables_valid = true;
         s.pending.clear();
         s.pending.resize(d, false);
         s.pending_all = false;
@@ -655,7 +685,6 @@ impl<'g> RoutingEngine<'g> {
         };
         if s.full_rebuild_only
             || !s.dags_valid
-            || !s.tables_valid
             || !s.demand_cache_valid
             || s.pending_all
             || !rule_matches
@@ -672,7 +701,6 @@ impl<'g> RoutingEngine<'g> {
         let n = self.graph.node_count();
         let d = s.dags.destinations().len();
         debug_assert_eq!(s.pending.len(), d);
-        debug_assert_eq!(s.tables.len(), d);
         s.scratch.incoming.resize(n, 0.0);
         let (columns, aggregate) = out.parts_mut();
         debug_assert_eq!(columns.len(), d);
@@ -686,21 +714,20 @@ impl<'g> RoutingEngine<'g> {
                 .any(|(a, b)| a.to_bits() != b.to_bits());
             let dag_dirty = s.pending[i];
             if !demand_dirty && !dag_dirty {
-                // Same DAG, same table, bit-identical demands: the cached
+                // Same DAG, same rule, bit-identical demands: the cached
                 // column is exactly what the dense kernel would recompute
                 // (and its previous success proves no error either).
                 continue;
             }
+            // The same table the dense kernel builds for this slot.
             let dag = s.dags.dag(i);
-            if dag_dirty {
-                s.tables.rebuild_table(i, self.graph, &dag, rule);
-            }
+            s.table.reset(n);
+            s.table.push_table(self.graph, &dag, rule);
             col.fill(0.0);
-            let table = s.tables.table(i);
             if let Err(e) = distribute_one_into(
                 self.graph,
                 &dag,
-                table,
+                s.table.table(0),
                 &s.scratch.demands,
                 &mut s.scratch.incoming,
                 col,
@@ -730,24 +757,53 @@ impl<'g> RoutingEngine<'g> {
     }
 
     /// Builds only the split tables (TABLE II rows) for the current DAG
-    /// set under `rule`, without routing any traffic — the final
-    /// forwarding-table materialisation step of Algorithm 4.
+    /// set under `rule`, without routing any traffic, one table per
+    /// destination — the only all-destinations split-table build. It
+    /// serves callers that inspect the tables; forwarding tables come from
+    /// [`build_forwarding_table`](Self::build_forwarding_table), which
+    /// streams the same rows.
     ///
     /// # Errors
     ///
     /// [`SpefError::InvalidInput`] if the rule's weight vector is
     /// malformed.
     pub fn build_split_tables(&mut self, rule: SplitRule<'_>) -> Result<&SplitTableSet, SpefError> {
-        crate::traffic_dist::validate_rule(self.graph, rule)?;
+        validate_rule(self.graph, rule)?;
         let s = &mut self.state;
-        // The tables no longer correspond to a recorded distribution.
-        s.tables_valid = false;
-        s.out_stamp = 0;
         s.tables.reset(self.graph.node_count());
         for dag in s.dags.iter() {
             s.tables.push_table(self.graph, &dag, rule);
         }
         Ok(&s.tables)
+    }
+
+    /// The forwarding tables (TABLE II rows, reduced to split ratios) of
+    /// the current DAG set under `rule` — the final step of Algorithm 4.
+    /// Each destination's split table is built into the engine's
+    /// one-destination scratch and copied into the flat FIB, so no
+    /// all-destinations split-table set is built. The rows equal those of
+    /// [`build_split_tables`](Self::build_split_tables), bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`SpefError::InvalidInput`] if the rule's weight vector is
+    /// malformed.
+    pub fn build_forwarding_table(
+        &mut self,
+        rule: SplitRule<'_>,
+    ) -> Result<ForwardingTable, SpefError> {
+        validate_rule(self.graph, rule)?;
+        let n = self.graph.node_count();
+        let s = &mut self.state;
+        let mut fib = FibSet::new();
+        fib.begin(n);
+        for dag in s.dags.iter() {
+            s.table.reset(n);
+            s.table.push_table(self.graph, &dag, rule);
+            let table = s.table.table(0);
+            fib.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
+        }
+        Ok(ForwardingTable::from(fib))
     }
 
     /// The fused tiled build-and-distribute cycle: processes `dests` in
@@ -795,7 +851,7 @@ impl<'g> RoutingEngine<'g> {
         F: FnMut(usize, &[NodeId], &DagSet, &SplitTableSet) -> Result<(), SpefError>,
     {
         assert!(tile > 0, "tile size must be at least 1");
-        crate::traffic_dist::validate_rule(self.graph, rule)?;
+        validate_rule(self.graph, rule)?;
         let m = self.graph.edge_count();
         let n = self.graph.node_count();
         let s = &mut self.state;
@@ -1226,10 +1282,14 @@ mod tests {
         let w = vec![1.0; net.link_count()];
         let mut engine = RoutingEngine::new(net.graph());
         engine.build_dags(&w, &dests, 0.0).unwrap();
+        // Distributions stream their tables; only `build_split_tables`
+        // keeps one per destination.
         let mut flows = engine.distribute_fresh();
         engine
             .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
             .unwrap();
+        assert!(engine.split_tables().is_empty());
+        engine.build_split_tables(SplitRule::EvenEcmp).unwrap();
         assert_eq!(engine.split_tables().len(), dests.len());
         for (i, _) in dests.iter().enumerate() {
             let table = engine.split_tables().table(i);

@@ -25,7 +25,7 @@
 //! smoothed optimum retains an over-capacity link, which is reported as
 //! [`SpefError::Infeasible`].
 
-use spef_graph::{EdgeId, NodeId};
+use spef_graph::NodeId;
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::engine::RoutingEngine;
@@ -89,13 +89,12 @@ impl<'a> SmoothedUtility<'a> {
 
     fn value(&self, e: usize, s: f64) -> f64 {
         let sig = self.sigma[e];
-        let id = EdgeId::new(e);
         if s >= sig {
-            self.objective.utility(id, s)
+            self.objective.utility_at(e, s)
         } else {
-            let v = self.objective.utility(id, sig);
-            let v1 = self.objective.marginal_utility(id, sig);
-            let v2 = self.objective.second_derivative(id, sig);
+            let v = self.objective.utility_at(e, sig);
+            let v1 = self.objective.marginal_utility_at(e, sig);
+            let v2 = self.objective.second_derivative_at(e, sig);
             v + v1 * (s - sig) + 0.5 * v2 * (s - sig) * (s - sig)
         }
     }
@@ -103,12 +102,11 @@ impl<'a> SmoothedUtility<'a> {
     /// `V'_smooth(s)`; always finite and strictly positive.
     fn marginal(&self, e: usize, s: f64) -> f64 {
         let sig = self.sigma[e];
-        let id = EdgeId::new(e);
         if s >= sig {
-            self.objective.marginal_utility(id, s)
+            self.objective.marginal_utility_at(e, s)
         } else {
-            let v1 = self.objective.marginal_utility(id, sig);
-            let v2 = self.objective.second_derivative(id, sig);
+            let v1 = self.objective.marginal_utility_at(e, sig);
+            let v2 = self.objective.second_derivative_at(e, sig);
             v1 + v2 * (s - sig)
         }
     }
@@ -368,7 +366,7 @@ fn run(
         .spare
         .iter()
         .enumerate()
-        .map(|(e, &s)| objective.marginal_utility(EdgeId::new(e), s))
+        .map(|(e, &s)| objective.marginal_utility_at(e, s))
         .collect();
     let relative_gap = gap / utility.abs().max(1.0);
     Ok((utility, weights, relative_gap, iterations))
@@ -378,7 +376,7 @@ fn run(
 mod tests {
     use super::*;
     use crate::traffic_dist::{build_dags, traffic_distribution};
-    use spef_graph::NodeId;
+    use spef_graph::{EdgeId, NodeId};
     use spef_topology::standard;
 
     /// Cold-solve helper on a fresh workspace (β = 0 is rejected, not

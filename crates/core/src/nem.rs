@@ -243,9 +243,9 @@ fn distribute<D: DagAccess>(
         if record {
             let table = nem.table.table(0);
             traffic.demands_to_into(*t, &mut nem.scratch.demands);
-            for (s, &d) in nem.scratch.demands.iter().enumerate() {
+            for (s, &d) in graph.nodes().zip(&nem.scratch.demands) {
                 if d > 0.0 {
-                    dual += d * table.log_path_sum(s.into());
+                    dual += d * table.log_path_sum(s);
                 }
             }
         }

@@ -114,7 +114,14 @@ impl Objective {
     ///
     /// Panics if `e` is out of range.
     pub fn utility(&self, e: EdgeId, s: f64) -> f64 {
-        let q = self.q[e.index()];
+        self.utility_at(e.index(), s)
+    }
+
+    /// [`utility`](Self::utility) by raw link index, for the solvers'
+    /// per-link loops: they skip building an [`EdgeId`] and its range
+    /// check.
+    pub(crate) fn utility_at(&self, e: usize, s: f64) -> f64 {
+        let q = self.q[e];
         let b = self.beta;
         if (b - 1.0).abs() < 1e-12 {
             if s <= 0.0 {
@@ -148,7 +155,12 @@ impl Objective {
     ///
     /// Panics if `e` is out of range.
     pub fn marginal_utility(&self, e: EdgeId, s: f64) -> f64 {
-        let q = self.q[e.index()];
+        self.marginal_utility_at(e.index(), s)
+    }
+
+    /// [`marginal_utility`](Self::marginal_utility) by raw link index.
+    pub(crate) fn marginal_utility_at(&self, e: usize, s: f64) -> f64 {
+        let q = self.q[e];
         if self.beta == 0.0 {
             return q;
         }
@@ -171,7 +183,12 @@ impl Objective {
     ///
     /// Panics if `e` is out of range.
     pub fn second_derivative(&self, e: EdgeId, s: f64) -> f64 {
-        let q = self.q[e.index()];
+        self.second_derivative_at(e.index(), s)
+    }
+
+    /// [`second_derivative`](Self::second_derivative) by raw link index.
+    pub(crate) fn second_derivative_at(&self, e: usize, s: f64) -> f64 {
+        let q = self.q[e];
         if self.beta == 0.0 {
             return 0.0;
         }
@@ -238,7 +255,7 @@ impl Objective {
         spare
             .iter()
             .enumerate()
-            .map(|(i, &s)| self.utility(EdgeId::new(i), s))
+            .map(|(i, &s)| self.utility_at(i, s))
             .sum()
     }
 }

@@ -18,12 +18,11 @@ use spef_topology::{Network, TrafficMatrix};
 
 use crate::dual_decomp::{self, DualDecompConfig};
 use crate::engine::RoutingEngine;
-use crate::fib::FibSet;
 use crate::frank_wolfe::FrankWolfeConfig;
 use crate::nem::{self, NemConfig, NemOutcome};
 use crate::solver::TeWorkspace;
 use crate::te::{self, TeSolution};
-use crate::traffic_dist::{validate_rule, Flows, SplitRule};
+use crate::traffic_dist::{Flows, SplitRule};
 use crate::weights::{
     integerize, scale_weights, INTEGER_DIJKSTRA_TOLERANCE, NONINTEGER_DIJKSTRA_TOLERANCE,
 };
@@ -301,7 +300,7 @@ fn route_stages(
 
     // Step 2: per-destination shortest-path DAGs, built once into the
     // engine's flat DAG set (tiled sessions too: the tile bounds only the
-    // TE loops). NEM and the FIB read them through borrowed views.
+    // TE loops). NEM reads them through borrowed views.
     engine.build_dags(floored, dests, tolerance)?;
     let dags: Vec<DagRef<'_>> = engine.dag_set().iter().collect();
 
@@ -309,20 +308,10 @@ fn route_stages(
     let nem_out = nem::solve_in(g, &dags, traffic, target_flows, &config.nem, ws)?;
 
     // Step 4: forwarding tables (TABLE II rows), streamed destination by
-    // destination through NEM's one-destination split-table scratch, so
-    // the only all-destinations structure built is the FIB itself.
-    let rule = SplitRule::Exponential(&nem_out.second_weights);
-    validate_rule(g, rule)?;
-    let mut fib = FibSet::new();
-    fib.begin(g.node_count());
-    let scratch = &mut ws.nem.table;
-    for dag in &dags {
-        scratch.reset(g.node_count());
-        scratch.push_table(g, dag, rule);
-        let table = scratch.table(0);
-        fib.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
-    }
-    Ok((nem_out, ForwardingTable::from(fib)))
+    // destination, so the only all-destinations structure built is the
+    // FIB itself.
+    let fib = engine.build_forwarding_table(SplitRule::Exponential(&nem_out.second_weights))?;
+    Ok((nem_out, fib))
 }
 
 /// Smallest Dijkstra tolerance that keeps every significantly-loaded edge

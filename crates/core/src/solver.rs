@@ -261,6 +261,11 @@ impl TopoFingerprint {
                 .all(|((_, u, v), &(su, sv))| u == su && v == sv)
     }
 
+    fn arena_bytes(&self) -> usize {
+        self.edges.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
+            + self.dests.capacity() * std::mem::size_of::<NodeId>()
+    }
+
     fn record(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
         self.nodes = graph.node_count();
         self.edges.clear();
@@ -269,6 +274,11 @@ impl TopoFingerprint {
         self.dests.extend_from_slice(dests);
         self.tile = tile;
     }
+}
+
+/// Bytes of capacity of an `f64` buffer.
+fn f64_bytes(v: &Vec<f64>) -> usize {
+    v.capacity() * std::mem::size_of::<f64>()
 }
 
 /// Bitwise equality of two f64 slices.
@@ -336,6 +346,15 @@ struct FwFingerprint {
 }
 
 impl FwFingerprint {
+    /// Bytes of capacity, the demand columns included.
+    fn arena_bytes(&self) -> usize {
+        self.topo.arena_bytes()
+            + f64_bytes(&self.capacities)
+            + f64_bytes(&self.q)
+            + self.demands.capacity() * std::mem::size_of::<Vec<f64>>()
+            + self.demands.iter().map(f64_bytes).sum::<usize>()
+    }
+
     /// Overwrites `self` with the given instance, reusing buffers.
     fn record_instance(
         &mut self,
@@ -450,6 +469,30 @@ fn descent_path(
 }
 
 impl FwSession {
+    /// Bytes of capacity: the iterate, target and base flow buffers, the
+    /// saved, parked and base fingerprints, and the per-link buffers.
+    fn arena_bytes(&self) -> usize {
+        self.flows.arena_bytes()
+            + self.target.arena_bytes()
+            + self.base_flows.arena_bytes()
+            + [&self.saved, &self.stale, &self.base]
+                .into_iter()
+                .flatten()
+                .map(FwFingerprint::arena_bytes)
+                .sum::<usize>()
+            + [
+                &self.spare,
+                &self.kappa,
+                &self.delta,
+                &self.init_weights,
+                &self.demand_buf,
+                &self.ratio,
+            ]
+            .into_iter()
+            .map(f64_bytes)
+            .sum::<usize>()
+    }
+
     /// Checks whether the saved solution can warm-start `(network,
     /// traffic, objective)` and, if so, rescales `self.flows` in place
     /// into a starting point for the new demands. Returns `false` (and
@@ -853,8 +896,7 @@ pub(crate) struct NemSession {
     pub(crate) v: Vec<f64>,
     pub(crate) flows: Flows,
     /// One destination's split table at a time: NEM routes each
-    /// destination through it, and the SPEF pipeline streams its FIB rows
-    /// from it.
+    /// destination through it.
     pub(crate) table: SplitTableSet,
     pub(crate) scratch: DistScratch,
     /// The flow column a tiled session routes each destination into
@@ -865,6 +907,17 @@ pub(crate) struct NemSession {
 }
 
 impl NemSession {
+    /// Bytes of capacity: the flows, the one-destination table and
+    /// scratch, the iterate and the saved fingerprint.
+    fn arena_bytes(&self) -> usize {
+        self.flows.arena_bytes()
+            + self.table.arena_bytes()
+            + self.scratch.arena_bytes()
+            + f64_bytes(&self.v)
+            + f64_bytes(&self.column)
+            + self.saved.as_ref().map_or(0, TopoFingerprint::arena_bytes)
+    }
+
     /// True when the saved `v` may seed the new run (same graph and
     /// destination set; any `v ≥ 0` is a valid projected-gradient start,
     /// so no further checks are needed).
@@ -908,6 +961,23 @@ pub(crate) struct DdSession {
 }
 
 impl DdSession {
+    /// Bytes of capacity: the flows, the per-link buffers and the saved
+    /// fingerprint.
+    fn arena_bytes(&self) -> usize {
+        self.flows.arena_bytes()
+            + [
+                &self.weights,
+                &self.spare,
+                &self.average_flows,
+                &self.floored,
+                &self.demand_buf,
+            ]
+            .into_iter()
+            .map(f64_bytes)
+            .sum::<usize>()
+            + self.saved.as_ref().map_or(0, TopoFingerprint::arena_bytes)
+    }
+
     /// True when the saved multipliers may seed the new run (same graph
     /// and destination set; any `w ≥ 0` is a valid dual start).
     pub(crate) fn try_warm_start(
@@ -997,20 +1067,21 @@ impl TeWorkspace {
         self.tile
     }
 
-    /// Bytes currently reserved by the workspace's routing arenas (DAG
-    /// sets, split tables, flow buffers, Dijkstra scratch), by capacity —
-    /// the high-water mark over every solve this workspace has run, since
-    /// the arenas never shrink. The scaling ablation prints this as its
-    /// peak-memory column.
+    /// Bytes currently reserved by the workspace, by capacity — the
+    /// high-water mark over every solve this workspace has run, since the
+    /// arenas never shrink. It counts the engines' routing arenas (DAG
+    /// sets, split tables, Dijkstra scratch) and everything else they hold
+    /// (CSR, demand cache, fingerprints), every solver's flow buffers, the
+    /// saved solutions' fingerprints and demand columns, and the per-link
+    /// buffers; only the β = 0 simplex tableau is left out. The scaling
+    /// ablation prints this as its peak-memory column.
     pub fn arena_bytes(&self) -> usize {
-        self.engine.as_ref().map_or(0, EngineState::arena_bytes)
-            + self.engine_alt.as_ref().map_or(0, EngineState::arena_bytes)
-            + self.nem.table.arena_bytes()
-            + self.nem.flows.arena_bytes()
-            + self.nem.column.capacity() * std::mem::size_of::<f64>()
-            + self.fw.flows.arena_bytes()
-            + self.fw.target.arena_bytes()
-            + self.dd.flows.arena_bytes()
+        let engine_bytes = |e: &EngineState| e.arena_bytes() + e.cache_bytes();
+        self.engine.as_ref().map_or(0, engine_bytes)
+            + self.engine_alt.as_ref().map_or(0, engine_bytes)
+            + self.fw.arena_bytes()
+            + self.nem.arena_bytes()
+            + self.dd.arena_bytes()
     }
 
     /// Drops every saved solution while keeping all arenas, so subsequent

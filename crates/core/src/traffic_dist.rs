@@ -35,9 +35,10 @@
 //! * the **reference per-destination path** ([`ShortestPathDag::build`]
 //!   → [`SplitTable::build`]) with owned DAGs and tables — the readable
 //!   version the equivalence tests compare against;
-//! * the **batched path** ([`crate::RoutingEngine`]) where DAGs, split
-//!   tables and flows live in flat reusable arenas ([`SplitTableSet`])
-//!   and a solver iteration performs zero steady-state allocations.
+//! * the **batched path** ([`crate::RoutingEngine`]) where DAGs and flows
+//!   live in flat reusable arenas, split tables stream one destination at
+//!   a time through a reusable one-destination [`SplitTableSet`], and a
+//!   solver iteration performs zero steady-state allocations.
 //!
 //! The batched path skips work whose result is fixed before it runs. Its
 //! split rows skip the `exp` and `ln` calls that IEEE 754 fixes at
@@ -190,13 +191,18 @@ impl SplitTable {
     }
 }
 
-/// Split tables for a whole destination set, stored as flat arenas.
+/// Split tables for a run of destinations, stored as flat arenas.
 ///
 /// The batched analogue of `Vec<SplitTable>`: per-destination rows live in
-/// contiguous blocks of shared vectors, reused across
-/// [`crate::RoutingEngine::distribute_into`] calls so the NEM / Frank–Wolfe
-/// iteration loops allocate nothing in the steady state. Access
-/// per-destination views through [`SplitTableSet::table`].
+/// contiguous blocks of shared vectors, reused across calls so the NEM /
+/// Frank–Wolfe iteration loops allocate nothing in the steady state.
+/// Access per-destination views through [`SplitTableSet::table`].
+///
+/// The routing paths ([`crate::RoutingEngine::distribute_into`], NEM, the
+/// FIB builds) hold one destination's table at a time: `n` spans, `n`
+/// log-Z slots and at most `m` entries. Only
+/// [`crate::RoutingEngine::build_split_tables`] fills one table per
+/// destination, and the tiled engine one per tile destination.
 #[derive(Debug, Clone, Default)]
 pub struct SplitTableSet {
     n: usize,
@@ -208,10 +214,6 @@ pub struct SplitTableSet {
     entries: Vec<(EdgeId, f64)>,
     /// `log Z_t(u)` per `(dest, node)`.
     log_z: Vec<f64>,
-    /// Entry slots orphaned by in-place [`SplitTableSet::rebuild_table`]
-    /// calls (rebuilt rows append fresh entries and abandon the old ones).
-    /// Once garbage outweighs live entries the arena is compacted.
-    garbage: usize,
 }
 
 impl SplitTableSet {
@@ -250,7 +252,6 @@ impl SplitTableSet {
         self.spans.clear();
         self.entries.clear();
         self.log_z.clear();
-        self.garbage = 0;
     }
 
     /// Bytes currently reserved by the split-table arenas (capacity, not
@@ -271,68 +272,17 @@ impl SplitTableSet {
         let span_base = self.spans.len();
         self.spans.resize(span_base + n, (0, 0));
         self.log_z.resize(span_base + n, f64::NEG_INFINITY);
+        // Each DAG edge is one entry, so a table holds at most `m`: room
+        // for that many keeps a one-destination table at exactly `m`.
+        self.entries.reserve(graph.edge_count());
         self.build_block(self.count, graph, dag, rule);
         self.count += 1;
     }
 
-    /// Rebuilds destination `i`'s split table **in place** against its
-    /// (freshly rebuilt) DAG — the delta step of the incremental
-    /// distribution path. The old rows become arena garbage; new entries
-    /// are appended and the arena compacts once garbage outweighs live
-    /// rows. Rows come from the same [`SplitTableSet::build_block`] as
-    /// [`SplitTableSet::push_table`], so a rebuilt table has the same
-    /// values, bit for bit, as a dense rebuild of the whole set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub(crate) fn rebuild_table<D: DagAccess>(
-        &mut self,
-        i: usize,
-        graph: &Graph,
-        dag: &D,
-        rule: SplitRule<'_>,
-    ) {
-        assert!(i < self.count, "table index {i} out of range");
-        let n = self.n;
-        let base = i * n;
-        let mut freed = 0usize;
-        for span in &mut self.spans[base..base + n] {
-            freed += span.1;
-            *span = (0, 0);
-        }
-        self.garbage += freed;
-        for z in &mut self.log_z[base..base + n] {
-            *z = f64::NEG_INFINITY;
-        }
-        self.build_block(i, graph, dag, rule);
-        if self.garbage > self.entries.len() - self.garbage {
-            self.compact();
-        }
-    }
-
-    /// Left-compacts the live entry spans (in arena order, preserving
-    /// every row's contents and relative layout) and drops the garbage.
-    fn compact(&mut self) {
-        let mut live: Vec<usize> = (0..self.spans.len())
-            .filter(|&s| self.spans[s].1 > 0)
-            .collect();
-        live.sort_unstable_by_key(|&s| self.spans[s].0);
-        let mut write = 0usize;
-        for &s in &live {
-            let (start, len) = self.spans[s];
-            self.entries.copy_within(start..start + len, write);
-            self.spans[s] = (write, len);
-            write += len;
-        }
-        self.entries.truncate(write);
-        self.garbage = 0;
-    }
-
-    /// The shared row-construction body of [`SplitTableSet::push_table`]
-    /// and [`SplitTableSet::rebuild_table`]: fills block `block`'s spans
-    /// and log-Z slots (which must already be cleared) by appending entry
-    /// rows with the same values as [`SplitTable::build`], bit for bit.
+    /// The row-construction body of [`SplitTableSet::push_table`]: fills
+    /// block `block`'s spans and log-Z slots (which must already be
+    /// cleared) by appending entry rows with the same values as
+    /// [`SplitTable::build`], bit for bit.
     ///
     /// It skips the `exp` and `ln` calls whose results are fixed, since
     /// `exp(±0) = 1` and `ln(1) = +0` exactly (IEEE 754, C99 Annex F):
@@ -443,6 +393,12 @@ impl<'a> SplitTableRef<'a> {
 pub(crate) struct DistScratch {
     pub(crate) demands: Vec<f64>,
     pub(crate) incoming: Vec<f64>,
+}
+
+impl DistScratch {
+    pub(crate) fn arena_bytes(&self) -> usize {
+        (self.demands.capacity() + self.incoming.capacity()) * std::mem::size_of::<f64>()
+    }
 }
 
 /// Monotone counter behind [`Flows`] freshness stamps: each successful
@@ -632,15 +588,15 @@ impl Flows {
         self.aggregate.resize(m, 0.0);
     }
 
-    /// Disjoint mutable access to the per-destination columns and the
-    /// aggregate vector — the tiled engine writes a tile's columns while
-    /// accumulating into the shared aggregate.
     /// True when per-destination columns are materialised (an
     /// aggregate-only buffer from a tiled solve has none).
     pub(crate) fn has_columns(&self) -> bool {
         self.per_dest.len() == self.dests.len()
     }
 
+    /// Disjoint mutable access to the per-destination columns and the
+    /// aggregate vector — the tiled engine writes a tile's columns while
+    /// accumulating into the shared aggregate.
     pub(crate) fn parts_mut(&mut self) -> (&mut [Vec<f64>], &mut [f64]) {
         self.stamp = 0;
         (&mut self.per_dest, &mut self.aggregate)
@@ -749,8 +705,6 @@ pub fn traffic_distribution(
     rule: SplitRule<'_>,
 ) -> Result<Flows, SpefError> {
     let dests = traffic.destinations();
-    let mut tables = SplitTableSet::new();
-    let mut scratch = DistScratch::default();
     let mut flows = Flows::empty();
     distribute_batch(
         graph,
@@ -758,9 +712,10 @@ pub fn traffic_distribution(
         dags.iter(),
         traffic,
         rule,
-        &mut tables,
-        &mut scratch,
+        &mut SplitTableSet::new(),
+        &mut DistScratch::default(),
         &mut flows,
+        |_| {},
     )?;
     Ok(flows)
 }
@@ -779,23 +734,20 @@ pub fn traffic_distribution_detailed(
     rule: SplitRule<'_>,
 ) -> Result<(Flows, Vec<SplitTable>), SpefError> {
     let dests = traffic.destinations();
-    let mut tables = SplitTableSet::new();
-    let mut scratch = DistScratch::default();
+    let n = graph.node_count();
     let mut flows = Flows::empty();
+    let mut owned = Vec::with_capacity(dests.len());
     distribute_batch(
         graph,
         &dests,
         dags.iter(),
         traffic,
         rule,
-        &mut tables,
-        &mut scratch,
+        &mut SplitTableSet::new(),
+        &mut DistScratch::default(),
         &mut flows,
+        |table| owned.push(SplitTable::from_ref(table, n)),
     )?;
-    let n = graph.node_count();
-    let owned = (0..tables.len())
-        .map(|i| SplitTable::from_ref(tables.table(i), n))
-        .collect();
     Ok((flows, owned))
 }
 
@@ -820,10 +772,11 @@ pub(crate) fn validate_rule(graph: &Graph, rule: SplitRule<'_>) -> Result<(), Sp
     Ok(())
 }
 
-/// The shared distribution kernel behind both execution paths: builds the
-/// split table of every destination into `tables` and the flows into
-/// `out`, reusing all buffers. Generic over the DAG storage
-/// ([`ShortestPathDag`] references or arena-backed
+/// The shared distribution kernel behind both untiled execution paths:
+/// routes each destination in turn through the one-destination split-table
+/// scratch `table` and writes the flows into `out`, reusing all buffers.
+/// `on_table` sees each destination's table while it is live. Generic over
+/// the DAG storage ([`ShortestPathDag`] references or arena-backed
 /// [`spef_graph::DagRef`]s); results are bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn distribute_batch<D, I>(
@@ -832,9 +785,10 @@ pub(crate) fn distribute_batch<D, I>(
     dags: I,
     traffic: &TrafficMatrix,
     rule: SplitRule<'_>,
-    tables: &mut SplitTableSet,
+    table: &mut SplitTableSet,
     scratch: &mut DistScratch,
     out: &mut Flows,
+    mut on_table: impl FnMut(SplitTableRef<'_>),
 ) -> Result<(), SpefError>
 where
     D: DagAccess,
@@ -851,23 +805,34 @@ where
     }
     validate_rule(graph, rule)?;
     out.reset(dests, graph.edge_count());
-    tables.reset(graph.node_count());
     let (columns, aggregate) = out.parts_mut();
-    distribute_block(
-        graph, dests, dags, traffic, rule, tables, scratch, columns, aggregate,
-    )
+    for (i, dag) in dags.enumerate() {
+        table.reset(graph.node_count());
+        distribute_block(
+            graph,
+            &dests[i..=i],
+            [dag],
+            traffic,
+            rule,
+            table,
+            scratch,
+            &mut columns[i..=i],
+            aggregate,
+        )?;
+        on_table(table.table(0));
+    }
+    Ok(())
 }
 
 /// The per-destination body shared by the untiled and tiled distribution
 /// paths: for each `(dag, dest)` pair it appends a split table (indexed
 /// locally from 0 within `tables`), routes the destination's demand column
 /// into `columns[i]`, and adds it into the **global** `aggregate`. The
-/// untiled [`distribute_batch`] runs exactly one block over all
-/// destinations; the tiled engine runs it once per tile and NEM once per
-/// destination, with the same global aggregate, so the aggregate's
-/// floating-point accumulation order (ascending destination) is identical
-/// on every path — that is the bit-determinism contract of the tiled
-/// engine.
+/// tiled engine runs it once per tile, and [`distribute_batch`] and NEM
+/// once per destination, with the same global aggregate, so the
+/// aggregate's floating-point accumulation order (ascending destination)
+/// is identical on every path — that is the bit-determinism contract of
+/// the tiled engine.
 ///
 /// `tables` must already be reset for this block and `columns` must be
 /// zeroed, `m`-length and aligned with `dests`. Inlined because NEM calls
@@ -934,8 +899,8 @@ pub(crate) fn distribute_one_into<D: DagAccess>(
     let target = dag.dag_target();
 
     // Demands from nodes that cannot reach the target at all.
-    for (s, &d) in demands.iter().enumerate() {
-        if d > 0.0 && !dag.dag_reaches_target(NodeId::new(s)) {
+    for (s, (&d, dist)) in demands.iter().zip(dag.dag_distances()).enumerate() {
+        if d > 0.0 && !dist.is_finite() {
             return Err(SpefError::UnroutableDemand {
                 source: NodeId::new(s),
                 destination: target,

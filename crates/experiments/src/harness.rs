@@ -134,9 +134,10 @@ pub struct ScaleScenarioResult {
     /// Total `(edge, ratio)` forwarding entries across all
     /// `(destination, router)` rows.
     pub fib_entries: u64,
-    /// High-water bytes of the solver workspace's routing arenas (DAG
-    /// sets, split tables, flow buffers) — capacity-based, so tiled runs
-    /// show the O(tile·edges) ceiling dense runs don't have.
+    /// High-water bytes of the solver workspace (`TeWorkspace::arena_bytes`:
+    /// routing arenas, flow buffers, caches and saved solutions) —
+    /// capacity-based, so tiled runs show the O(tile·edges) ceiling dense
+    /// runs don't have.
     pub peak_arena_bytes: u64,
     /// High-water bytes of the forwarding-table arenas.
     pub peak_fib_bytes: u64,

@@ -9,19 +9,23 @@
 //! and medium instances. This module provides the batched alternative:
 //!
 //! * [`Csr`] adjacency is built once per graph and traversed flat;
-//! * [`RoutingWorkspace`] owns every piece of per-destination scratch
-//!   (heap storage, settled flags, counting buffers) and is reused across
-//!   calls, so the sequential steady state performs **zero allocations**
-//!   (when the parallel fan-out engages, the only per-call allocations
-//!   left are the `O(dests)` task list and the shim's work cells — never
-//!   the `O(dests · (nodes + edges))` arena data);
+//! * [`RoutingWorkspace`] owns the Dijkstra scratch (heap storage,
+//!   settled flags, counting buffers): one per worker thread, never one
+//!   per destination. It is reused across calls, so the sequential steady
+//!   state performs **zero allocations** (when the parallel fan-out
+//!   engages, the only per-call allocations left are the task lists and
+//!   the shim's work cells — never the `O(dests · (nodes + edges))` arena
+//!   data);
 //! * [`DagSet`] holds the DAGs of *all* destinations in contiguous
 //!   offset-indexed arenas (`dist`, CSR successor lists, processing
-//!   orders, path counts) instead of per-destination heap objects;
+//!   orders, path counts) of 4-byte ids and offsets, instead of
+//!   per-destination heap objects;
 //! * destinations fan out across worker threads (through the `rayon`
-//!   shim) when the batch is large enough to amortise thread spawn-up —
-//!   each destination writes only its own arena slices, so results are
-//!   **bit-identical** to the sequential path regardless of schedule.
+//!   shim), one contiguous chunk per worker, when the batch is large
+//!   enough to amortise the dispatch — each destination writes only its
+//!   own arena slices and every Dijkstra re-initialises its worker's
+//!   scratch, so results are **bit-identical** to the sequential path
+//!   regardless of schedule.
 //!
 //! Weight validation (`O(|J|)`) runs once per batch, not once per
 //! destination; the per-destination Dijkstra runs unchecked.
@@ -73,8 +77,9 @@ impl Parallelism {
     }
 }
 
-/// Per-destination-slot scratch: everything one Dijkstra + DAG build needs
-/// beyond its output slices.
+/// One worker's scratch: everything one Dijkstra + DAG build needs beyond
+/// its output slices. Every Dijkstra re-initialises it, so no result
+/// depends on which worker's scratch served a destination.
 #[derive(Debug, Default)]
 struct SlotScratch {
     settled: Vec<bool>,
@@ -85,18 +90,25 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
-    fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize, m: usize) {
         self.settled.resize(n, false);
         self.cursor.resize(n, 0);
+        // A Dijkstra pushes the origin plus at most one entry per edge it
+        // relaxes, so the heap never outgrows `m + 1`. Reserving that up
+        // front keeps the capacity independent of which destinations ran.
+        self.heap.reserve(m + 1);
     }
 }
 
 /// Reusable scratch arena for batched routing computations.
 ///
-/// One slot per destination; slots persist across calls so the steady
-/// state of a solver loop (`build_dag_set` every iteration) performs no
-/// heap allocation. A workspace is tied to no particular graph — it grows
-/// to fit whatever it is handed.
+/// One Dijkstra scratch per worker thread, not per destination: a
+/// sequential build runs every destination through one scratch, and the
+/// parallel fan-out gives each worker one contiguous chunk of destinations
+/// and one scratch. Scratch persists across calls, so the steady state of
+/// a solver loop (`build_dag_set` every iteration) performs no heap
+/// allocation. A workspace is tied to no particular graph — it grows to
+/// fit whatever it is handed.
 #[derive(Debug, Default)]
 pub struct RoutingWorkspace {
     slots: Vec<SlotScratch>,
@@ -108,17 +120,19 @@ impl RoutingWorkspace {
         RoutingWorkspace::default()
     }
 
-    fn ensure(&mut self, dests: usize, n: usize) {
-        if self.slots.len() < dests {
-            self.slots.resize_with(dests, SlotScratch::default);
+    fn ensure(&mut self, workers: usize, n: usize, m: usize) -> &mut [SlotScratch] {
+        if self.slots.len() < workers {
+            self.slots.resize_with(workers, SlotScratch::default);
         }
-        for slot in &mut self.slots[..dests] {
-            slot.ensure(n);
+        for slot in &mut self.slots[..workers] {
+            slot.ensure(n, m);
         }
+        &mut self.slots[..workers]
     }
 
-    /// Bytes of scratch capacity across all slots — one slot per
-    /// destination of the largest batch (or tile) this workspace served.
+    /// Bytes of scratch capacity across all slots — one per worker of the
+    /// widest fan-out this workspace served, whatever the destination
+    /// count.
     pub fn arena_bytes(&self) -> usize {
         self.slots
             .iter()
@@ -137,6 +151,11 @@ impl RoutingWorkspace {
 /// lives in contiguous blocks of shared vectors rather than per-DAG heap
 /// objects, and the buffers are reused across [`build_dag_set`] calls.
 /// Access per-destination views through [`DagSet::dag`].
+///
+/// This is the one routing arena sized by destinations × edges: each
+/// destination reserves an `m`-slot successor block, of which its DAG
+/// uses only the on-DAG edges. Ids, successor offsets and order lengths
+/// are 4 bytes each.
 #[derive(Debug, Clone, Default)]
 pub struct DagSet {
     n: usize,
@@ -149,7 +168,7 @@ pub struct DagSet {
     dist: Vec<f64>,
     /// `succ_off[i * (n + 1) + u]`: block-relative offsets into the
     /// destination's successor block.
-    succ_off: Vec<usize>,
+    succ_off: Vec<u32>,
     /// Successor edge ids, `m_block` slots per destination.
     succ: Vec<EdgeId>,
     /// DAG membership per edge, `m_block` slots per destination.
@@ -157,7 +176,7 @@ pub struct DagSet {
     /// Reachable nodes by decreasing distance, `n` slots per destination
     /// (only the first `order_len[i]` are meaningful).
     order: Vec<NodeId>,
-    order_len: Vec<usize>,
+    order_len: Vec<u32>,
     /// Saturating shortest-path counts, `n` slots per destination.
     path_counts: Vec<u64>,
 }
@@ -203,7 +222,7 @@ impl DagSet {
             succ_off: &self.succ_off[i * (n + 1)..(i + 1) * (n + 1)],
             succ: &self.succ[i * self.m_block..(i + 1) * self.m_block],
             on_dag: &self.on_dag[i * self.m_block..(i + 1) * self.m_block],
-            order: &self.order[i * n..i * n + self.order_len[i]],
+            order: &self.order[i * n..i * n + self.order_len[i] as usize],
             path_counts: &self.path_counts[i * n..(i + 1) * n],
         }
     }
@@ -264,11 +283,16 @@ impl DagSet {
     fn dists_arena_bytes(&self) -> usize {
         self.dests.capacity() * std::mem::size_of::<NodeId>()
             + self.dist.capacity() * std::mem::size_of::<f64>()
-            + self.succ_off.capacity() * std::mem::size_of::<usize>()
-            + self.order_len.capacity() * std::mem::size_of::<usize>()
+            + self.succ_off.capacity() * std::mem::size_of::<u32>()
+            + self.order_len.capacity() * std::mem::size_of::<u32>()
     }
 
     fn prepare(&mut self, dests: &[NodeId], n: usize, m: usize, tol: f64) {
+        // Offsets and lengths are 4 bytes, like the ids they count.
+        assert!(
+            n <= u32::MAX as usize && m <= u32::MAX as usize,
+            "a DAG set addresses at most u32::MAX nodes and edges"
+        );
         let d = dests.len();
         let m_block = m.max(1);
         self.n = n;
@@ -295,7 +319,7 @@ pub struct DagRef<'a> {
     target: NodeId,
     tol: f64,
     dist: &'a [f64],
-    succ_off: &'a [usize],
+    succ_off: &'a [u32],
     succ: &'a [EdgeId],
     on_dag: &'a [bool],
     order: &'a [NodeId],
@@ -333,7 +357,7 @@ impl<'a> DagRef<'a> {
     /// DAG edges leaving `u`, in edge-id order.
     #[inline]
     pub fn successors(&self, u: NodeId) -> &'a [EdgeId] {
-        &self.succ[self.succ_off[u.index()]..self.succ_off[u.index() + 1]]
+        &self.succ[self.succ_off[u.index()] as usize..self.succ_off[u.index() + 1] as usize]
     }
 
     /// Returns `true` if edge `e` lies on some shortest path to the target.
@@ -436,18 +460,82 @@ impl<T: DagAccess + ?Sized> DagAccess for &T {
     }
 }
 
-/// One destination's mutable arena slices plus its scratch slot — the unit
-/// of work handed to each (possibly parallel) DAG build.
+/// One destination's mutable arena slices — the unit of work a worker
+/// runs through its scratch.
 struct DagTask<'a> {
     target: NodeId,
-    scratch: &'a mut SlotScratch,
     dist: &'a mut [f64],
-    succ_off: &'a mut [usize],
+    succ_off: &'a mut [u32],
     succ: &'a mut [EdgeId],
     on_dag: &'a mut [bool],
     order: &'a mut [NodeId],
-    order_len: &'a mut usize,
+    order_len: &'a mut u32,
     path_counts: &'a mut [u64],
+}
+
+impl DagSet {
+    /// Destination `i`'s mutable arena slices, for every `i` in order.
+    fn tasks(&mut self) -> impl Iterator<Item = DagTask<'_>> {
+        let (n, m_block) = (self.n, self.m_block);
+        self.dist
+            .chunks_mut(n)
+            .zip(self.succ_off.chunks_mut(n + 1))
+            .zip(self.succ.chunks_mut(m_block))
+            .zip(self.on_dag.chunks_mut(m_block))
+            .zip(self.order.chunks_mut(n))
+            .zip(self.order_len.iter_mut())
+            .zip(self.path_counts.chunks_mut(n))
+            .zip(self.dests.iter())
+            .map(
+                |(((((((dist, succ_off), succ), on_dag), order), order_len), pc), &t)| DagTask {
+                    target: t,
+                    dist,
+                    succ_off,
+                    succ,
+                    on_dag,
+                    order,
+                    order_len,
+                    path_counts: pc,
+                },
+            )
+    }
+}
+
+/// Runs `run(scratch, task)` over `count` tasks with one Dijkstra scratch
+/// per worker: all through one scratch when `par` keeps the batch
+/// sequential, else one contiguous chunk of tasks per worker.
+fn fan_out<T: Send>(
+    ws: &mut RoutingWorkspace,
+    par: Parallelism,
+    (n, m): (usize, usize),
+    count: usize,
+    mut tasks: impl Iterator<Item = T>,
+    run: impl Fn(&mut SlotScratch, T) + Sync,
+) {
+    let workers = if par.decide(count, n + m) {
+        rayon::current_num_threads().min(count)
+    } else {
+        1
+    };
+    let slots = ws.ensure(workers.max(1), n, m);
+    if workers <= 1 {
+        let scratch = &mut slots[0];
+        for task in tasks {
+            run(scratch, task);
+        }
+        return;
+    }
+    let chunk = count.div_ceil(workers);
+    slots
+        .iter_mut()
+        .map(|scratch| (scratch, tasks.by_ref().take(chunk).collect::<Vec<T>>()))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .for_each(|(scratch, chunk)| {
+            for task in chunk {
+                run(scratch, task);
+            }
+        });
 }
 
 /// Builds the shortest-path DAGs of every destination in `dests` into
@@ -479,45 +567,14 @@ pub fn build_dag_set(
     let n = graph.node_count();
     let m = graph.edge_count();
     out.prepare(dests, n, m, tol);
-    ws.ensure(dests.len(), n);
-    let m_block = out.m_block;
-
-    let tasks = ws.slots[..dests.len()]
-        .iter_mut()
-        .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_off.chunks_mut(n + 1))
-        .zip(out.succ.chunks_mut(m_block))
-        .zip(out.on_dag.chunks_mut(m_block))
-        .zip(out.order.chunks_mut(n))
-        .zip(out.order_len.iter_mut())
-        .zip(out.path_counts.chunks_mut(n))
-        .zip(dests.iter())
-        .map(
-            |((((((((scratch, dist), succ_off), succ), on_dag), order), order_len), pc), &t)| {
-                DagTask {
-                    target: t,
-                    scratch,
-                    dist,
-                    succ_off,
-                    succ,
-                    on_dag,
-                    order,
-                    order_len,
-                    path_counts: pc,
-                }
-            },
-        );
-
-    if par.decide(dests.len(), n + m) {
-        tasks
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|task| build_one_dag(graph, in_csr, weights, tol, task));
-    } else {
-        for task in tasks {
-            build_one_dag(graph, in_csr, weights, tol, task);
-        }
-    }
+    fan_out(
+        ws,
+        par,
+        (n, m),
+        dests.len(),
+        out.tasks(),
+        |scratch, task| build_one_dag(graph, in_csr, weights, tol, scratch, task),
+    );
     Ok(())
 }
 
@@ -537,10 +594,7 @@ pub fn validate_dag_inputs(
     tol: f64,
 ) -> Result<(), GraphError> {
     if !tol.is_finite() || tol < 0.0 {
-        return Err(GraphError::InvalidWeight {
-            edge: EdgeId::new(usize::MAX),
-            weight: tol,
-        });
+        return Err(GraphError::InvalidTolerance { tolerance: tol });
     }
     validate_weights(graph.edge_count(), weights)?;
     let n = graph.node_count();
@@ -595,49 +649,14 @@ pub fn rebuild_dag_set_slots(
     assert_eq!(out.n, n, "DAG set node geometry matches the graph");
     assert_eq!(out.m_block, m.max(1), "DAG set edge geometry matches");
     let tol = out.tol;
-    ws.ensure(d, n);
-    let m_block = out.m_block;
-
-    let tasks = ws.slots[..d]
-        .iter_mut()
-        .zip(out.dist.chunks_mut(n))
-        .zip(out.succ_off.chunks_mut(n + 1))
-        .zip(out.succ.chunks_mut(m_block))
-        .zip(out.on_dag.chunks_mut(m_block))
-        .zip(out.order.chunks_mut(n))
-        .zip(out.order_len.iter_mut())
-        .zip(out.path_counts.chunks_mut(n))
-        .zip(out.dests.iter())
-        .zip(dirty.iter())
-        .filter(|task_and_flag| *task_and_flag.1)
-        .map(
-            |(
-                ((((((((scratch, dist), succ_off), succ), on_dag), order), order_len), pc), &t),
-                _,
-            )| DagTask {
-                target: t,
-                scratch,
-                dist,
-                succ_off,
-                succ,
-                on_dag,
-                order,
-                order_len,
-                path_counts: pc,
-            },
-        );
-
     let dirty_count = dirty.iter().filter(|&&b| b).count();
-    if par.decide(dirty_count, n + m) {
-        tasks
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|task| build_one_dag(graph, in_csr, weights, tol, task));
-    } else {
-        for task in tasks {
-            build_one_dag(graph, in_csr, weights, tol, task);
-        }
-    }
+    let tasks = out
+        .tasks()
+        .zip(dirty)
+        .filter_map(|(task, &flag)| flag.then_some(task));
+    fan_out(ws, par, (n, m), dirty_count, tasks, |scratch, task| {
+        build_one_dag(graph, in_csr, weights, tol, scratch, task)
+    });
     Ok(())
 }
 
@@ -647,12 +666,18 @@ pub fn rebuild_dag_set_slots(
 /// legacy steps; the processing order is derived instead of sorted: the
 /// reversed settle order of [`dijkstra_csr`] is already by decreasing
 /// distance, so only its runs of equal distance are sorted by node id.
-fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: DagTask<'_>) {
+fn build_one_dag(
+    graph: &Graph,
+    in_csr: &Csr,
+    weights: &[f64],
+    tol: f64,
+    scratch: &mut SlotScratch,
+    task: DagTask<'_>,
+) {
     let n = graph.node_count();
     let m = graph.edge_count();
     let DagTask {
         target,
-        scratch,
         dist,
         succ_off,
         succ,
@@ -684,12 +709,15 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
         }
     }
     // Prefix sums -> block-relative CSR offsets; cursor becomes the fill
-    // position of each node.
+    // position of each node. The total is at most `m`, which `prepare`
+    // checked fits the 4-byte offsets.
     succ_off[0] = 0;
+    let mut filled = 0;
     for u in 0..n {
         let count = scratch.cursor[u];
-        scratch.cursor[u] = succ_off[u];
-        succ_off[u + 1] = succ_off[u] + count;
+        scratch.cursor[u] = filled;
+        filled += count;
+        succ_off[u + 1] = filled as u32;
     }
     for (e, u, _) in graph.edges() {
         if on_dag[e.index()] {
@@ -703,7 +731,7 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
     // reversing the settle order leaves only the runs of equal distance
     // to sort: a zero weight (or one lost to rounding) can settle a node
     // after an equal-distance node with a larger id.
-    *order_len = len;
+    *order_len = len as u32;
     let order = &mut order[..len];
     order.reverse();
     for run in order.chunk_by_mut(|a, b| dist[a.index()] == dist[b.index()]) {
@@ -718,7 +746,7 @@ fn build_one_dag(graph: &Graph, in_csr: &Csr, weights: &[f64], tol: f64, task: D
             continue;
         }
         let mut total = 0u64;
-        for &e in &succ[succ_off[u.index()]..succ_off[u.index() + 1]] {
+        for &e in &succ[succ_off[u.index()] as usize..succ_off[u.index() + 1] as usize] {
             total = total.saturating_add(path_counts[graph.target(e).index()]);
         }
         path_counts[u.index()] = total;
@@ -826,24 +854,14 @@ pub fn batch_distances_to(
     out.targets.clear();
     out.targets.extend_from_slice(targets);
     out.dist.resize(targets.len() * n, 0.0);
-    ws.ensure(targets.len(), n);
-
-    let tasks = ws.slots[..targets.len()]
-        .iter_mut()
-        .zip(out.dist.chunks_mut(n))
-        .zip(targets.iter());
-    if par.decide(targets.len(), n + graph.edge_count()) {
-        tasks
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|((scratch, dist), &t)| {
-                dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {})
-            });
-    } else {
-        for ((scratch, dist), &t) in tasks {
-            dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {});
-        }
-    }
+    fan_out(
+        ws,
+        par,
+        (n, graph.edge_count()),
+        targets.len(),
+        out.dist.chunks_mut(n).zip(targets.iter().copied()),
+        |scratch, (dist, t)| dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {}),
+    );
     Ok(())
 }
 
@@ -994,10 +1012,16 @@ mod tests {
             run(&w, &[NodeId::new(17)], 0.0),
             Err(GraphError::NodeOutOfRange { .. })
         ));
-        assert!(matches!(
+        assert_eq!(
             run(&w, &[NodeId::new(0)], -0.5),
-            Err(GraphError::InvalidWeight { .. })
-        ));
+            Err(GraphError::InvalidTolerance { tolerance: -0.5 })
+        );
+        for tol in [-0.5, f64::INFINITY] {
+            assert!(matches!(
+                ShortestPathDag::build(&g, &w, NodeId::new(0), tol),
+                Err(GraphError::InvalidTolerance { .. })
+            ));
+        }
         // Empty destination set is fine.
         build_dag_set(&g, &csr, &w, &[], 0.0, Parallelism::Auto, &mut ws, &mut set).unwrap();
         assert!(set.is_empty());

@@ -74,6 +74,13 @@ impl Csr {
         self.entries.len()
     }
 
+    /// Bytes of capacity the offset and entry arrays hold. An entry is
+    /// two 4-byte ids.
+    pub fn arena_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.entries.capacity() * std::mem::size_of::<(EdgeId, NodeId)>()
+    }
+
     /// The `(edge, neighbor)` pairs incident to `u` in this direction.
     ///
     /// # Panics

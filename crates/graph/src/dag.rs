@@ -72,7 +72,7 @@ impl ShortestPathDag {
     /// # Errors
     ///
     /// Returns the same errors as [`distances_to`], plus
-    /// [`GraphError::InvalidWeight`] if `tol` is negative or not finite.
+    /// [`GraphError::InvalidTolerance`] if `tol` is negative or not finite.
     pub fn build(
         graph: &Graph,
         weights: &[f64],
@@ -80,10 +80,7 @@ impl ShortestPathDag {
         tol: f64,
     ) -> Result<Self, GraphError> {
         if !tol.is_finite() || tol < 0.0 {
-            return Err(GraphError::InvalidWeight {
-                edge: EdgeId::new(usize::MAX),
-                weight: tol,
-            });
+            return Err(GraphError::InvalidTolerance { tolerance: tol });
         }
         let dist = distances_to(graph, weights, target)?;
 

@@ -30,6 +30,11 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         nodes: usize,
     },
+    /// An equal-cost tolerance was negative or not finite.
+    InvalidTolerance {
+        /// The offending tolerance.
+        tolerance: f64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -44,6 +49,12 @@ impl fmt::Display for GraphError {
             GraphError::NegativeCycle => write!(f, "graph contains a negative-cost cycle"),
             GraphError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range for graph with {nodes} nodes")
+            }
+            GraphError::InvalidTolerance { tolerance } => {
+                write!(
+                    f,
+                    "equal-cost tolerance {tolerance} is negative or not finite"
+                )
             }
         }
     }
@@ -91,6 +102,7 @@ mod tests {
                 node: NodeId::new(9),
                 nodes: 4,
             },
+            GraphError::InvalidTolerance { tolerance: -0.5 },
         ];
         for e in errors {
             let msg = e.to_string();

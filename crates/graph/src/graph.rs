@@ -6,19 +6,40 @@ use serde::{Deserialize, Serialize};
 ///
 /// Node ids are dense indices `0..graph.node_count()`, assigned in insertion
 /// order, and remain stable for the lifetime of the graph (nodes cannot be
-/// removed).
+/// removed). They are stored in 32 bits, which halves every id arena (DAG
+/// processing orders, CSR entries) against `usize`; the API speaks `usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(usize);
+pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a node id from a raw index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     pub const fn new(index: usize) -> Self {
-        NodeId(index)
+        assert!(index <= u32::MAX as usize, "node index exceeds u32::MAX");
+        NodeId(index as u32)
     }
 
     /// Returns the raw index of this node.
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
+    }
+
+    /// The ids `0..n` in order, range-checked once for the whole run
+    /// instead of once per id as [`NodeId::new`] does — for per-node
+    /// loops over `n²`-sized data such as traffic matrices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX + 1`.
+    pub fn range(n: usize) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + Clone {
+        assert!(
+            n <= u32::MAX as usize + 1,
+            "node count exceeds u32::MAX + 1"
+        );
+        (0..n).map(|i| NodeId(i as u32))
     }
 }
 
@@ -30,7 +51,7 @@ impl fmt::Display for NodeId {
 
 impl From<usize> for NodeId {
     fn from(index: usize) -> Self {
-        NodeId(index)
+        NodeId::new(index)
     }
 }
 
@@ -40,18 +61,25 @@ impl From<usize> for NodeId {
 /// All per-link quantities in this workspace — capacities, first weights,
 /// second weights, flows, spare capacities — are stored as `Vec<f64>` indexed
 /// by `EdgeId`.
+///
+/// Like [`NodeId`], edge ids are stored in 32 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct EdgeId(usize);
+pub struct EdgeId(u32);
 
 impl EdgeId {
     /// Creates an edge id from a raw index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     pub const fn new(index: usize) -> Self {
-        EdgeId(index)
+        assert!(index <= u32::MAX as usize, "edge index exceeds u32::MAX");
+        EdgeId(index as u32)
     }
 
     /// Returns the raw index of this edge.
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -63,7 +91,7 @@ impl fmt::Display for EdgeId {
 
 impl From<usize> for EdgeId {
     fn from(index: usize) -> Self {
-        EdgeId(index)
+        EdgeId::new(index)
     }
 }
 
@@ -114,7 +142,7 @@ impl Graph {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.out_edges.len());
+        let id = NodeId::new(self.out_edges.len());
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
         id
@@ -129,13 +157,13 @@ impl Graph {
     /// Panics if `u` or `v` is not a node of this graph, or if `u == v`
     /// (self-loops carry no routing semantics in the SPEF model).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> EdgeId {
-        assert!(u.0 < self.node_count(), "source {u} out of range");
-        assert!(v.0 < self.node_count(), "target {v} out of range");
+        assert!(u.index() < self.node_count(), "source {u} out of range");
+        assert!(v.index() < self.node_count(), "target {v} out of range");
         assert_ne!(u, v, "self-loops are not supported");
-        let id = EdgeId(self.edges.len());
+        let id = EdgeId::new(self.edges.len());
         self.edges.push((u, v));
-        self.out_edges[u.0].push(id);
-        self.in_edges[v.0].push(id);
+        self.out_edges[u.index()].push(id);
+        self.in_edges[v.index()].push(id);
         id
     }
 
@@ -160,7 +188,7 @@ impl Graph {
     ///
     /// Panics if `e` is out of range.
     pub fn source(&self, e: EdgeId) -> NodeId {
-        self.edges[e.0].0
+        self.edges[e.index()].0
     }
 
     /// Target node of edge `e`.
@@ -169,7 +197,7 @@ impl Graph {
     ///
     /// Panics if `e` is out of range.
     pub fn target(&self, e: EdgeId) -> NodeId {
-        self.edges[e.0].1
+        self.edges[e.index()].1
     }
 
     /// Both endpoints `(source, target)` of edge `e`.
@@ -178,7 +206,7 @@ impl Graph {
     ///
     /// Panics if `e` is out of range.
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e.0]
+        self.edges[e.index()]
     }
 
     /// Edges leaving node `u`.
@@ -187,7 +215,7 @@ impl Graph {
     ///
     /// Panics if `u` is out of range.
     pub fn out_edges(&self, u: NodeId) -> &[EdgeId] {
-        &self.out_edges[u.0]
+        &self.out_edges[u.index()]
     }
 
     /// Edges entering node `v`.
@@ -196,17 +224,20 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn in_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.in_edges[v.0]
+        &self.in_edges[v.index()]
     }
 
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        (0..self.node_count()).map(NodeId)
+        NodeId::range(self.node_count())
     }
+
+    // The edge iterators build ids without `new`'s range check: every
+    // index below the edge count passed it when its edge was added.
 
     /// Iterates over all edge ids.
     pub fn edge_ids(&self) -> impl ExactSizeIterator<Item = EdgeId> + '_ {
-        (0..self.edge_count()).map(EdgeId)
+        (0..self.edge_count()).map(|i| EdgeId(i as u32))
     }
 
     /// Iterates over `(edge, source, target)` triples.
@@ -214,16 +245,16 @@ impl Graph {
         self.edges
             .iter()
             .enumerate()
-            .map(|(i, &(u, v))| (EdgeId(i), u, v))
+            .map(|(i, &(u, v))| (EdgeId(i as u32), u, v))
     }
 
     /// Finds the first edge `u -> v`, if any.
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         self.out_edges
-            .get(u.0)?
+            .get(u.index())?
             .iter()
             .copied()
-            .find(|&e| self.edges[e.0].1 == v)
+            .find(|&e| self.edges[e.index()].1 == v)
     }
 
     /// Returns `true` if some edge `u -> v` exists.
@@ -237,7 +268,7 @@ impl Graph {
     ///
     /// Panics if `u` is out of range.
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out_edges[u.0].len()
+        self.out_edges[u.index()].len()
     }
 
     /// In-degree of `v`.
@@ -246,7 +277,7 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_edges[v.0].len()
+        self.in_edges[v.index()].len()
     }
 
     /// Returns the reverse graph: same nodes, every edge flipped.
@@ -275,8 +306,8 @@ impl Graph {
         assert_eq!(flow.len(), self.edge_count(), "flow vector length mismatch");
         let mut div = vec![0.0; self.node_count()];
         for (i, &(u, v)) in self.edges.iter().enumerate() {
-            div[u.0] += flow[i];
-            div[v.0] -= flow[i];
+            div[u.index()] += flow[i];
+            div[v.index()] -= flow[i];
         }
         div
     }

@@ -70,10 +70,14 @@ impl TrafficMatrix {
     /// strictly positive demand.
     pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         self.demands
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &d)| d > 0.0)
-            .map(|(i, &d)| (NodeId::new(i / self.n), NodeId::new(i % self.n), d))
+            .chunks(self.n.max(1))
+            .zip(NodeId::range(self.n))
+            .flat_map(move |(row, s)| {
+                row.iter()
+                    .zip(NodeId::range(self.n))
+                    .filter(|&(&d, _)| d > 0.0)
+                    .map(move |(&d, t)| (s, t, d))
+            })
     }
 
     /// Destinations that receive positive demand — the commodity set `D` of
@@ -181,15 +185,15 @@ impl TrafficMatrix {
         let d: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
         let delta_max = network.max_distance().max(f64::MIN_POSITIVE);
         let mut tm = TrafficMatrix::new(n);
-        for (s, o_s) in o.iter().enumerate() {
-            for (t, d_t) in d.iter().enumerate() {
+        for (s, o_s) in NodeId::range(n).zip(&o) {
+            for (t, d_t) in NodeId::range(n).zip(&d) {
                 if s == t {
                     continue;
                 }
                 let c: f64 = rng.random_range(0.0..1.0);
-                let dist = network.euclidean_distance(NodeId::new(s), NodeId::new(t));
+                let dist = network.euclidean_distance(s, t);
                 let demand = o_s * d_t * c * (-dist / (2.0 * delta_max)).exp();
-                tm.set(NodeId::new(s), NodeId::new(t), demand);
+                tm.set(s, t, demand);
             }
         }
         tm
@@ -212,14 +216,10 @@ impl TrafficMatrix {
             .collect();
         let total: f64 = masses.iter().sum();
         let mut tm = TrafficMatrix::new(n);
-        for s in 0..n {
-            for t in 0..n {
+        for (s, m_s) in NodeId::range(n).zip(&masses) {
+            for (t, m_t) in NodeId::range(n).zip(&masses) {
                 if s != t {
-                    tm.set(
-                        NodeId::new(s),
-                        NodeId::new(t),
-                        masses[s] * masses[t] / total,
-                    );
+                    tm.set(s, t, m_s * m_t / total);
                 }
             }
         }
