@@ -12,7 +12,7 @@ use spef_graph::{
     build_dag_set, Csr, DagSet, NodeId, Parallelism, RoutingWorkspace, ShortestPathDag,
 };
 use spef_lp::simplex::{LinearProgram, Relation, SimplexWorkspace};
-use spef_netsim::{simulate, simulate_with, SchedulerKind, SimConfig, SimWorkspace};
+use spef_netsim::{simulate, simulate_with, SimConfig, SimWorkspace};
 use spef_topology::{gen, standard, Network, TrafficMatrix};
 
 fn bench_dijkstra_dag(c: &mut Criterion) {
@@ -708,38 +708,13 @@ fn bench_simulator(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("simulator");
     group.sample_size(10);
-    // Historical lane: default scheduler, fresh workspace per run.
+    // A fresh workspace per run here, one reused workspace in the next
+    // lane.
     group.bench_function("netsim_5s_fig4", |b| {
         b.iter(|| simulate(&net, &tm, routing.forwarding_table(), &cfg).expect("sim"))
     });
-
-    // The PR 4 before/after pair: identical workload, heap vs calendar,
-    // both on a warm workspace so the scheduler is the only difference.
-    // The reports are bit-identical by construction (asserted below); only
-    // the wall time may move.
-    let heap_cfg = SimConfig {
-        scheduler: SchedulerKind::BinaryHeap,
-        ..cfg.clone()
-    };
     let mut ws = SimWorkspace::new();
-    let reference = simulate_with(&net, &tm, routing.forwarding_table(), &cfg, &mut ws)
-        .expect("calendar reference");
-    let heap_report = simulate_with(&net, &tm, routing.forwarding_table(), &heap_cfg, &mut ws)
-        .expect("heap reference");
-    assert_eq!(reference, heap_report, "schedulers must agree bit for bit");
-    group.bench_function("sim_fig4_heap", |b| {
-        b.iter(|| {
-            simulate_with(&net, &tm, routing.forwarding_table(), &heap_cfg, &mut ws).expect("sim")
-        })
-    });
     group.bench_function("sim_fig4_calendar", |b| {
-        b.iter(|| simulate_with(&net, &tm, routing.forwarding_table(), &cfg, &mut ws).expect("sim"))
-    });
-    // The PR 5 lane: identical workload to sim_fig4_calendar, named to
-    // mark the flat-FIB forwarding plane (slot-hoisted lookups + cum-prob
-    // binary-search sampling). Compare against the committed pre-PR5
-    // sim_fig4_calendar number to read the forwarding-plane speedup.
-    group.bench_function("sim_fig4_flatfib", |b| {
         b.iter(|| simulate_with(&net, &tm, routing.forwarding_table(), &cfg, &mut ws).expect("sim"))
     });
 

@@ -21,19 +21,16 @@
 //! destination set — and, for Frank–Wolfe, the new demand columns must be
 //! per-destination *proportional* to the saved ones (the case produced by
 //! load sweeps, which scale a whole matrix uniformly), so the saved flows
-//! rescale into a conservation-feasible starting point, **or** an
-//! arbitrary demand perturbation whose relative L1 norm is small enough
-//! that routing each per-source difference along a shortest path repairs
-//! conservation without leaving the saved optimum's neighbourhood.
-//! Frank–Wolfe additionally accepts a **link-removal** instance — the new edge list
-//! an order-preserving strict subsequence of the saved one with
-//! bit-identical endpoints, capacities and `q_e` (what
-//! [`Network::without_links`] produces) — by projecting the saved flows
-//! onto the surviving edges and re-routing each removed edge's flow along
-//! a surviving shortest path, so failure chains restart from the intact
-//! optimum instead of cold-solving every degraded topology. Any mismatch
-//! falls back to the cold initial point automatically; warm-starting is
-//! never a correctness hazard, only a trajectory change.
+//! rescale into a conservation-feasible starting point. Frank–Wolfe
+//! additionally accepts a **link-removal** instance — the new edge list an
+//! order-preserving strict subsequence of the saved one with bit-identical
+//! endpoints, capacities and `q_e` (what [`Network::without_links`]
+//! produces) — by projecting the saved flows onto the surviving edges and
+//! re-routing each removed edge's flow along a surviving shortest path, so
+//! failure chains restart from the intact optimum instead of cold-solving
+//! every degraded topology. Any mismatch falls back to the cold initial
+//! point automatically; warm-starting is never a correctness hazard, only
+//! a trajectory change.
 //!
 //! ## Determinism contract
 //!
@@ -58,13 +55,6 @@ use crate::{Objective, SpefError};
 /// Relative tolerance of the per-destination demand proportionality check
 /// that gates the Frank–Wolfe warm start.
 const PROPORTIONALITY_RTOL: f64 = 1e-9;
-
-/// Upper bound on the relative L1 norm of a demand change —
-/// `Σ|d'−d| / Σ|d|` over all columns — below which the Frank–Wolfe
-/// delta-repair warm start accepts an arbitrary (non-proportional) demand
-/// perturbation. Beyond it the saved flows are too far from feasible for
-/// the repaired point to beat the cold init's trajectory.
-const WARM_START_MAX_REL_L1: f64 = 0.05;
 
 /// Relative Dijkstra tie threshold for reconverging *stale* continuous
 /// weights on a degraded topology: two paths count as equal-cost when
@@ -294,12 +284,6 @@ pub(crate) enum FwStart {
     /// Same topology, per-destination proportional demands: the saved
     /// flows rescaled in place (load sweeps).
     Rescaled,
-    /// Same topology, arbitrary small demand delta (relative L1 under
-    /// [`WARM_START_MAX_REL_L1`]): the saved flows patched by routing
-    /// each per-source demand difference along a surviving shortest path
-    /// to its destination — the same conservation repair the removal
-    /// projection uses, driven by demand deltas instead of removed edges.
-    DeltaRepaired,
     /// Edge-subset topology (link removal): the saved flows projected
     /// onto the surviving edges with conservation repair (failure
     /// chains).
@@ -539,131 +523,14 @@ impl FwSession {
         true
     }
 
-    /// The arbitrary-small-delta warm start: same instance fingerprint as
-    /// [`try_warm_start`](Self::try_warm_start) except the demands, which
-    /// may differ in any pattern as long as the relative L1 norm of the
-    /// change (`Σ|d'−d| / Σ|d|` over all columns) stays under
-    /// [`WARM_START_MAX_REL_L1`]. Each per-source difference is routed
-    /// (signed) along a surviving InvCap shortest path to its
-    /// destination — the removal projection's conservation repair, driven
-    /// by demand deltas — so the patched flows satisfy the new
-    /// conservation constraints exactly. Transiently negative edge flows
-    /// are possible and harmless: Frank–Wolfe's target blend pulls the
-    /// iterate into the feasible hull and the smoothed barrier keeps the
-    /// objective well-defined off it.
-    ///
-    /// Returns `false` on any mismatch. The fingerprint is parked as
-    /// stale *before* patching, so a mid-repair bail (an unreachable
-    /// source) leaves a dirty buffer no fingerprint claims — the caller
-    /// then cold-inits over it.
-    fn try_delta_repair(
-        &mut self,
-        network: &Network,
-        traffic: &TrafficMatrix,
-        objective: &Objective,
-        smoothing_fraction: f64,
-        dests: &[NodeId],
-        tile: Option<usize>,
-    ) -> bool {
-        let g = network.graph();
-        let m = g.edge_count();
-        {
-            let Some(saved) = &self.saved else {
-                return false;
-            };
-            if !saved.topo.matches(g, dests, tile)
-                || !bits_eq(&saved.capacities, network.capacities())
-                || saved.beta.to_bits() != objective.beta().to_bits()
-                || saved.smoothing.to_bits() != smoothing_fraction.to_bits()
-                || saved.q.len() != objective.link_count()
-                || !(0..objective.link_count())
-                    .all(|e| saved.q[e].to_bits() == objective.q(e.into()).to_bits())
-                || saved.demands.len() != dests.len()
-                || self.flows.destinations() != dests
-                || (0..dests.len()).any(|i| self.flows.column(i).len() != m)
-            {
-                return false;
-            }
-            let mut total = 0.0f64;
-            let mut base = 0.0f64;
-            for (i, &t) in dests.iter().enumerate() {
-                traffic.demands_to_into(t, &mut self.demand_buf);
-                let old = &saved.demands[i];
-                if old.len() != self.demand_buf.len() {
-                    return false;
-                }
-                for (new, old) in self.demand_buf.iter().zip(old) {
-                    total += (new - old).abs();
-                    base += old.abs();
-                }
-            }
-            if !total.is_finite() || base <= 0.0 || total > WARM_START_MAX_REL_L1 * base {
-                return false;
-            }
-        }
-        let saved = self.saved.take().expect("checked above");
-        let invcap: Vec<f64> = network.capacities().iter().map(|c| 1.0 / c).collect();
-        let mut path: Vec<usize> = Vec::new();
-        let mut ok = true;
-        let (columns, aggregate) = self.flows.parts_mut();
-        'columns: for (i, &t) in dests.iter().enumerate() {
-            traffic.demands_to_into(t, &mut self.demand_buf);
-            let old = &saved.demands[i];
-            // Distances are only computed when the column has a changed
-            // source (one Dijkstra per dirty column, none per clean one).
-            let mut dist: Option<Vec<f64>> = None;
-            for s in g.nodes() {
-                if s == t {
-                    continue;
-                }
-                let delta = self.demand_buf[s.index()] - old[s.index()];
-                if delta == 0.0 {
-                    continue;
-                }
-                if dist.is_none() {
-                    match dijkstra::distances_to(g, &invcap, t) {
-                        Ok(d) => dist = Some(d),
-                        Err(_) => {
-                            ok = false;
-                            break 'columns;
-                        }
-                    }
-                }
-                let d = dist.as_ref().expect("set above");
-                if !descent_path(g, &invcap, d, s, t, &mut path) {
-                    ok = false;
-                    break 'columns;
-                }
-                let col = &mut columns[i];
-                for &pe in &path {
-                    col[pe] += delta;
-                }
-            }
-        }
-        self.stale = Some(saved);
-        if !ok {
-            return false;
-        }
-        // Re-fold the aggregate in ascending destination order.
-        aggregate.fill(0.0);
-        for col in columns.iter() {
-            for (a, x) in aggregate.iter_mut().zip(col.iter()) {
-                *a += *x;
-            }
-        }
-        true
-    }
-
     /// The combined warm-start entry: tries, in order, (a) the in-place
-    /// proportional rescale on an identical topology, (b) the
-    /// delta-repair of an arbitrary small demand change (relative L1
-    /// under [`WARM_START_MAX_REL_L1`]), (c) a link-removal projection
-    /// from the most recent solution (covers cascading failures:
-    /// degraded → further degraded), (d) a link-removal projection from
-    /// the session's base (intact) solution — the failure chain case,
-    /// where every single-circuit solve restarts from the one intact
-    /// optimum. Falls back to [`FwStart::Cold`] when nothing matches;
-    /// never a correctness hazard, only a trajectory change.
+    /// proportional rescale on an identical topology, (b) a link-removal
+    /// projection from the most recent solution (covers cascading
+    /// failures: degraded → further degraded), (c) a link-removal
+    /// projection from the session's base (intact) solution — the failure
+    /// chain case, where every single-circuit solve restarts from the one
+    /// intact optimum. Falls back to [`FwStart::Cold`] when nothing
+    /// matches; never a correctness hazard, only a trajectory change.
     pub(crate) fn warm_start(
         &mut self,
         network: &Network,
@@ -675,9 +542,6 @@ impl FwSession {
     ) -> FwStart {
         if self.try_warm_start(network, traffic, objective, smoothing_fraction, dests, tile) {
             return FwStart::Rescaled;
-        }
-        if self.try_delta_repair(network, traffic, objective, smoothing_fraction, dests, tile) {
-            return FwStart::DeltaRepaired;
         }
         if let Some(saved) = &self.saved {
             if let Some(projected) = removal_projection(

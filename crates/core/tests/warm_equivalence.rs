@@ -233,7 +233,11 @@ fn fingerprint_mismatch_falls_back_to_cold() {
     assert!(bits_eq(&warm2.weights, &cold2.weights));
     assert_eq!(warm2.iterations, cold2.iterations);
 
-    // Non-proportional demand change on the original network.
+    // Non-proportional demand change on the original network. Re-solve
+    // the original instance first, so the saved solution differs from the
+    // new one in the demands alone, not in the topology too.
+    fw.solve_in(TeInstance::new(&net, &tm, &obj_a), &mut ws)
+        .unwrap();
     let mut skewed = shape.scaled_to_network_load(&net, 0.12);
     let (s, t, d) = skewed.pairs().next().unwrap();
     skewed.set(s, t, d + 0.01);

@@ -21,8 +21,6 @@
 //! repro sweep --family all     # te grid + sim grid, one report (PR 6 gate)
 //! repro sweep --family all --cold-solves   # same grid, isolated cold solves:
 //!                                          # results must not move a bit
-//! repro sweep --family sim --sim-scheduler heap   # same grid, heap scheduler:
-//!                                                 # results must not move a bit
 //! repro sweep --family te --full-rebuild   # dense SPF rebuilds everywhere:
 //!                                          # results must not move a bit
 //!
@@ -37,7 +35,6 @@ use spef_experiments::{
     run_experiment, Quality, ScenarioGrid, SolverSpec, TopologySpec, TrafficModel, ALL_EXPERIMENTS,
     EXTRA_EXPERIMENTS,
 };
-use spef_netsim::SchedulerKind;
 
 struct Args {
     experiments: Vec<String>,
@@ -117,7 +114,6 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                     | "--json"
                     | "--serial"
                     | "--cold-solves"
-                    | "--sim-scheduler"
                     | "--tile"
                     | "--full-rebuild"
                     | "--help"
@@ -231,11 +227,6 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                         .map_err(|e| format!("--sim-seed: invalid value {val:?}: {e}"))?,
                 );
             }
-            "--sim-scheduler" => {
-                let val = value("--sim-scheduler")?;
-                options.sim_scheduler =
-                    SchedulerKind::parse(&val).map_err(|e| format!("--sim-scheduler: {e}"))?;
-            }
             "--json" => json_path = PathBuf::from(value("--json")?),
             "--serial" => options.serial = true,
             "--cold-solves" => options.cold_solves = true,
@@ -256,8 +247,8 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                      [--seeds 1,2,...] [--loads 0.15,...] [--betas 1.0,...] [--q 1.0] \
                      [--solvers fw|fw-fast|fw-pinned|dd|ft] [--traffic ft|gravity] \
                      [--base-seed N] [--sim-durations 2,5] [--sim-warmup-frac 0.1] \
-                     [--sim-unit 1e6] [--sim-seed N] [--sim-scheduler calendar|heap] \
-                     [--json FILE] [--serial] [--cold-solves] [--tile N] [--full-rebuild]"
+                     [--sim-unit 1e6] [--sim-seed N] [--json FILE] [--serial] [--cold-solves] \
+                     [--tile N] [--full-rebuild]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }

@@ -52,7 +52,7 @@ use spef_core::{
     ForwardingTable, SpefRouting, SpfStats, TeInstance, TeSolver, TeWorkspace,
     STALE_WEIGHT_DAG_RTOL,
 };
-use spef_netsim::{simulate_with, SchedulerKind, SimWorkspace};
+use spef_netsim::{simulate_with, SimWorkspace};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::reconfig;
@@ -65,7 +65,7 @@ pub const BATCH_SCHEMA_VERSION: u64 = 1;
 /// Deterministic measurements of a scenario's packet-level simulation
 /// stage. Every field is a pure function of the scenario (the simulator is
 /// seeded), so `repro diff` compares them bit-identically — across runs,
-/// machines, *and scheduler kinds* (heap vs calendar).
+/// machines and execution modes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimScenarioResult {
     /// Packets handed to the network by all sources.
@@ -636,10 +636,6 @@ pub struct BatchOptions {
     /// Run scenarios one at a time on the calling thread instead of fanning
     /// out over rayon (useful for profiling a single scenario's cost).
     pub serial: bool,
-    /// Event scheduler driving the sim stages (default: calendar). Results
-    /// are bit-identical either way — the flag exists so the regression
-    /// gate and benchmarks can prove exactly that.
-    pub sim_scheduler: SchedulerKind,
     /// Solve every scenario in its own fresh workspace with no chain
     /// grouping or solve sharing (the pre-PR 6 execution model). Results
     /// are bit-identical to the default dependency-aware mode — the flag
@@ -780,19 +776,16 @@ fn solve_pipeline(
 fn sim_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
-    sim_scheduler: SchedulerKind,
     sim_ws: &mut SimWorkspace,
 ) -> Result<Option<SimScenarioResult>, String> {
     let Some(spec) = &scenario.sim else {
         return Ok(None);
     };
-    let mut cfg = spec.config();
-    cfg.scheduler = sim_scheduler;
     let report = simulate_with(
         &solved.network,
         &solved.traffic,
         solved.routing.forwarding_table(),
-        &cfg,
+        &spec.config(),
         sim_ws,
     )
     .map_err(|e| format!("simulation failed: {e}"))?;
@@ -1032,37 +1025,23 @@ fn measure(
     }
 }
 
-/// Runs one scenario end to end with the default (calendar) sim scheduler:
-/// materialize → solve → (optionally) simulate → measure.
+/// Runs one scenario end to end in fresh workspaces: materialize → solve
+/// → (optionally) simulate → measure.
 ///
 /// # Errors
 ///
 /// Returns the stringified solver error (e.g. infeasible demands at the
 /// requested load) or simulator error.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
-    run_scenario_in(scenario, SchedulerKind::Calendar, &mut SimWorkspace::new())
+    run_scenario_opts(
+        scenario,
+        &BatchOptions::default(),
+        &mut SimWorkspace::new(),
+        &mut SpfStats::default(),
+    )
 }
 
-/// [`run_scenario`] with an explicit sim scheduler and a caller-provided
-/// simulator workspace (reused allocation-free across scenarios on the
-/// serial path). The solve itself runs cold in a fresh [`TeWorkspace`].
-///
-/// # Errors
-///
-/// Same contract as [`run_scenario`].
-pub fn run_scenario_in(
-    scenario: &Scenario,
-    sim_scheduler: SchedulerKind,
-    sim_ws: &mut SimWorkspace,
-) -> Result<ScenarioResult, String> {
-    let options = BatchOptions {
-        sim_scheduler,
-        ..BatchOptions::default()
-    };
-    run_scenario_opts(scenario, &options, sim_ws, &mut SpfStats::default())
-}
-
-/// The cold-solve kernel shared by [`run_scenario_in`] and the
+/// The cold-solve kernel shared by [`run_scenario`] and the
 /// [`BatchOptions::cold_solves`] lanes of [`run_batch`]: a fresh
 /// [`TeWorkspace`] per scenario, configured with the batch's tile knob.
 fn run_scenario_opts(
@@ -1086,7 +1065,7 @@ fn run_scenario_opts(
         options,
         spf,
     )?;
-    let sim = sim_stage(scenario, &solved, options.sim_scheduler, sim_ws)?;
+    let sim = sim_stage(scenario, &solved, sim_ws)?;
     let scale = scale_stage(scenario, &solved, &ws);
     add_spf(spf, ws.spf_stats());
     add_spf(spf, probes.spf_stats());
@@ -1141,7 +1120,7 @@ fn run_chain(
                 &mut spf,
             )
             .and_then(|failure| {
-                sim_stage(&scenario, solved, options.sim_scheduler, &mut sim_ws).map(|sim| {
+                sim_stage(&scenario, solved, &mut sim_ws).map(|sim| {
                     let scale = scale_stage(&scenario, solved, &ws);
                     measure(&scenario, solved, sim, failure, scale, started)
                 })

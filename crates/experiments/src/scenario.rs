@@ -407,11 +407,8 @@ pub struct SimSpec {
 }
 
 impl SimSpec {
-    /// Materializes the simulator configuration. The scheduler is *not*
-    /// part of the spec: heap and calendar produce bit-identical reports,
-    /// so the choice belongs to execution options
-    /// ([`BatchOptions::sim_scheduler`](crate::harness::BatchOptions)),
-    /// not to scenario identity.
+    /// Materializes the simulator configuration: the spec's fields, with
+    /// [`SimConfig::default`] for the rest.
     pub fn config(&self) -> SimConfig {
         SimConfig {
             duration: self.duration,
@@ -1221,6 +1218,5 @@ mod tests {
         assert_eq!(cfg.capacity_to_bps, 1e9);
         assert_eq!(cfg.demand_to_bps, 1e9);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.scheduler, spef_netsim::SchedulerKind::Calendar);
     }
 }

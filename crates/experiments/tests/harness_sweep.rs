@@ -1,6 +1,6 @@
 //! Integration tests of the scenario-sweep harness: determinism across
 //! runs, JSON round-tripping of the batch report, and the packet-level
-//! `sim` scenario family (scheduler-independent results, old-baseline
+//! `sim` scenario family (schedule-independent results, old-baseline
 //! compatibility).
 
 use spef_experiments::harness::{run_batch, BatchOptions, BatchReport};
@@ -8,7 +8,6 @@ use spef_experiments::scenario::{
     FailureSpec, ObjectiveSpec, Scenario, ScenarioGrid, SimSpec, SolverSpec, TopologySpec,
     TrafficModel, TrafficSpec,
 };
-use spef_netsim::SchedulerKind;
 
 /// A 3-scenario sweep: fig1 at two seeds plus Abilene.
 fn three_scenarios() -> Vec<Scenario> {
@@ -103,13 +102,12 @@ fn sim_scenarios() -> Vec<Scenario> {
 
 #[test]
 fn sim_sweep_is_deterministic_and_scheduler_independent() {
-    // Parallel calendar, serial calendar, and parallel heap must produce
-    // bit-identical deterministic fields — the sweep-level widening of the
-    // netsim equivalence proptests, through the whole solve+simulate
+    // Whatever the thread schedule, parallel and serial runs must produce
+    // bit-identical deterministic fields through the whole solve+simulate
     // pipeline.
-    let calendar = run_batch(sim_scenarios(), &BatchOptions::default());
-    assert_eq!(calendar.results.len(), 3, "{:?}", calendar.failures);
-    for r in &calendar.results {
+    let parallel = run_batch(sim_scenarios(), &BatchOptions::default());
+    assert_eq!(parallel.results.len(), 3, "{:?}", parallel.failures);
+    for r in &parallel.results {
         let sim = r.sim.as_ref().expect("sim stage ran");
         assert!(sim.generated_packets > 0);
         assert!(sim.delivered_packets > 0);
@@ -124,22 +122,10 @@ fn sim_sweep_is_deterministic_and_scheduler_independent() {
             ..BatchOptions::default()
         },
     );
-    let heap = run_batch(
-        sim_scenarios(),
-        &BatchOptions {
-            sim_scheduler: SchedulerKind::BinaryHeap,
-            ..BatchOptions::default()
-        },
-    );
     assert!(
-        calendar.result_drift(&serial).is_empty(),
+        parallel.result_drift(&serial).is_empty(),
         "serial drift: {:?}",
-        calendar.result_drift(&serial)
-    );
-    assert!(
-        calendar.result_drift(&heap).is_empty(),
-        "heap drift: {:?}",
-        calendar.result_drift(&heap)
+        parallel.result_drift(&serial)
     );
 }
 

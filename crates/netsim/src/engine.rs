@@ -7,7 +7,7 @@ use spef_core::{FibSet, ForwardingTable};
 use spef_graph::{EdgeId, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
-use crate::sched::{EventQueue, Nanos, SchedulerKind, SchedulerStats};
+use crate::sched::{CalendarQueue, Nanos, SchedulerStats};
 
 /// Errors returned by [`simulate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -59,11 +59,6 @@ pub struct SimConfig {
     pub buffer_packets: usize,
     /// RNG seed (arrivals + forwarding choices).
     pub seed: u64,
-    /// Event scheduler. [`SchedulerKind::Calendar`] (the default) and
-    /// [`SchedulerKind::BinaryHeap`] pop events in the identical
-    /// `(time, seq)` order, so the choice cannot change any [`SimReport`]
-    /// field — only the wall-clock cost.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
@@ -77,7 +72,6 @@ impl Default for SimConfig {
             propagation_delay: 1e-3,
             buffer_packets: 100,
             seed: 0xCAFE,
-            scheduler: SchedulerKind::Calendar,
         }
     }
 }
@@ -85,7 +79,7 @@ impl Default for SimConfig {
 /// Aggregate simulation results.
 ///
 /// Every field is a pure function of the inputs and the seed —
-/// bit-identical across runs, machines, and scheduler kinds. Scheduler
+/// bit-identical across runs, machines and workspace reuse. Scheduler
 /// internals (bucket counts, occupancy) are deliberately kept out of this
 /// struct; read them from [`SimWorkspace::scheduler_stats`] instead.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,14 +308,14 @@ impl DelayHistogram {
     }
 }
 
-/// Reusable simulation state: the event queue (calendar buckets or heap),
-/// event/packet arenas, per-link state, and the delay histogram. Repeated
+/// Reusable simulation state: the calendar event queue, event/packet
+/// arenas, per-link state, and the delay histogram. Repeated
 /// [`simulate_with`] calls on a warm workspace are allocation-free in
 /// steady state — every structure is cleared, not dropped, between runs —
 /// which is what the fig11 SPEF/PEFT pair and the `sim` sweep lanes lean
 /// on.
 pub struct SimWorkspace {
-    queue: EventQueue,
+    queue: CalendarQueue,
     events: EventArena,
     packets: PacketArena,
     links: Vec<LinkState>,
@@ -339,7 +333,7 @@ impl SimWorkspace {
     /// Creates an empty workspace (capacities grow on first use).
     pub fn new() -> SimWorkspace {
         SimWorkspace {
-            queue: EventQueue::new(),
+            queue: CalendarQueue::new(),
             events: EventArena::new(),
             packets: PacketArena::new(),
             links: Vec::new(),
@@ -374,8 +368,10 @@ impl Default for SimWorkspace {
 ///
 /// # Errors
 ///
-/// * [`SimError::InvalidConfig`] for non-positive duration/rates, a
-///   warmup ≥ duration, or size mismatches,
+/// * [`SimError::InvalidConfig`] for non-positive duration/rates, a NaN,
+///   infinite or negative duration/warmup/propagation delay, a duration
+///   whose nanosecond count overflows `u64`, a warmup ≥ duration, or size
+///   mismatches,
 /// * [`SimError::MissingRoute`] if a packet strands at a router with no
 ///   forwarding entry (the FIB does not cover its destination from there).
 pub fn simulate(
@@ -439,14 +435,15 @@ pub fn simulate_with(
         ((config.packet_size_bits as f64 / bps) * NANOS_PER_SEC).ceil() as Nanos
     }));
     let prop_ns = (config.propagation_delay * NANOS_PER_SEC) as Nanos;
+    // Event times below saturate at `Nanos::MAX`: a sum that would
+    // overflow lies past `duration_ns`, so that event never fires.
 
     // Initial calendar geometry hint: the mean spacing between events is
     // bounded below by the aggregate packet rate times a few events per
     // hop; the queue retunes itself if the estimate is off.
     let total_rate: f64 = ws.rates.iter().sum();
     let width_hint = (NANOS_PER_SEC / (4.0 * total_rate)).ceil().max(1.0) as Nanos;
-    ws.queue
-        .reset(config.scheduler, width_hint, ws.pairs.len() + m);
+    ws.queue.reset(width_hint, ws.pairs.len() + m);
     ws.events.reset();
     ws.packets.reset();
     for link in ws.links.iter_mut() {
@@ -504,7 +501,7 @@ pub fn simulate_with(
                     },
                 );
                 // Schedule the next arrival of this pair.
-                let next = now + exp_sample(&mut rng, rates[pair]);
+                let next = now.saturating_add(exp_sample(&mut rng, rates[pair]));
                 if next <= duration_ns {
                     schedule(queue, events, next, Event::SourceArrival { pair });
                 }
@@ -547,7 +544,7 @@ pub fn simulate_with(
                     schedule(
                         queue,
                         events,
-                        now + tx_ns[edge.index()],
+                        now.saturating_add(tx_ns[edge.index()]),
                         Event::LinkDone { edge },
                     );
                 }
@@ -566,7 +563,7 @@ pub fn simulate_with(
                 schedule(
                     queue,
                     events,
-                    now + prop_ns,
+                    now.saturating_add(prop_ns),
                     Event::NodeArrival { node: head, packet },
                 );
                 // Start the next packet, if any.
@@ -574,7 +571,7 @@ pub fn simulate_with(
                     schedule(
                         queue,
                         events,
-                        now + tx_ns[edge.index()],
+                        now.saturating_add(tx_ns[edge.index()]),
                         Event::LinkDone { edge },
                     );
                 } else {
@@ -609,7 +606,7 @@ pub fn simulate_with(
 /// Inserts the payload into the arena and queues its `(time, seq, id)`
 /// entry.
 #[inline]
-fn schedule(queue: &mut EventQueue, events: &mut EventArena, t: Nanos, event: Event) {
+fn schedule(queue: &mut CalendarQueue, events: &mut EventArena, t: Nanos, event: Event) {
     let id = events.insert(event);
     queue.push(t, id);
 }
@@ -626,8 +623,27 @@ fn validate(
             network.node_count()
         )));
     }
-    if config.duration.is_nan() || config.duration <= 0.0 {
+    // Every simulated time becomes a nanosecond count, which NaN, ±∞ and
+    // negative values do not have.
+    for &(v, name) in &[
+        (config.duration, "duration"),
+        (config.warmup, "warmup"),
+        (config.propagation_delay, "propagation delay"),
+    ] {
+        if !v.is_finite() || v < 0.0 {
+            return Err(SimError::InvalidConfig(format!(
+                "{name} must be finite and non-negative, got {v}"
+            )));
+        }
+    }
+    if config.duration <= 0.0 {
         return Err(SimError::InvalidConfig("duration must be positive".into()));
+    }
+    if config.duration * NANOS_PER_SEC >= u64::MAX as f64 {
+        return Err(SimError::InvalidConfig(format!(
+            "duration {} s does not fit in u64 nanoseconds",
+            config.duration
+        )));
     }
     if config.warmup >= config.duration {
         return Err(SimError::InvalidConfig(
@@ -644,11 +660,6 @@ fn validate(
         if !v.is_finite() || v <= 0.0 {
             return Err(SimError::InvalidConfig(format!("{name} must be positive")));
         }
-    }
-    if config.propagation_delay < 0.0 {
-        return Err(SimError::InvalidConfig(
-            "propagation delay must be non-negative".into(),
-        ));
     }
     if traffic.pair_count() == 0 {
         return Err(SimError::InvalidConfig("traffic matrix is empty".into()));
@@ -717,44 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_calendar_reports_are_bit_identical() {
-        // The schedulers must agree on every field, bit for bit, including
-        // under drops (overload) and multi-path splitting. The proptest
-        // suite in tests/scheduler_equivalence.rs widens this to random
-        // topologies; this is the fast in-crate smoke version.
-        let (net, tm, fib) = chain_setup();
-        for seed in [1u64, 7, 42] {
-            let base = SimConfig {
-                duration: 20.0,
-                warmup: 1.0,
-                seed,
-                ..SimConfig::default()
-            };
-            let heap = simulate(
-                &net,
-                &tm,
-                &fib,
-                &SimConfig {
-                    scheduler: SchedulerKind::BinaryHeap,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
-            let calendar = simulate(
-                &net,
-                &tm,
-                &fib,
-                &SimConfig {
-                    scheduler: SchedulerKind::Calendar,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(heap, calendar, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn workspace_reuse_matches_fresh_runs_and_reports_stats() {
         let (net, tm, fib) = chain_setup();
         let cfg = SimConfig {
@@ -769,23 +742,11 @@ mod tests {
             assert_eq!(warm, fresh, "workspace reuse must not change results");
         }
         let stats = ws.scheduler_stats();
-        assert_eq!(stats.kind, SchedulerKind::Calendar);
         assert!(stats.bucket_count > 0);
         assert!(stats.bucket_width_ns > 0);
         assert!(stats.max_bucket_occupancy > 0);
         assert!(stats.peak_events > 0);
         assert!(stats.peak_event_slots >= stats.peak_events);
-
-        // The heap path reports its own (bucket-free) stats.
-        let heap_cfg = SimConfig {
-            scheduler: SchedulerKind::BinaryHeap,
-            ..cfg
-        };
-        let warm = simulate_with(&net, &tm, &fib, &heap_cfg, &mut ws).unwrap();
-        assert_eq!(warm, fresh);
-        assert_eq!(ws.scheduler_stats().kind, SchedulerKind::BinaryHeap);
-        assert_eq!(ws.scheduler_stats().bucket_count, 0);
-        assert!(ws.scheduler_stats().peak_events > 0);
     }
 
     #[test]
@@ -1086,8 +1047,46 @@ mod tests {
         assert!(bad(|c| c.packet_size_bits = 0).is_err());
         assert!(bad(|c| c.capacity_to_bps = -1.0).is_err());
         assert!(bad(|c| c.propagation_delay = -1.0).is_err());
+        // Times without a nanosecond count: a debug build used to
+        // overflow on an infinite propagation delay, an infinite duration
+        // never finished, and a NaN warmup ran as if it were 0.
+        for bad_time in [
+            bad(|c| c.duration = f64::NAN),
+            bad(|c| c.duration = f64::INFINITY),
+            bad(|c| c.duration = 1e11), // 1e20 ns > u64::MAX
+            bad(|c| c.warmup = f64::NAN),
+            bad(|c| c.warmup = f64::NEG_INFINITY),
+            bad(|c| c.warmup = -1.0),
+            bad(|c| c.propagation_delay = f64::NAN),
+            bad(|c| c.propagation_delay = f64::INFINITY),
+        ] {
+            assert!(
+                matches!(bad_time, Err(SimError::InvalidConfig(_))),
+                "{bad_time:?}"
+            );
+        }
         let empty = TrafficMatrix::new(3);
         assert!(simulate(&net, &empty, &fib, &SimConfig::default()).is_err());
+    }
+
+    #[test]
+    fn saturated_event_times_never_fire() {
+        // A link rate so low that one packet's transmission time saturates
+        // the nanosecond clock: the first completion lies past any
+        // duration, so nothing is delivered — and scheduling it must not
+        // overflow `now + tx`.
+        let (net, tm, fib) = chain_setup();
+        let cfg = SimConfig {
+            duration: 1.0,
+            capacity_to_bps: 1e-300,
+            seed: 3,
+            ..SimConfig::default()
+        };
+        let report = simulate(&net, &tm, &fib, &cfg).unwrap();
+        assert!(report.generated_packets > 0);
+        assert_eq!(report.delivered_packets, 0);
+        assert!(report.dropped_packets > 0);
+        assert_eq!(report.links_used, 0);
     }
 
     #[test]

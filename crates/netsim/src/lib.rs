@@ -27,12 +27,10 @@
 //! test-suite.
 //!
 //! Events are scheduled by an adaptive **calendar queue** (see the
-//! `sched` module) with payloads in free-list arenas; the legacy binary
-//! heap remains available via [`SimConfig::scheduler`] and produces
-//! bit-identical [`SimReport`]s. Batch callers should reuse a
-//! [`SimWorkspace`] through [`simulate_with`] — repeated runs are then
-//! allocation-free in steady state, and the workspace exposes
-//! [`SchedulerStats`] for the last run.
+//! `sched` module) in `(time, seq)` order, with payloads in free-list
+//! arenas. Batch callers should reuse a [`SimWorkspace`] through
+//! [`simulate_with`] — repeated runs are then allocation-free in steady
+//! state, and the workspace exposes [`SchedulerStats`] for the last run.
 //!
 //! # Example
 //!
@@ -66,4 +64,4 @@ mod engine;
 mod sched;
 
 pub use engine::{simulate, simulate_with, SimConfig, SimError, SimReport, SimWorkspace};
-pub use sched::{SchedulerKind, SchedulerStats};
+pub use sched::SchedulerStats;

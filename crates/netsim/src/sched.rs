@@ -1,12 +1,12 @@
-//! Event schedulers: the bucketed calendar queue and the legacy binary
-//! heap, behind one [`EventQueue`] facade.
+//! The event scheduler: a bucketed calendar queue.
 //!
-//! Both schedulers order pending events by the unique key `(time, seq)` —
-//! `seq` is the global push counter, so ties in time are broken by
-//! scheduling order — and therefore produce **the same pop sequence**.
-//! The simulation consumes its RNG stream in pop order, which makes every
-//! [`SimReport`](crate::SimReport) bit-identical between the two; the
-//! equivalence proptests in `tests/scheduler_equivalence.rs` pin this.
+//! Pending events are ordered by the unique key `(time, seq)`: `seq` is the
+//! queue's global push counter, so ties in time are broken by scheduling
+//! order. The pop order is therefore exactly that of a binary heap over the
+//! same key. The simulation consumes its RNG stream in pop order, so this
+//! order is what makes every [`SimReport`](crate::SimReport) a pure function
+//! of its inputs; the unit tests below pin it against the standard
+//! library's binary heap.
 //!
 //! The calendar queue is a timing wheel over integer nanoseconds:
 //!
@@ -17,7 +17,7 @@
 //! * events within the wheel *horizon* (`bucket_count × width`) are
 //!   appended unsorted to their bucket and only sorted when the wheel
 //!   reaches that bucket — O(k log k) per bucket of k events instead of
-//!   the heap's O(log n) per operation on the whole population;
+//!   a heap's O(log n) per operation on the whole population;
 //! * events beyond the horizon go to an overflow list that is drained
 //!   (and the wheel re-anchored at the earliest pending event) whenever
 //!   the wheel empties.
@@ -29,7 +29,6 @@
 //! reorder pops — correctness never depends on the tuning.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Simulated time in integer nanoseconds (exact ordering, no float ties).
 pub(crate) type Nanos = u64;
@@ -41,66 +40,25 @@ pub(crate) type EventId = u32;
 /// unique ordering key, the third the arena slot holding the payload.
 pub(crate) type Entry = (Nanos, u64, EventId);
 
-/// Which event scheduler drives the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The bucketed calendar queue (timing wheel) — the default.
-    #[default]
-    Calendar,
-    /// The pre-calendar `BinaryHeap` scheduler, kept as the equivalence
-    /// reference and benchmark comparison point.
-    BinaryHeap,
-}
-
-impl SchedulerKind {
-    /// Parses a CLI scheduler name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the known names on failure.
-    pub fn parse(name: &str) -> Result<SchedulerKind, String> {
-        match name {
-            "calendar" => Ok(SchedulerKind::Calendar),
-            "heap" => Ok(SchedulerKind::BinaryHeap),
-            other => Err(format!(
-                "unknown scheduler {other:?}; known: calendar, heap"
-            )),
-        }
-    }
-
-    /// A short stable identifier (`calendar` / `heap`).
-    pub fn id(&self) -> &'static str {
-        match self {
-            SchedulerKind::Calendar => "calendar",
-            SchedulerKind::BinaryHeap => "heap",
-        }
-    }
-}
-
-/// Counters describing what the scheduler did during one run. Purely
+/// Counters describing what the calendar queue did during one run. Purely
 /// observational: none of these feed back into simulation results, so they
-/// are reported outside [`SimReport`](crate::SimReport) (which must stay
-/// bit-identical across scheduler kinds).
+/// are reported outside [`SimReport`](crate::SimReport).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
-    /// Scheduler that produced these stats.
-    pub kind: SchedulerKind,
-    /// Calendar bucket count at the end of the run (0 for the heap).
+    /// Calendar bucket count at the end of the run.
     pub bucket_count: usize,
-    /// Calendar bucket width in nanoseconds at the end of the run (0 for
-    /// the heap).
+    /// Calendar bucket width in nanoseconds at the end of the run.
     pub bucket_width_ns: u64,
-    /// Largest number of events observed in a single bucket (0 for the
-    /// heap).
+    /// Largest number of events observed in a single bucket.
     pub max_bucket_occupancy: usize,
-    /// High-water mark of pending events (either scheduler).
+    /// High-water mark of pending events.
     pub peak_events: usize,
     /// High-water mark of allocated event-arena slots (recycled through a
     /// free list, so bounded by concurrency, not run length).
     pub peak_event_slots: usize,
     /// Calendar geometry changes: bucket-count resizes plus width retunes.
     pub resizes: u64,
-    /// High-water mark of the far-future overflow list (0 for the heap).
+    /// High-water mark of the far-future overflow list.
     pub peak_overflow: usize,
 }
 
@@ -117,6 +75,8 @@ const SHRINK_AT: usize = 8;
 const FAT_WINDOW: usize = 256;
 /// Upper bound on the width exponent (2^42 ns ≈ 73 min per bucket).
 const MAX_SHIFT: u32 = 42;
+/// How many pops between shrink checks.
+const SHRINK_CHECK_EVERY: u32 = 1024;
 
 /// The bucketed calendar queue. See the module docs for the design.
 pub(crate) struct CalendarQueue {
@@ -144,6 +104,9 @@ pub(crate) struct CalendarQueue {
     len: usize,
     /// Events currently stored in `buckets` (excludes current/overflow).
     wheel_len: usize,
+    /// The tie-break key the next push receives.
+    seq: u64,
+    pops_since_shrink_check: u32,
     max_bucket_occupancy: usize,
     peak_events: usize,
     resizes: u64,
@@ -168,6 +131,8 @@ impl CalendarQueue {
             day: 0,
             len: 0,
             wheel_len: 0,
+            seq: 0,
+            pops_since_shrink_check: 0,
             max_bucket_occupancy: 0,
             peak_events: 0,
             resizes: 0,
@@ -195,6 +160,8 @@ impl CalendarQueue {
         self.day = 0;
         self.len = 0;
         self.wheel_len = 0;
+        self.seq = 0;
+        self.pops_since_shrink_check = 0;
         self.max_bucket_occupancy = 0;
         self.peak_events = 0;
         self.resizes = 0;
@@ -216,9 +183,13 @@ impl CalendarQueue {
         self.mask + 1
     }
 
-    /// Pushes an entry. `t` must be ≥ the last popped time (events are
+    /// Schedules event `id` at time `t`, keyed `(t, seq)` with the next
+    /// push counter value. `t` must be ≥ the last popped time (events are
     /// never scheduled in the past).
-    pub(crate) fn push(&mut self, entry: Entry) {
+    #[inline]
+    pub(crate) fn push(&mut self, t: Nanos, id: EventId) {
+        let entry = (t, self.seq, id);
+        self.seq += 1;
         self.len += 1;
         self.peak_events = self.peak_events.max(self.len);
         if self.len > self.bucket_count() * GROW_AT && self.bucket_count() < MAX_BUCKETS {
@@ -265,8 +236,15 @@ impl CalendarQueue {
         }
     }
 
-    /// Pops the globally earliest `(time, seq)` entry.
+    /// Pops the globally earliest `(time, seq)` entry. Every
+    /// [`SHRINK_CHECK_EVERY`] pops it first checks whether the wheel
+    /// should shrink, rather than on every pop.
     pub(crate) fn pop(&mut self) -> Option<Entry> {
+        self.pops_since_shrink_check += 1;
+        if self.pops_since_shrink_check >= SHRINK_CHECK_EVERY {
+            self.pops_since_shrink_check = 0;
+            self.maybe_shrink();
+        }
         loop {
             if let Some(e) = self.current.pop() {
                 self.len -= 1;
@@ -278,7 +256,7 @@ impl CalendarQueue {
             if self.wheel_len == 0 {
                 // Only far-future events remain: jump the wheel to the
                 // earliest one instead of stepping empty windows.
-                debug_assert!(self.overflow_min < Nanos::MAX);
+                debug_assert!(!self.overflow.is_empty());
                 self.retune(self.overflow_min);
                 continue;
             }
@@ -375,9 +353,8 @@ impl CalendarQueue {
     }
 
     /// Shrinks the wheel when the population has collapsed well below the
-    /// bucket count. Called from `maybe_shrink` on the engine's cadence
-    /// (after pops) rather than on every pop.
-    pub(crate) fn maybe_shrink(&mut self) {
+    /// bucket count.
+    fn maybe_shrink(&mut self) {
         if self.bucket_count() > MIN_BUCKETS && self.len < self.bucket_count() / SHRINK_AT {
             self.rebuild(self.bucket_count() / 2);
         }
@@ -385,7 +362,6 @@ impl CalendarQueue {
 
     pub(crate) fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            kind: SchedulerKind::Calendar,
             bucket_count: self.bucket_count(),
             bucket_width_ns: 1u64 << self.shift,
             max_bucket_occupancy: self.max_bucket_occupancy,
@@ -402,86 +378,19 @@ fn log2_clamped(x: u64) -> u32 {
     (63 - x.max(1).leading_zeros().min(63)).min(MAX_SHIFT)
 }
 
-/// The scheduler facade the engine drives: one push/pop interface, two
-/// backends, a single global `seq` counter assigning the tie-break key.
-pub(crate) struct EventQueue {
-    kind: SchedulerKind,
-    heap: BinaryHeap<Reverse<Entry>>,
-    calendar: CalendarQueue,
-    seq: u64,
-    heap_peak: usize,
-    pops_since_shrink_check: u32,
-}
-
-/// How many pops between calendar shrink checks.
-const SHRINK_CHECK_EVERY: u32 = 1024;
-
-impl EventQueue {
-    pub(crate) fn new() -> EventQueue {
-        EventQueue {
-            kind: SchedulerKind::Calendar,
-            heap: BinaryHeap::new(),
-            calendar: CalendarQueue::new(),
-            seq: 0,
-            heap_peak: 0,
-            pops_since_shrink_check: 0,
-        }
-    }
-
-    /// Clears state and selects the backend for the next run; retained
-    /// capacity makes repeated runs allocation-free in steady state.
-    pub(crate) fn reset(&mut self, kind: SchedulerKind, width_hint_ns: Nanos, concurrency: usize) {
-        self.kind = kind;
-        self.seq = 0;
-        self.heap.clear();
-        self.heap_peak = 0;
-        self.pops_since_shrink_check = 0;
-        self.calendar.reset(width_hint_ns, concurrency);
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, t: Nanos, id: EventId) {
-        let entry = (t, self.seq, id);
-        self.seq += 1;
-        match self.kind {
-            SchedulerKind::Calendar => self.calendar.push(entry),
-            SchedulerKind::BinaryHeap => {
-                self.heap.push(Reverse(entry));
-                self.heap_peak = self.heap_peak.max(self.heap.len());
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Entry> {
-        match self.kind {
-            SchedulerKind::Calendar => {
-                self.pops_since_shrink_check += 1;
-                if self.pops_since_shrink_check >= SHRINK_CHECK_EVERY {
-                    self.pops_since_shrink_check = 0;
-                    self.calendar.maybe_shrink();
-                }
-                self.calendar.pop()
-            }
-            SchedulerKind::BinaryHeap => self.heap.pop().map(|Reverse(e)| e),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> SchedulerStats {
-        match self.kind {
-            SchedulerKind::Calendar => self.calendar.stats(),
-            SchedulerKind::BinaryHeap => SchedulerStats {
-                kind: SchedulerKind::BinaryHeap,
-                peak_events: self.heap_peak,
-                ..SchedulerStats::default()
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
+
+    /// Pushes an event at `t` and records the entry the queue stores: on a
+    /// freshly reset queue the n-th push gets seq n, used here as the
+    /// event id too.
+    fn push(q: &mut CalendarQueue, pushed: &mut Vec<Entry>, t: Nanos) {
+        let seq = pushed.len() as u64;
+        q.push(t, seq as EventId);
+        pushed.push((t, seq, seq as EventId));
+    }
 
     /// Drains the queue, asserting the pop order equals the `(t, seq)`
     /// sort of everything pushed.
@@ -501,6 +410,31 @@ mod tests {
         q
     }
 
+    /// The reference order: a binary heap over the same `(time, seq, id)`
+    /// key, with seq numbered by push order like the calendar queue's.
+    #[derive(Default)]
+    struct HeapReference {
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        seq: u64,
+    }
+
+    impl HeapReference {
+        fn push(&mut self, t: Nanos, id: EventId) {
+            self.heap.push(Reverse((t, self.seq, id)));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<Entry> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    /// Pushes the same event into the queue and the heap reference.
+    fn push_both(q: &mut CalendarQueue, heap: &mut HeapReference, t: Nanos, id: EventId) {
+        q.push(t, id);
+        heap.push(t, id);
+    }
+
     #[test]
     fn pops_in_time_seq_order_with_interleaved_pushes() {
         let mut q = fresh(100);
@@ -510,9 +444,7 @@ mod tests {
         let mut t = 0u64;
         for seq in 0..200u64 {
             t = (t + (seq * 2654435761) % 1733) % 50_000;
-            let e = (t, seq, seq as EventId);
-            q.push(e);
-            pushed.push(e);
+            push(&mut q, &mut pushed, t);
         }
         assert_drains_sorted(&mut q, pushed);
     }
@@ -528,13 +460,9 @@ mod tests {
             q.stats().bucket_width_ns
         };
         let mut pushed = Vec::new();
-        let mut seq = 0;
         for day in [0u64, 1, 2, 5, 31, 32, 33] {
             for dt in [0u64, 1, w - 1] {
-                let e = (day * w + dt, seq, seq as EventId);
-                seq += 1;
-                q.push(e);
-                pushed.push(e);
+                push(&mut q, &mut pushed, day * w + dt);
             }
         }
         assert_drains_sorted(&mut q, pushed);
@@ -546,20 +474,18 @@ mod tests {
         let horizon = q.stats().bucket_width_ns * q.stats().bucket_count as u64;
         let mut pushed = Vec::new();
         // Near events plus events far beyond the horizon (several epochs
-        // out), so the wheel must re-anchor through the overflow list.
-        for (seq, t) in [
-            (0u64, 5u64),
-            (1, horizon * 3),
-            (2, horizon * 3 + 1),
-            (3, 10),
-            (4, horizon * 100),
-            (5, horizon * 2),
-        ]
-        .into_iter()
-        {
-            let e = (t, seq, seq as EventId);
-            q.push(e);
-            pushed.push(e);
+        // out, and the end of the clock), so the wheel must re-anchor
+        // through the overflow list.
+        for t in [
+            5u64,
+            horizon * 3,
+            horizon * 3 + 1,
+            10,
+            Nanos::MAX,
+            horizon * 100,
+            horizon * 2,
+        ] {
+            push(&mut q, &mut pushed, t);
         }
         assert!(q.stats().peak_overflow > 0, "far events must overflow");
         assert_drains_sorted(&mut q, pushed);
@@ -571,7 +497,7 @@ mod tests {
         // guarantees), pop the rest; the merged order must hold.
         let mut q = fresh(50);
         for seq in 0..50u64 {
-            q.push((seq * 97 % 1000, seq, seq as EventId));
+            q.push(seq * 97 % 1000, seq as EventId);
         }
         let mut popped = Vec::new();
         for _ in 0..25 {
@@ -579,7 +505,7 @@ mod tests {
         }
         let now = popped.last().unwrap().0;
         for seq in 50..120u64 {
-            q.push((now + seq * 31 % 2000, seq, seq as EventId));
+            q.push(now + seq * 31 % 2000, seq as EventId);
         }
         while let Some(e) = q.pop() {
             popped.push(e);
@@ -607,9 +533,7 @@ mod tests {
         let mut pushed = Vec::new();
         // Push far more than GROW_AT × initial buckets to force doubling.
         for seq in 0..(initial_buckets as u64 * 8) {
-            let e = (seq * 13 % 100_000, seq, seq as EventId);
-            q.push(e);
-            pushed.push(e);
+            push(&mut q, &mut pushed, seq * 13 % 100_000);
         }
         assert!(
             q.stats().bucket_count > initial_buckets,
@@ -623,7 +547,7 @@ mod tests {
         // After a full drain plus shrink checks, a tiny population shrinks
         // the wheel again.
         for seq in 0..4u64 {
-            q.push((seq, seq, seq as EventId));
+            q.push(seq, seq as EventId);
         }
         for _ in 0..4 {
             q.maybe_shrink();
@@ -634,21 +558,17 @@ mod tests {
 
     #[test]
     fn heap_and_calendar_queue_pop_identically() {
-        let mut eq_cal = EventQueue::new();
-        let mut eq_heap = EventQueue::new();
-        eq_cal.reset(SchedulerKind::Calendar, 100, 8);
-        eq_heap.reset(SchedulerKind::BinaryHeap, 100, 8);
+        let mut q = CalendarQueue::new();
+        q.reset(100, 8);
+        let mut heap = HeapReference::default();
         let mut t = 1u64;
         for i in 0..500u32 {
             t = (t * 48271) % 0x7FFF_FFFF;
-            let time = t % 1_000_000;
-            eq_cal.push(time, i);
-            eq_heap.push(time, i);
+            push_both(&mut q, &mut heap, t % 1_000_000, i);
         }
         loop {
-            let a = eq_cal.pop();
-            let b = eq_heap.pop();
-            assert_eq!(a, b);
+            let a = q.pop();
+            assert_eq!(a, heap.pop());
             if a.is_none() {
                 break;
             }
@@ -659,11 +579,13 @@ mod tests {
     fn interleaved_random_stress_matches_heap() {
         // Mimics the sim's push pattern: each pop may push 0–2 new events
         // at now + delta, with deltas spanning sub-window to far-future.
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::new();
+        // Odd trials add bursts: up to 32 events at one time (half of them
+        // at `now` itself), which only the seq tie-break can order. Runs
+        // past 1 024 pops cross the shrink cadence.
+        let mut q = CalendarQueue::new();
         for trial in 0..50u64 {
-            cal.reset(SchedulerKind::Calendar, 1 << (trial % 14), 4);
-            heap.reset(SchedulerKind::BinaryHeap, 1 << (trial % 14), 4);
+            q.reset(1 << (trial % 14), 4);
+            let mut heap = HeapReference::default();
             let mut state = trial.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             let mut rnd = move || {
                 state ^= state >> 12;
@@ -673,47 +595,36 @@ mod tests {
             };
             let mut id = 0u32;
             for _ in 0..20 {
-                let t = rnd() % 100_000;
-                cal.push(t, id);
-                heap.push(t, id);
+                push_both(&mut q, &mut heap, rnd() % 100_000, id);
                 id += 1;
             }
             let mut pops = 0u32;
             loop {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "trial {trial} diverged at pop {pops}");
+                let a = q.pop();
+                assert_eq!(a, heap.pop(), "trial {trial} diverged at pop {pops}");
                 let Some((now, _, _)) = a else { break };
                 pops += 1;
-                if pops < 3000 {
-                    for _ in 0..(rnd() % 3) {
-                        let delta = match rnd() % 10 {
-                            0..=5 => rnd() % 5_000,
-                            6..=8 => rnd() % 500_000,
-                            _ => rnd() % 500_000_000,
-                        };
-                        cal.push(now + delta, id);
-                        heap.push(now + delta, id);
+                if pops >= 3000 {
+                    continue;
+                }
+                for _ in 0..(rnd() % 3) {
+                    let delta = match rnd() % 10 {
+                        0..=5 => rnd() % 5_000,
+                        6..=8 => rnd() % 500_000,
+                        _ => rnd() % 500_000_000,
+                    };
+                    push_both(&mut q, &mut heap, now + delta, id);
+                    id += 1;
+                }
+                if trial % 2 == 1 && rnd() % 8 == 0 {
+                    let at = now + if rnd() % 2 == 0 { 0 } else { rnd() % 500_000 };
+                    for _ in 0..=(rnd() % 32) {
+                        push_both(&mut q, &mut heap, at, id);
                         id += 1;
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn scheduler_kind_parses() {
-        assert_eq!(
-            SchedulerKind::parse("calendar").unwrap(),
-            SchedulerKind::Calendar
-        );
-        assert_eq!(
-            SchedulerKind::parse("heap").unwrap(),
-            SchedulerKind::BinaryHeap
-        );
-        assert!(SchedulerKind::parse("fifo").is_err());
-        assert_eq!(SchedulerKind::Calendar.id(), "calendar");
-        assert_eq!(SchedulerKind::BinaryHeap.id(), "heap");
     }
 
     #[test]

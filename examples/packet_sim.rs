@@ -65,9 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // rather than degenerating into one sorted list.
     let stats = ws.scheduler_stats();
     println!(
-        "\nscheduler: {} | {} buckets x {} ns | max bucket occupancy {} | \
+        "\ncalendar queue: {} buckets x {} ns | max bucket occupancy {} | \
          peak events {} (slots {}) | resizes {} | peak overflow {}",
-        stats.kind.id(),
         stats.bucket_count,
         stats.bucket_width_ns,
         stats.max_bucket_occupancy,
