@@ -146,11 +146,9 @@ pub(crate) fn solve_in(
         .gap_tolerance
         .unwrap_or(1e-6 * traffic.total_demand().max(1.0));
 
-    // Effective tile: a tile covering every destination runs dense.
-    let tile = ws.tile.filter(|&t| t < dests.len());
     let mut engine = RoutingEngine::with_state(g, ws.take_engine(g));
     let dd = &mut ws.dd;
-    let warm = !config.convergence.pinned && dd.try_warm_start(g, &dests, tile);
+    let warm = !config.convergence.pinned && dd.try_warm_start(g, &dests);
     // Until the run completes, nothing claims the buffers solve anything.
     dd.forget();
     if !warm {
@@ -166,7 +164,6 @@ pub(crate) fn solve_in(
         caps,
         gap_tol,
         default_scale,
-        tile,
         &mut engine,
         dd,
     );
@@ -174,7 +171,7 @@ pub(crate) fn solve_in(
     match result {
         Ok((dual_trace, gap_trace, iterations, converged)) => {
             let dd = &mut ws.dd;
-            dd.record_solution(g, &dests, tile);
+            dd.record_solution(g, &dests);
             Ok(DualDecompOutcome {
                 weights: dd.weights.clone(),
                 spare: dd.spare.clone(),
@@ -205,7 +202,6 @@ fn run(
     caps: &[f64],
     gap_tol: f64,
     default_scale: f64,
-    tile: Option<usize>,
     engine: &mut RoutingEngine<'_>,
     dd: &mut DdSession,
 ) -> Result<(Vec<f64>, Vec<f64>, usize, bool), SpefError> {
@@ -237,68 +233,26 @@ fn run(
         for (fl, w) in dd.floored.iter_mut().zip(&dd.weights) {
             *fl = w.max(WEIGHT_FLOOR);
         }
-        // Dual objective: Σ_e [V(s) − w·s + w·c] − Σ_t Σ_s d^t_s · dist_t(s).
-        // Both paths fold it in the same order — link terms first, then the
-        // destination terms in ascending order (the tiled closure folds
-        // them per tile while that tile's DAGs are live) — so the trace is
-        // bit-identical either way.
-        if let Some(tile) = tile {
-            let record = config.record_trace;
-            let mut dual = 0.0;
-            if record {
-                for (e, ((&s, &w), &c)) in dd.spare.iter().zip(&dd.weights).zip(caps).enumerate() {
-                    dual += objective.utility_at(e, s) - w * s + w * c;
-                }
-            }
-            // DD only needs the aggregate Route_t flows: tiled distribution
-            // drops the per-destination columns entirely.
-            engine.distribute_tiled(
-                &dd.floored,
-                dests,
-                0.0,
-                traffic,
-                SplitRule::EvenEcmp,
-                tile,
-                false,
-                &mut dd.flows,
-                |_, chunk, dags, _| {
-                    if record {
-                        for (i, &t) in chunk.iter().enumerate() {
-                            let dag = dags.dag(i);
-                            traffic.demands_to_into(t, &mut dd.demand_buf);
-                            for (&d, dist) in dd.demand_buf.iter().zip(dag.distances()) {
-                                if d > 0.0 {
-                                    dual -= d * dist;
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-            if record {
-                dual_trace.push(dual);
-            }
-        } else {
-            engine.build_dags(&dd.floored, dests, 0.0)?;
-            engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut dd.flows)?;
+        engine.build_dags(&dd.floored, dests, 0.0)?;
+        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut dd.flows)?;
 
-            if config.record_trace {
-                let mut dual = 0.0;
-                for (e, ((&s, &w), &c)) in dd.spare.iter().zip(&dd.weights).zip(caps).enumerate() {
-                    dual += objective.utility_at(e, s) - w * s + w * c;
-                }
-                for (i, &t) in dests.iter().enumerate() {
-                    let dag = engine.dag_set().dag(i);
-                    traffic.demands_to_into(t, &mut dd.demand_buf);
-                    for (&d, dist) in dd.demand_buf.iter().zip(dag.distances()) {
-                        if d > 0.0 {
-                            dual -= d * dist;
-                        }
+        // Dual objective: Σ_e [V(s) − w·s + w·c] − Σ_t Σ_s d^t_s · dist_t(s),
+        // link terms first, then the destination terms in ascending order.
+        if config.record_trace {
+            let mut dual = 0.0;
+            for (e, ((&s, &w), &c)) in dd.spare.iter().zip(&dd.weights).zip(caps).enumerate() {
+                dual += objective.utility_at(e, s) - w * s + w * c;
+            }
+            for (i, &t) in dests.iter().enumerate() {
+                let dag = engine.dag_set().dag(i);
+                traffic.demands_to_into(t, &mut dd.demand_buf);
+                for (&d, dist) in dd.demand_buf.iter().zip(dag.distances()) {
+                    if d > 0.0 {
+                        dual -= d * dist;
                     }
                 }
-                dual_trace.push(dual);
             }
+            dual_trace.push(dual);
         }
 
         // Dual gap (the paper's optimality measure).

@@ -82,8 +82,8 @@ use spef_topology::TrafficMatrix;
 
 use crate::fib::{FibSet, ForwardingTable};
 use crate::traffic_dist::{
-    distribute_batch, distribute_block, distribute_one_into, next_flow_stamp, validate_rule,
-    DistScratch, Flows, SplitRule, SplitTableSet,
+    distribute_batch, distribute_one_into, next_flow_stamp, validate_rule, DistScratch, Flows,
+    SplitRule, SplitTableSet,
 };
 use crate::SpefError;
 
@@ -149,12 +149,6 @@ pub struct EngineState {
     /// streams its destinations through it.
     table: SplitTableSet,
     scratch: DistScratch,
-    /// Tile-sized arenas for the tiled execution path. Kept separate from
-    /// `dags`/`tables` so tiled runs never clobber the untiled DAG set
-    /// behind the bit-identical-weights skip fingerprint.
-    tile_dags: DagSet,
-    tile_tables: SplitTableSet,
-    tile_cols: Vec<Vec<f64>>,
     last_weights: Vec<f64>,
     last_dests: Vec<NodeId>,
     last_tolerance: f64,
@@ -167,13 +161,13 @@ pub struct EngineState {
     delta_scratch: Vec<(NodeId, NodeId, f64, f64)>,
     /// Per-slot dirty flags of the incremental build in progress.
     dirty: Vec<bool>,
-    /// Slots whose DAG changed since the last successful untiled
-    /// distribution (what the incremental distribution must refresh).
+    /// Slots whose DAG changed since the last successful distribution
+    /// (what the incremental distribution must refresh).
     pending: Vec<bool>,
     /// `true` when the pending set is meaningless (dense build, shape
     /// change, or no distribution yet): the next distribution runs dense.
     pending_all: bool,
-    /// The rule of the last successful untiled distribution.
+    /// The rule of the last successful distribution.
     last_rule_kind: RuleKind,
     /// Bitwise copy of the exponential rule's weight vector (empty for
     /// even ECMP).
@@ -182,8 +176,8 @@ pub struct EngineState {
     /// demand-change check of the incremental distribution.
     demand_cache: Vec<f64>,
     demand_cache_valid: bool,
-    /// Stamp of the `Flows` buffer the last successful untiled
-    /// distribution wrote (its columns *are* the incremental flow cache).
+    /// Stamp of the `Flows` buffer the last successful distribution wrote
+    /// (its columns *are* the incremental flow cache).
     out_stamp: u64,
     incremental_builds: u64,
     slots_rebuilt: u64,
@@ -209,13 +203,6 @@ impl EngineState {
                 .edges()
                 .zip(&self.topo_edges)
                 .all(|((_, u, v), &(su, sv))| u == su && v == sv)
-    }
-
-    /// Number of SPF batch builds this state has actually executed
-    /// (calls to [`RoutingEngine::build_dags`] that were not skipped by
-    /// the bit-identical-weights fingerprint).
-    pub fn spf_builds(&self) -> u64 {
-        self.spf_builds
     }
 
     /// The SPF build counters, including the incremental-path breakdown.
@@ -259,9 +246,9 @@ impl EngineState {
         self.last_rule_kind = RuleKind::None;
     }
 
-    /// Bytes currently reserved by the engine's routing arenas (DAG sets,
-    /// split tables, tile scratch, Dijkstra workspace), by capacity — a
-    /// high-water mark, since the arenas only ever grow across reuse.
+    /// Bytes currently reserved by the engine's routing arenas (DAG set,
+    /// split tables, Dijkstra workspace), by capacity — a high-water mark,
+    /// since the arenas only ever grow across reuse.
     /// [`crate::TeWorkspace::arena_bytes`] also counts the rest of the
     /// state: the CSR, the fingerprints and the demand cache.
     pub fn arena_bytes(&self) -> usize {
@@ -269,14 +256,6 @@ impl EngineState {
             + self.dags.arena_bytes()
             + self.tables.arena_bytes()
             + self.table.arena_bytes()
-            + self.tile_dags.arena_bytes()
-            + self.tile_tables.arena_bytes()
-            + self.tile_cols.capacity() * std::mem::size_of::<Vec<f64>>()
-            + self
-                .tile_cols
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
     }
 
     /// Bytes the state holds beside its routing arenas, by capacity: the
@@ -358,12 +337,6 @@ impl<'g> RoutingEngine<'g> {
     /// The graph the engine routes over.
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-
-    /// Number of SPF batch builds actually executed (skipped calls not
-    /// counted). Exposed for the skip-fingerprint tests and benches.
-    pub fn spf_builds(&self) -> u64 {
-        self.state.spf_builds
     }
 
     /// The SPF build counters, including the incremental-path breakdown.
@@ -690,7 +663,6 @@ impl<'g> RoutingEngine<'g> {
             || !rule_matches
             || out.stamp() == 0
             || out.stamp() != s.out_stamp
-            || !out.has_columns()
         {
             return Ok(false);
         }
@@ -741,7 +713,7 @@ impl<'g> RoutingEngine<'g> {
         }
         // Re-fold the aggregate from every column in ascending
         // destination order — the same additions, in the same order, as
-        // `distribute_block` performs on the dense path.
+        // `distribute_destination` performs on the dense path.
         aggregate.fill(0.0);
         for col in columns.iter() {
             for (agg, f) in aggregate.iter_mut().zip(col.iter()) {
@@ -804,105 +776,6 @@ impl<'g> RoutingEngine<'g> {
             fib.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
         }
         Ok(ForwardingTable::from(fib))
-    }
-
-    /// The fused tiled build-and-distribute cycle: processes `dests` in
-    /// tiles of at most `tile` destinations, building each tile's DAGs
-    /// and split tables into tile-sized arenas (peak O(tile·edges)
-    /// instead of O(dests·edges)) and accumulating the **global**
-    /// aggregate flows destination by destination in ascending order —
-    /// bit-identical to [`build_dags`](Self::build_dags) +
-    /// [`distribute_into`](Self::distribute_into) for every tile size.
-    ///
-    /// With `keep_per_dest` the per-destination flow columns of `out` are
-    /// retained (Frank–Wolfe needs the dense columns for its blend
-    /// updates; only the DAG/table arenas shrink); without it `out` holds
-    /// the aggregate only and [`Flows::for_destination`] returns `None`.
-    ///
-    /// `on_tile(offset, tile dests, tile dags, tile tables)` fires after
-    /// each tile while its arenas are live — callers fold per-destination
-    /// quantities (dual terms, FIB rows) there. The tiled path never
-    /// touches the untiled DAG set or its skip fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build_dags`](Self::build_dags) and
-    /// [`distribute_into`](Self::distribute_into), plus whatever
-    /// `on_tile` returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is zero or `traffic` covers fewer nodes than the
-    /// graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn distribute_tiled<F>(
-        &mut self,
-        weights: &[f64],
-        dests: &[NodeId],
-        tolerance: f64,
-        traffic: &TrafficMatrix,
-        rule: SplitRule<'_>,
-        tile: usize,
-        keep_per_dest: bool,
-        out: &mut Flows,
-        mut on_tile: F,
-    ) -> Result<(), SpefError>
-    where
-        F: FnMut(usize, &[NodeId], &DagSet, &SplitTableSet) -> Result<(), SpefError>,
-    {
-        assert!(tile > 0, "tile size must be at least 1");
-        validate_rule(self.graph, rule)?;
-        let m = self.graph.edge_count();
-        let n = self.graph.node_count();
-        let s = &mut self.state;
-        if keep_per_dest {
-            out.reset(dests, m);
-        } else {
-            out.reset_aggregate(dests, m);
-        }
-        let (columns, aggregate) = out.parts_mut();
-
-        let mut offset = 0;
-        for chunk in dests.chunks(tile) {
-            build_dag_set(
-                self.graph,
-                s.in_csr.as_ref().expect("attached engine has a CSR"),
-                weights,
-                chunk,
-                tolerance,
-                self.par,
-                &mut s.ws,
-                &mut s.tile_dags,
-            )?;
-            s.tile_tables.reset(n);
-            let cols: &mut [Vec<f64>] = if keep_per_dest {
-                &mut columns[offset..offset + chunk.len()]
-            } else {
-                if s.tile_cols.len() < chunk.len() {
-                    s.tile_cols.resize_with(chunk.len(), Vec::new);
-                }
-                for col in &mut s.tile_cols[..chunk.len()] {
-                    col.clear();
-                    col.resize(m, 0.0);
-                }
-                &mut s.tile_cols[..chunk.len()]
-            };
-            distribute_block(
-                self.graph,
-                chunk,
-                s.tile_dags.iter(),
-                traffic,
-                rule,
-                &mut s.tile_tables,
-                &mut s.scratch,
-                cols,
-                aggregate,
-            )?;
-            on_tile(offset, chunk, &s.tile_dags, &s.tile_tables)?;
-            offset += chunk.len();
-        }
-        s.spf_builds += 1;
-        Ok(())
     }
 
     /// Convenience wrapper around
@@ -989,24 +862,24 @@ mod tests {
         let mut engine = RoutingEngine::new(net.graph());
 
         engine.build_dags(&w, &dests, 0.0).unwrap();
-        assert_eq!(engine.spf_builds(), 1);
+        assert_eq!(engine.spf_stats().builds, 1);
         // Same weights (a fresh but bit-identical vector), same dests,
         // same tolerance: skipped.
         engine.build_dags(&w.clone(), &dests, 0.0).unwrap();
-        assert_eq!(engine.spf_builds(), 1);
+        assert_eq!(engine.spf_stats().builds, 1);
         // Any bit change re-runs.
         let mut w2 = w.clone();
         w2[0] *= 1.0 + 1e-12;
         engine.build_dags(&w2, &dests, 0.0).unwrap();
-        assert_eq!(engine.spf_builds(), 2);
+        assert_eq!(engine.spf_stats().builds, 2);
         // Tolerance change re-runs even with identical weights.
         engine.build_dags(&w2, &dests, 1e-9).unwrap();
-        assert_eq!(engine.spf_builds(), 3);
+        assert_eq!(engine.spf_stats().builds, 3);
         // Destination-set change re-runs.
         engine
             .build_dags(&w2, &dests[..dests.len() - 1], 1e-9)
             .unwrap();
-        assert_eq!(engine.spf_builds(), 4);
+        assert_eq!(engine.spf_stats().builds, 4);
 
         // The skipped call left a usable DAG set behind.
         engine.build_dags(&w, &dests, 0.0).unwrap();
@@ -1032,13 +905,13 @@ mod tests {
         let mut engine = RoutingEngine::new(net.graph());
         engine.build_dags(&w, &dests, 0.0).unwrap();
         let state = engine.into_state();
-        assert_eq!(state.spf_builds(), 1);
+        assert_eq!(state.spf_stats().builds, 1);
 
         // Re-attach to the same graph: the fingerprint survives, so an
         // identical build is skipped.
         let mut engine = RoutingEngine::with_state(net.graph(), state);
         engine.build_dags(&w, &dests, 0.0).unwrap();
-        assert_eq!(engine.spf_builds(), 1);
+        assert_eq!(engine.spf_stats().builds, 1);
 
         // Attach to a different topology: cold fallback, the build runs.
         let other = standard::fig1();
@@ -1048,7 +921,7 @@ mod tests {
         engine
             .build_dags(&ow, &other_tm.destinations(), 0.0)
             .unwrap();
-        assert_eq!(engine.spf_builds(), 2);
+        assert_eq!(engine.spf_stats().builds, 2);
 
         // And its results match a fresh engine's bit for bit.
         let mut fresh = RoutingEngine::new(other.graph());

@@ -160,9 +160,6 @@ pub(crate) fn solve_in(
     // link-removal instances — project a saved full-topology solution
     // onto the surviving edge set. Pinned mode always runs the cold
     // trajectory.
-    // Effective tile: a tile covering the whole destination set runs the
-    // dense path (same results, and the SPF skip fingerprint stays live).
-    let tile = ws.tile.filter(|&t| t < dests.len());
     let start = if config.convergence.pinned {
         FwStart::Cold
     } else {
@@ -172,7 +169,6 @@ pub(crate) fn solve_in(
             objective,
             config.smoothing_fraction,
             &dests,
-            tile,
         )
     };
     let warm = start != FwStart::Cold;
@@ -185,7 +181,6 @@ pub(crate) fn solve_in(
         config,
         &dests,
         warm,
-        tile,
         &mut engine,
         &mut ws.fw,
     );
@@ -198,7 +193,6 @@ pub(crate) fn solve_in(
                 objective,
                 config.smoothing_fraction,
                 &dests,
-                tile,
                 start == FwStart::RemovalProjected,
             );
             Ok(TeSolution {
@@ -230,7 +224,6 @@ fn run(
     config: &FrankWolfeConfig,
     dests: &[NodeId],
     warm: bool,
-    tile: Option<usize>,
     engine: &mut RoutingEngine<'_>,
     fw: &mut FwSession,
 ) -> Result<(f64, Vec<f64>, f64, usize), SpefError> {
@@ -248,25 +241,8 @@ fn run(
         // feasible; capacities are handled by the smoothed barrier).
         fw.init_weights.clear();
         fw.init_weights.extend(caps.iter().map(|c| 1.0 / c));
-        if let Some(t) = tile {
-            // Tiled build+distribute: DAG/table arenas stay O(tile·edges).
-            // FW keeps the dense per-destination columns — its blend
-            // update needs them — so only the routing arenas shrink.
-            engine.distribute_tiled(
-                &fw.init_weights,
-                dests,
-                0.0,
-                traffic,
-                SplitRule::EvenEcmp,
-                t,
-                true,
-                &mut fw.flows,
-                |_, _, _, _| Ok(()),
-            )?;
-        } else {
-            engine.build_dags(&fw.init_weights, dests, 0.0)?;
-            engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.flows)?;
-        }
+        engine.build_dags(&fw.init_weights, dests, 0.0)?;
+        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.flows)?;
     }
 
     fw.spare.clear();
@@ -286,22 +262,8 @@ fn run(
             *k = smooth.marginal(e, fw.spare[e]);
         }
         // All-or-nothing target: Route_t under κ (even split over ties).
-        if let Some(t) = tile {
-            engine.distribute_tiled(
-                &fw.kappa,
-                dests,
-                0.0,
-                traffic,
-                SplitRule::EvenEcmp,
-                t,
-                true,
-                &mut fw.target,
-                |_, _, _, _| Ok(()),
-            )?;
-        } else {
-            engine.build_dags(&fw.kappa, dests, 0.0)?;
-            engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.target)?;
-        }
+        engine.build_dags(&fw.kappa, dests, 0.0)?;
+        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.target)?;
 
         // One pass over the aggregates serves the gap, the line-search
         // direction Δf = y − f, and (below) the spare update.

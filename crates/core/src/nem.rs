@@ -22,7 +22,7 @@ use spef_topology::TrafficMatrix;
 
 use crate::dual_decomp::StepRule;
 use crate::solver::{ConvergenceCriteria, NemSession, TeWorkspace};
-use crate::traffic_dist::{distribute_block, validate_rule, Flows, SplitRule};
+use crate::traffic_dist::{distribute_destination, validate_rule, Flows, SplitRule};
 use crate::SpefError;
 
 /// Configuration of Algorithm 2.
@@ -54,12 +54,14 @@ impl Default for NemConfig {
 pub struct NemOutcome {
     /// The second link weights `v`.
     pub second_weights: Vec<f64>,
-    /// The exponential-split traffic distribution of the last iteration
-    /// that distributed. On an early convergence stop that is the
-    /// distribution under `second_weights`. When the run ends on its
-    /// iteration budget (unconverged, or any pinned run) `second_weights`
-    /// has taken one more projected-gradient step after it, so these flows
-    /// are one step behind the weights (and the FIB built from them).
+    /// The aggregate of the exponential-split traffic distribution of the
+    /// last iteration that distributed. Only the aggregate is kept (the
+    /// step reads nothing else), so [`Flows::for_destination`] returns
+    /// `None`. On an early convergence stop this is the distribution under
+    /// `second_weights`. When the run ends on its iteration budget
+    /// (unconverged, or any pinned run) `second_weights` has taken one more
+    /// projected-gradient step after it, so these flows are one step
+    /// behind the weights (and the FIB built from them).
     pub flows: Flows,
     /// Dual objective per iteration (Fig. 12(b)); empty unless
     /// `record_trace`.
@@ -114,11 +116,8 @@ pub(crate) fn solve_in<D: DagAccess>(
     let default_scale = 1.0 / max_target;
 
     let dests = traffic.destinations();
-    // Effective tile: a tile covering every destination runs dense. A
-    // tiled session keeps only the aggregate flows.
-    let tile = ws.tile.filter(|&t| t < dests.len());
     let nem = &mut ws.nem;
-    let warm = !pinned && nem.try_warm_start(graph, &dests, tile);
+    let warm = !pinned && nem.try_warm_start(graph, &dests);
     // Until the run completes, nothing claims the buffers solve anything
     // (early `?` returns must not leave a stale fingerprint behind).
     nem.forget();
@@ -134,15 +133,7 @@ pub(crate) fn solve_in<D: DagAccess>(
     for k in 0..config.convergence.max_iterations {
         iterations = k + 1;
         // d(v) = Σ_r d_r log Σ_k e^{-v^r_k} + Σ_e v_e f*_e.
-        let mut dual = distribute(
-            nem,
-            graph,
-            dags,
-            &dests,
-            traffic,
-            tile.is_none(),
-            config.record_trace,
-        )?;
+        let mut dual = distribute(nem, graph, dags, &dests, traffic, config.record_trace)?;
         if config.record_trace {
             for (ve, fe) in nem.v.iter().zip(target_flows) {
                 dual += ve * fe;
@@ -175,7 +166,7 @@ pub(crate) fn solve_in<D: DagAccess>(
         }
     }
 
-    nem.record_solution(graph, &dests, tile);
+    nem.record_solution(graph, &dests);
     Ok(NemOutcome {
         second_weights: nem.v.clone(),
         flows: nem.flows.clone(),
@@ -187,20 +178,17 @@ pub(crate) fn solve_in<D: DagAccess>(
 
 /// One Algorithm 3 pass under the exponential rule at the current `v`,
 /// one destination at a time through the session's one-destination
-/// split-table scratch: the batched kernel's operations in its order
-/// (each destination's flows join the aggregate in ascending destination
-/// order), so the flows are bit-identical to it. `keep_columns` keeps
-/// each destination's flow column (dense sessions); otherwise one scratch
-/// column is reused and only the aggregate survives. Returns the dual
-/// objective's demand terms `Σ_r d_r · log Σ_k e^(−v^r_k)` when `record`,
-/// else `0`.
+/// split-table scratch and flow column: the batched kernel's operations in
+/// its order (each destination's flows join the aggregate in ascending
+/// destination order), so the aggregate is bit-identical to it. Only the
+/// aggregate survives. Returns the dual objective's demand terms
+/// `Σ_r d_r · log Σ_k e^(−v^r_k)` when `record`, else `0`.
 fn distribute<D: DagAccess>(
     nem: &mut NemSession,
     graph: &Graph,
     dags: &[D],
     dests: &[NodeId],
     traffic: &TrafficMatrix,
-    keep_columns: bool,
     record: bool,
 ) -> Result<f64, SpefError> {
     if dags.len() != dests.len() {
@@ -213,36 +201,26 @@ fn distribute<D: DagAccess>(
     let rule = SplitRule::Exponential(&nem.v);
     validate_rule(graph, rule)?;
     let m = graph.edge_count();
-    if keep_columns {
-        nem.flows.reset(dests, m);
-    } else {
-        nem.flows.reset_aggregate(dests, m);
-    }
-    let (columns, aggregate) = nem.flows.parts_mut();
+    nem.flows.reset_aggregate(dests, m);
+    let (_, aggregate) = nem.flows.parts_mut();
     let mut dual = 0.0;
-    for (i, (dag, t)) in dags.iter().zip(dests).enumerate() {
-        let column = if keep_columns {
-            &mut columns[i..=i]
-        } else {
-            nem.column.clear();
-            nem.column.resize(m, 0.0);
-            std::slice::from_mut(&mut nem.column)
-        };
-        nem.table.reset(graph.node_count());
-        distribute_block(
+    for (dag, &t) in dags.iter().zip(dests) {
+        nem.column.clear();
+        nem.column.resize(m, 0.0);
+        distribute_destination(
             graph,
-            std::slice::from_ref(t),
-            [dag],
+            t,
+            dag,
             traffic,
             rule,
             &mut nem.table,
             &mut nem.scratch,
-            column,
+            &mut nem.column,
             aggregate,
         )?;
         if record {
             let table = nem.table.table(0);
-            traffic.demands_to_into(*t, &mut nem.scratch.demands);
+            traffic.demands_to_into(t, &mut nem.scratch.demands);
             for (s, &d) in graph.nodes().zip(&nem.scratch.demands) {
                 if d > 0.0 {
                     dual += d * table.log_path_sum(s);

@@ -116,10 +116,13 @@ impl SpefRouting {
         &self.target_flows
     }
 
-    /// NEM's last distributed iterate: the exponential-split flows at the
-    /// second weights of its final distribution. When NEM stops on its
-    /// iteration budget (unconverged, or any pinned run) that distribution
-    /// is one projected-gradient step behind
+    /// NEM's last distributed iterate: the aggregate exponential-split
+    /// flows at the second weights of its final distribution. Only the
+    /// aggregate is kept, so [`Flows::for_destination`] returns `None`;
+    /// route [`RoutingEngine::distribute`] over the first-weight DAGs for
+    /// per-destination flows. When NEM stops on its iteration budget
+    /// (unconverged, or any pinned run) that distribution is one
+    /// projected-gradient step behind
     /// [`second_weights`](Self::second_weights), which the FIB is built
     /// from, so these are not exactly the flows the FIB forwards; see
     /// [`NemOutcome::flows`](crate::NemOutcome::flows).
@@ -175,28 +178,7 @@ pub(crate) fn build_in(
             (te, w, f)
         }
         TeSolverKind::DualDecomposition(dd) => {
-            let mut out = dual_decomp::solve_in(network, traffic, objective, dd, ws)?;
-            // A tiled Algorithm 1 solve keeps only the aggregate flows,
-            // but the Exact-mode adaptive tolerance below needs the
-            // per-destination support. Rebuild the dense columns once
-            // from the floored weights of the last iterate — the same
-            // kernel the untiled loop ran, so the columns (and the
-            // derived tolerance) are bit-identical to a dense solve.
-            if !out.flows.has_columns()
-                && config.dijkstra_tolerance.is_none()
-                && matches!(config.weight_mode, WeightMode::Exact)
-            {
-                let last_floored = ws.dd.floored.clone();
-                let mut engine = RoutingEngine::with_state(g, ws.take_engine(g));
-                let rebuilt = engine
-                    .build_dags(&last_floored, &traffic.destinations(), 0.0)
-                    .map_err(SpefError::from)
-                    .and_then(|()| {
-                        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut out.flows)
-                    });
-                ws.put_engine(engine.into_state());
-                rebuilt?;
-            }
+            let out = dual_decomp::solve_in(network, traffic, objective, dd, ws)?;
             // Virtual capacity c' = c − s is the NEM target.
             let target: Vec<f64> = network
                 .capacities()
@@ -299,8 +281,7 @@ fn route_stages(
     let g = engine.graph();
 
     // Step 2: per-destination shortest-path DAGs, built once into the
-    // engine's flat DAG set (tiled sessions too: the tile bounds only the
-    // TE loops). NEM reads them through borrowed views.
+    // engine's flat DAG set. NEM reads them through borrowed views.
     engine.build_dags(floored, dests, tolerance)?;
     let dags: Vec<DagRef<'_>> = engine.dag_set().iter().collect();
 

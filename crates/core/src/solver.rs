@@ -231,20 +231,13 @@ pub(crate) struct TopoFingerprint {
     nodes: usize,
     edges: Vec<(NodeId, NodeId)>,
     dests: Vec<NodeId>,
-    /// The effective destination tile size the solution was produced
-    /// under (`None` = dense/untiled). Tiled and untiled runs are
-    /// bit-identical by contract, but a saved iterate only warm-starts a
-    /// run on the same execution path so trajectories stay a pure
-    /// function of (instance, tile knob).
-    tile: Option<usize>,
 }
 
 impl TopoFingerprint {
-    fn matches(&self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) -> bool {
+    fn matches(&self, graph: &Graph, dests: &[NodeId]) -> bool {
         self.nodes == graph.node_count()
             && self.edges.len() == graph.edge_count()
             && self.dests.as_slice() == dests
-            && self.tile == tile
             && graph
                 .edges()
                 .zip(&self.edges)
@@ -256,13 +249,12 @@ impl TopoFingerprint {
             + self.dests.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    fn record(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    fn record(&mut self, graph: &Graph, dests: &[NodeId]) {
         self.nodes = graph.node_count();
         self.edges.clear();
         self.edges.extend(graph.edges().map(|(_, u, v)| (u, v)));
         self.dests.clear();
         self.dests.extend_from_slice(dests);
-        self.tile = tile;
     }
 }
 
@@ -347,9 +339,8 @@ impl FwFingerprint {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) {
-        self.topo.record(network.graph(), dests, tile);
+        self.topo.record(network.graph(), dests);
         self.capacities.clear();
         self.capacities.extend_from_slice(network.capacities());
         self.q.clear();
@@ -488,12 +479,11 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) -> bool {
         let Some(saved) = &self.saved else {
             return false;
         };
-        if !saved.topo.matches(network.graph(), dests, tile)
+        if !saved.topo.matches(network.graph(), dests)
             || !bits_eq(&saved.capacities, network.capacities())
             || saved.beta.to_bits() != objective.beta().to_bits()
             || saved.smoothing.to_bits() != smoothing_fraction.to_bits()
@@ -538,9 +528,8 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
     ) -> FwStart {
-        if self.try_warm_start(network, traffic, objective, smoothing_fraction, dests, tile) {
+        if self.try_warm_start(network, traffic, objective, smoothing_fraction, dests) {
             return FwStart::Rescaled;
         }
         if let Some(saved) = &self.saved {
@@ -552,7 +541,6 @@ impl FwSession {
                 objective,
                 smoothing_fraction,
                 dests,
-                tile,
                 &mut self.demand_buf,
                 &mut self.ratio,
             ) {
@@ -570,7 +558,6 @@ impl FwSession {
                 objective,
                 smoothing_fraction,
                 dests,
-                tile,
                 &mut self.demand_buf,
                 &mut self.ratio,
             ) {
@@ -596,7 +583,6 @@ impl FwSession {
         objective: &Objective,
         smoothing_fraction: f64,
         dests: &[NodeId],
-        tile: Option<usize>,
         degraded: bool,
     ) {
         let mut saved = self
@@ -604,11 +590,11 @@ impl FwSession {
             .take()
             .or_else(|| self.stale.take())
             .unwrap_or_default();
-        saved.record_instance(network, traffic, objective, smoothing_fraction, dests, tile);
+        saved.record_instance(network, traffic, objective, smoothing_fraction, dests);
         self.saved = Some(saved);
         if !degraded {
             let mut base = self.base.take().unwrap_or_default();
-            base.record_instance(network, traffic, objective, smoothing_fraction, dests, tile);
+            base.record_instance(network, traffic, objective, smoothing_fraction, dests);
             self.base_flows.copy_from(&self.flows);
             self.base = Some(base);
         }
@@ -660,7 +646,6 @@ fn removal_projection(
     objective: &Objective,
     smoothing_fraction: f64,
     dests: &[NodeId],
-    tile: Option<usize>,
     demand_buf: &mut Vec<f64>,
     ratio: &mut Vec<f64>,
 ) -> Option<Flows> {
@@ -670,7 +655,6 @@ fn removal_projection(
     if m_new >= m_old
         || source.topo.nodes != g.node_count()
         || source.topo.dests.as_slice() != dests
-        || source.topo.tile != tile
         || source.beta.to_bits() != objective.beta().to_bits()
         || source.smoothing.to_bits() != smoothing_fraction.to_bits()
         || source_flows.destinations() != dests
@@ -755,17 +739,21 @@ fn removal_projection(
 }
 
 /// NEM session state: the dual iterate `v` doubles as the saved solution.
+/// The step reads only the aggregate flow, so the session holds no
+/// per-destination columns: each destination is routed through one
+/// split-table scratch and one flow column and folded into `flows`'
+/// aggregate.
 #[derive(Debug, Default)]
 pub(crate) struct NemSession {
     pub(crate) v: Vec<f64>,
+    /// Aggregate-only flows of the last distribution.
     pub(crate) flows: Flows,
     /// One destination's split table at a time: NEM routes each
     /// destination through it.
     pub(crate) table: SplitTableSet,
     pub(crate) scratch: DistScratch,
-    /// The flow column a tiled session routes each destination into
-    /// before folding it into the aggregate (dense sessions keep one
-    /// column per destination in `flows`).
+    /// The flow column each destination is routed into before it is
+    /// folded into the aggregate.
     pub(crate) column: Vec<f64>,
     saved: Option<TopoFingerprint>,
 }
@@ -785,24 +773,19 @@ impl NemSession {
     /// True when the saved `v` may seed the new run (same graph and
     /// destination set; any `v ≥ 0` is a valid projected-gradient start,
     /// so no further checks are needed).
-    pub(crate) fn try_warm_start(
-        &mut self,
-        graph: &Graph,
-        dests: &[NodeId],
-        tile: Option<usize>,
-    ) -> bool {
+    pub(crate) fn try_warm_start(&mut self, graph: &Graph, dests: &[NodeId]) -> bool {
         let warm = self
             .saved
             .as_ref()
-            .is_some_and(|s| s.matches(graph, dests, tile) && self.v.len() == graph.edge_count());
+            .is_some_and(|s| s.matches(graph, dests) && self.v.len() == graph.edge_count());
         self.saved = None;
         warm
     }
 
     /// Records the instance the current `v` solves.
-    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId]) {
         let mut saved = self.saved.take().unwrap_or_default();
-        saved.record(graph, dests, tile);
+        saved.record(graph, dests);
         self.saved = Some(saved);
     }
 
@@ -844,23 +827,19 @@ impl DdSession {
 
     /// True when the saved multipliers may seed the new run (same graph
     /// and destination set; any `w ≥ 0` is a valid dual start).
-    pub(crate) fn try_warm_start(
-        &mut self,
-        graph: &Graph,
-        dests: &[NodeId],
-        tile: Option<usize>,
-    ) -> bool {
-        let warm = self.saved.as_ref().is_some_and(|s| {
-            s.matches(graph, dests, tile) && self.weights.len() == graph.edge_count()
-        });
+    pub(crate) fn try_warm_start(&mut self, graph: &Graph, dests: &[NodeId]) -> bool {
+        let warm = self
+            .saved
+            .as_ref()
+            .is_some_and(|s| s.matches(graph, dests) && self.weights.len() == graph.edge_count());
         self.saved = None;
         warm
     }
 
     /// Records the instance the current `weights` solve.
-    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId], tile: Option<usize>) {
+    pub(crate) fn record_solution(&mut self, graph: &Graph, dests: &[NodeId]) {
         let mut saved = self.saved.take().unwrap_or_default();
-        saved.record(graph, dests, tile);
+        saved.record(graph, dests);
         self.saved = Some(saved);
     }
 
@@ -893,9 +872,6 @@ pub struct TeWorkspace {
     /// `true` disables the engine's delta-aware incremental rebuild
     /// paths (dense rebuilds only); default `false` = incremental on.
     full_rebuild_only: bool,
-    /// Destination tile size for the iterative solvers' build/distribute
-    /// cycles; `None` = dense (one arena over all destinations).
-    pub(crate) tile: Option<usize>,
     pub(crate) simplex: SimplexWorkspace,
     pub(crate) fw: FwSession,
     pub(crate) nem: NemSession,
@@ -908,37 +884,15 @@ impl TeWorkspace {
         TeWorkspace::default()
     }
 
-    /// Sets the destination tile size for subsequent solves: the
-    /// Frank–Wolfe and Algorithm 1 inner loops then build DAGs and split
-    /// tables in tiles of at most `tile` destinations, bounding their
-    /// routing arenas at O(tile·edges) instead of O(dests·edges), and NEM
-    /// keeps only the aggregate flows instead of one column per
-    /// destination. The SPEF pipeline's NEM and FIB stages read one flat
-    /// DAG set over all destinations in either mode, so a tiled SPEF solve
-    /// still holds O(dests·edges) of DAG arena. Results are
-    /// **bit-identical** to the dense path for every tile size (the
-    /// determinism contract pinned by `tests/tile_equivalence.rs`); only
-    /// memory and the warm-start fingerprint (which includes the
-    /// effective tile) change. `None` or `Some(0)` restores the dense
-    /// path; tiles at least as large as the destination set also run
-    /// dense, keeping the SPF skip fingerprint active.
-    pub fn set_tile_size(&mut self, tile: Option<usize>) {
-        self.tile = tile.filter(|&t| t > 0);
-    }
-
-    /// The configured destination tile size (`None` = dense).
-    pub fn tile_size(&self) -> Option<usize> {
-        self.tile
-    }
-
     /// Bytes currently reserved by the workspace, by capacity — the
     /// high-water mark over every solve this workspace has run, since the
     /// arenas never shrink. It counts the engines' routing arenas (DAG
     /// sets, split tables, Dijkstra scratch) and everything else they hold
-    /// (CSR, demand cache, fingerprints), every solver's flow buffers, the
-    /// saved solutions' fingerprints and demand columns, and the per-link
-    /// buffers; only the β = 0 simplex tableau is left out. The scaling
-    /// ablation prints this as its peak-memory column.
+    /// (CSR, demand cache, fingerprints), every solver's flow buffers
+    /// (NEM's holds the aggregate only), the saved solutions' fingerprints
+    /// and demand columns, and the per-link buffers; only the β = 0
+    /// simplex tableau is left out. The scaling ablation prints this as
+    /// its peak-memory column.
     pub fn arena_bytes(&self) -> usize {
         let engine_bytes = |e: &EngineState| e.arena_bytes() + e.cache_bytes();
         self.engine.as_ref().map_or(0, engine_bytes)
@@ -1034,14 +988,6 @@ impl TeWorkspace {
         } else {
             self.engine_alt = Some(state);
         }
-    }
-
-    /// Number of SPF batch builds the workspace's engines have executed —
-    /// skipped (fingerprint-identical) builds are not counted. Exposed
-    /// for tests and benches.
-    pub fn spf_builds(&self) -> u64 {
-        self.engine.as_ref().map_or(0, EngineState::spf_builds)
-            + self.engine_alt.as_ref().map_or(0, EngineState::spf_builds)
     }
 }
 

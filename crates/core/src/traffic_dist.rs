@@ -202,7 +202,7 @@ impl SplitTable {
 /// FIB builds) hold one destination's table at a time: `n` spans, `n`
 /// log-Z slots and at most `m` entries. Only
 /// [`crate::RoutingEngine::build_split_tables`] fills one table per
-/// destination, and the tiled engine one per tile destination.
+/// destination.
 #[derive(Debug, Clone, Default)]
 pub struct SplitTableSet {
     n: usize,
@@ -441,8 +441,9 @@ impl Flows {
     }
 
     /// Edge flows of the commodity destined to `t`, if `t` is a commodity
-    /// and the per-destination columns were kept (tiled aggregate-only
-    /// distributions drop them to bound peak memory).
+    /// and the flows keep per-destination columns. NEM's flows (and so
+    /// [`crate::SpefRouting::flows`]) keep only the aggregate, so this
+    /// returns `None` for them.
     pub fn for_destination(&self, t: NodeId) -> Option<&[f64]> {
         self.dests
             .iter()
@@ -574,9 +575,9 @@ impl Flows {
 
     /// Reshapes for an **aggregate-only** distribution over `dests`:
     /// per-destination columns are dropped (freeing their arenas) and only
-    /// the aggregate vector is kept, zeroed over `m` edges. The tiled
-    /// solver loops use this so peak flow memory is O(edges) instead of
-    /// O(dests·edges).
+    /// the aggregate vector is kept, zeroed over `m` edges. NEM uses this:
+    /// its projected-gradient step reads only the aggregate, so its flows
+    /// take O(edges) instead of O(dests·edges).
     pub(crate) fn reset_aggregate(&mut self, dests: &[NodeId], m: usize) {
         self.stamp = 0;
         if self.dests.as_slice() != dests {
@@ -588,14 +589,8 @@ impl Flows {
         self.aggregate.resize(m, 0.0);
     }
 
-    /// True when per-destination columns are materialised (an
-    /// aggregate-only buffer from a tiled solve has none).
-    pub(crate) fn has_columns(&self) -> bool {
-        self.per_dest.len() == self.dests.len()
-    }
-
     /// Disjoint mutable access to the per-destination columns and the
-    /// aggregate vector — the tiled engine writes a tile's columns while
+    /// aggregate vector, so a distribution writes each column while
     /// accumulating into the shared aggregate.
     pub(crate) fn parts_mut(&mut self) -> (&mut [Vec<f64>], &mut [f64]) {
         self.stamp = 0;
@@ -772,12 +767,13 @@ pub(crate) fn validate_rule(graph: &Graph, rule: SplitRule<'_>) -> Result<(), Sp
     Ok(())
 }
 
-/// The shared distribution kernel behind both untiled execution paths:
-/// routes each destination in turn through the one-destination split-table
-/// scratch `table` and writes the flows into `out`, reusing all buffers.
-/// `on_table` sees each destination's table while it is live. Generic over
-/// the DAG storage ([`ShortestPathDag`] references or arena-backed
-/// [`spef_graph::DagRef`]s); results are bit-identical either way.
+/// The shared distribution kernel behind [`traffic_distribution`] and the
+/// engine's dense path: routes each destination in turn through the
+/// one-destination split-table scratch `table` and writes the flows into
+/// `out`, reusing all buffers. `on_table` sees each destination's table
+/// while it is live. Generic over the DAG storage ([`ShortestPathDag`]
+/// references or arena-backed [`spef_graph::DagRef`]s); results are
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn distribute_batch<D, I>(
     graph: &Graph,
@@ -806,80 +802,59 @@ where
     validate_rule(graph, rule)?;
     out.reset(dests, graph.edge_count());
     let (columns, aggregate) = out.parts_mut();
-    for (i, dag) in dags.enumerate() {
-        table.reset(graph.node_count());
-        distribute_block(
-            graph,
-            &dests[i..=i],
-            [dag],
-            traffic,
-            rule,
-            table,
-            scratch,
-            &mut columns[i..=i],
-            aggregate,
+    for ((dag, &t), column) in dags.zip(dests).zip(columns) {
+        distribute_destination(
+            graph, t, &dag, traffic, rule, table, scratch, column, aggregate,
         )?;
         on_table(table.table(0));
     }
     Ok(())
 }
 
-/// The per-destination body shared by the untiled and tiled distribution
-/// paths: for each `(dag, dest)` pair it appends a split table (indexed
-/// locally from 0 within `tables`), routes the destination's demand column
-/// into `columns[i]`, and adds it into the **global** `aggregate`. The
-/// tiled engine runs it once per tile, and [`distribute_batch`] and NEM
-/// once per destination, with the same global aggregate, so the
-/// aggregate's floating-point accumulation order (ascending destination)
-/// is identical on every path — that is the bit-determinism contract of
-/// the tiled engine.
+/// The per-destination body shared by [`distribute_batch`] and NEM: builds
+/// destination `t`'s split table into the one-destination scratch
+/// `table`, routes `t`'s demand column into `column`, and adds the column
+/// into the **global** `aggregate`. Both callers run it in ascending
+/// destination order, so the aggregate's floating-point accumulation order
+/// is the same on both paths, and NEM's flows are bit-identical to the
+/// engine's.
 ///
-/// `tables` must already be reset for this block and `columns` must be
-/// zeroed, `m`-length and aligned with `dests`. Inlined because NEM calls
-/// it once per destination, and on small graphs the call overhead is a
+/// `column` must be zeroed and `m` long. Inlined because NEM calls it
+/// once per destination, and on small graphs the call overhead is a
 /// measurable share of an iteration.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn distribute_block<D, I>(
+pub(crate) fn distribute_destination<D: DagAccess>(
     graph: &Graph,
-    dests: &[NodeId],
-    dags: I,
+    t: NodeId,
+    dag: &D,
     traffic: &TrafficMatrix,
     rule: SplitRule<'_>,
-    tables: &mut SplitTableSet,
+    table: &mut SplitTableSet,
     scratch: &mut DistScratch,
-    columns: &mut [Vec<f64>],
+    column: &mut [f64],
     aggregate: &mut [f64],
-) -> Result<(), SpefError>
-where
-    D: DagAccess,
-    I: IntoIterator<Item = D>,
-{
-    debug_assert_eq!(columns.len(), dests.len());
+) -> Result<(), SpefError> {
+    if dag.dag_target() != t {
+        return Err(SpefError::InvalidInput(format!(
+            "DAG target {} does not match destination {t}",
+            dag.dag_target()
+        )));
+    }
     scratch.incoming.resize(graph.node_count(), 0.0);
-
-    for (i, (dag, &t)) in dags.into_iter().zip(dests).enumerate() {
-        if dag.dag_target() != t {
-            return Err(SpefError::InvalidInput(format!(
-                "DAG target {} does not match destination {t}",
-                dag.dag_target()
-            )));
-        }
-        tables.push_table(graph, &dag, rule);
-        traffic.demands_to_into(t, &mut scratch.demands);
-        let table = tables.table(i);
-        let flows = &mut columns[i];
-        distribute_one_into(
-            graph,
-            &dag,
-            table,
-            &scratch.demands,
-            &mut scratch.incoming,
-            flows,
-        )?;
-        for (agg, f) in aggregate.iter_mut().zip(flows.iter()) {
-            *agg += f;
-        }
+    table.reset(graph.node_count());
+    table.push_table(graph, dag, rule);
+    traffic.demands_to_into(t, &mut scratch.demands);
+    distribute_one_into(
+        graph,
+        dag,
+        table.table(0),
+        &scratch.demands,
+        &mut scratch.incoming,
+        column,
+    )?;
+    for (agg, f) in aggregate.iter_mut().zip(column.iter()) {
+        *agg += f;
     }
     Ok(())
 }

@@ -1,10 +1,9 @@
 //! The incremental-SPF determinism contract: a persistent engine fed a
-//! sequence of weight deltas (single- and multi-edge), demand swaps and
-//! interleaved tiled runs produces DAGs and flows **bit-identical** to a
-//! cold dense engine rebuilt from scratch at every step — for every tile
-//! size, across cold-fallback boundaries (detach/re-attach, `invalidate`,
-//! destination and tolerance changes), and through `TeWorkspace`
-//! sessions with `clear_solutions` in between.
+//! sequence of weight deltas (single- and multi-edge) and demand swaps
+//! produces DAGs and flows **bit-identical** to a cold dense engine
+//! rebuilt from scratch at every step — across cold-fallback boundaries
+//! (detach/re-attach, `invalidate`, destination and tolerance changes),
+//! and through `TeWorkspace` sessions with `clear_solutions` in between.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -157,48 +156,6 @@ proptest! {
             engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
             assert_step_matches(
                 &engine, &flows, &net, &tm, &dests, &w, tol, SplitRule::EvenEcmp,
-            )?;
-        }
-    }
-
-    /// Interleaved tiled runs (tile sizes 1, 3 and dense) neither corrupt
-    /// the incremental state nor change any result: tiled output equals
-    /// the untiled output, and the incremental path stays bit-identical
-    /// after each tiled detour.
-    #[test]
-    fn tiled_interleaving_preserves_incremental_state(
-        (net, tm, script) in random_instance(),
-        tile in prop_oneof![Just(Some(1usize)), Just(Some(3usize)), Just(None::<usize>)],
-    ) {
-        let m = net.link_count();
-        let dests = tm.destinations();
-        let mut w: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
-        let mut engine = RoutingEngine::new(net.graph());
-        let mut flows = engine.distribute_fresh();
-        let mut tiled_out = engine.distribute_fresh();
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
-        for step in &script {
-            for &(raw_e, raw_w) in step {
-                w[raw_e % m] = raw_w as f64 * 0.25;
-            }
-            // Tiled detour into a separate buffer (the untiled buffer's
-            // stamp survives and the next incremental call may fire).
-            if let Some(t) = tile {
-                engine
-                    .distribute_tiled(
-                        &w, &dests, 0.0, &tm, SplitRule::EvenEcmp, t, true,
-                        &mut tiled_out, |_, _, _, _| Ok(()),
-                    )
-                    .unwrap();
-            }
-            engine.build_dags(&w, &dests, 0.0).unwrap();
-            engine.distribute_into(&tm, SplitRule::EvenEcmp, &mut flows).unwrap();
-            if tile.is_some() {
-                prop_assert!(bits_eq(tiled_out.aggregate(), flows.aggregate()));
-            }
-            assert_step_matches(
-                &engine, &flows, &net, &tm, &dests, &w, 0.0, SplitRule::EvenEcmp,
             )?;
         }
     }

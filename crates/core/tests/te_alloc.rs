@@ -135,24 +135,21 @@ fn warm_resolves_allocate_constant_independent_of_budget() {
         "allocation count grew with iteration budget: {short} -> {long}"
     );
 
-    // NEM alone and the whole pipeline, dense and tiled (the tiled NEM
-    // session routes every destination through one scratch column).
-    for tile in [None, Some(4)] {
-        let mut ws = TeWorkspace::new();
-        ws.set_tile_size(tile);
-        let short = warmed_nem_allocs(8, &mut ws);
-        let long = warmed_nem_allocs(128, &mut ws);
-        assert_eq!(
-            short, long,
-            "NEM allocations grew with the budget (tile {tile:?}): {short} -> {long}"
-        );
-        let short = warmed_spef_allocs(8, &mut ws);
-        let long = warmed_spef_allocs(128, &mut ws);
-        assert_eq!(
-            short, long,
-            "SPEF allocations grew with the budget (tile {tile:?}): {short} -> {long}"
-        );
-    }
+    // NEM alone and the whole pipeline (NEM routes every destination
+    // through one scratch column).
+    let mut nem_ws = TeWorkspace::new();
+    let short = warmed_nem_allocs(8, &mut nem_ws);
+    let long = warmed_nem_allocs(128, &mut nem_ws);
+    assert_eq!(
+        short, long,
+        "NEM allocations grew with the budget: {short} -> {long}"
+    );
+    let short = warmed_spef_allocs(8, &mut nem_ws);
+    let long = warmed_spef_allocs(128, &mut nem_ws);
+    assert_eq!(
+        short, long,
+        "SPEF allocations grew with the budget: {short} -> {long}"
+    );
 
     // The warm-start path (gap tolerance, restart from the recorded
     // neighbour solution) has the same contract: its rescale works in the

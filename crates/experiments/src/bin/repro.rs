@@ -16,8 +16,6 @@
 //! repro sweep --family sim     # packet-level sim grid (fig4/abilene/cernet2)
 //! repro sweep --family failure # single-circuit failure grid (abilene)
 //! repro sweep --family scale   # tiered 200/500/1000-node scaling ladder
-//! repro sweep --family scale --tile 64   # same ladder, tiled arenas:
-//!                                        # results must not move a bit
 //! repro sweep --family all     # te grid + sim grid, one report (PR 6 gate)
 //! repro sweep --family all --cold-solves   # same grid, isolated cold solves:
 //!                                          # results must not move a bit
@@ -84,6 +82,30 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Parses one grid value of `flag`. NaN and ±∞ are rejected here: a
+/// scenario built from one either panics in a solver's argument check or
+/// writes a report whose non-finite fields serialise as `null`, which
+/// `repro diff` cannot read back.
+fn parse_finite(flag: &str, val: &str) -> Result<f64, String> {
+    let x = val
+        .parse::<f64>()
+        .map_err(|e| format!("{flag}: invalid number {val:?}: {e}"))?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(format!("{flag}: value {val:?} is not a finite number"))
+    }
+}
+
+/// Rejects negative values of `flag` (demand scales and β), the domain
+/// `TrafficMatrix::scaled` and `Objective::with_weights` assert.
+fn non_negative(flag: &str, values: Vec<f64>) -> Result<Vec<f64>, String> {
+    match values.iter().find(|&&x| x < 0.0) {
+        Some(x) => Err(format!("{flag}: value {x} must not be negative")),
+        None => Ok(values),
+    }
+}
+
 /// Parses and runs `repro sweep ...`, returning the process exit code.
 fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut grid = ScenarioGrid::new();
@@ -95,11 +117,7 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         |val: &str| -> Vec<String> { val.split(',').map(|s| s.trim().to_string()).collect() };
     let parse_f64s = |flag: &str, val: &str| -> Result<Vec<f64>, String> {
         val.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("{flag}: invalid number {s:?}: {e}"))
-            })
+            .map(|s| parse_finite(flag, s.trim()))
             .collect()
     };
 
@@ -114,7 +132,6 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                     | "--json"
                     | "--serial"
                     | "--cold-solves"
-                    | "--tile"
                     | "--full-rebuild"
                     | "--help"
                     | "-h"
@@ -166,17 +183,19 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--loads" => {
                 let val = value("--loads")?;
-                grid = grid.loads(parse_f64s("--loads", &val)?);
+                grid = grid.loads(non_negative("--loads", parse_f64s("--loads", &val)?)?);
             }
             "--betas" => {
                 let val = value("--betas")?;
-                grid = grid.betas(parse_f64s("--betas", &val)?);
+                grid = grid.betas(non_negative("--betas", parse_f64s("--betas", &val)?)?);
             }
             "--q" => {
                 let val = value("--q")?;
-                grid = grid.q(val
-                    .parse::<f64>()
-                    .map_err(|e| format!("--q: invalid value {val:?}: {e}"))?);
+                let q = parse_finite("--q", &val)?;
+                if q <= 0.0 {
+                    return Err(format!("--q: value {q} must be positive"));
+                }
+                grid = grid.q(q);
             }
             "--solvers" => {
                 let val = value("--solvers")?;
@@ -208,17 +227,11 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--sim-warmup-frac" => {
                 let val = value("--sim-warmup-frac")?;
-                grid = grid.sim_warmup_frac(
-                    val.parse::<f64>()
-                        .map_err(|e| format!("--sim-warmup-frac: invalid value {val:?}: {e}"))?,
-                );
+                grid = grid.sim_warmup_frac(parse_finite("--sim-warmup-frac", &val)?);
             }
             "--sim-unit" => {
                 let val = value("--sim-unit")?;
-                grid = grid.sim_unit_bps(
-                    val.parse::<f64>()
-                        .map_err(|e| format!("--sim-unit: invalid value {val:?}: {e}"))?,
-                );
+                grid = grid.sim_unit_bps(parse_finite("--sim-unit", &val)?);
             }
             "--sim-seed" => {
                 let val = value("--sim-seed")?;
@@ -231,16 +244,6 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             "--serial" => options.serial = true,
             "--cold-solves" => options.cold_solves = true,
             "--full-rebuild" => options.full_rebuild = true,
-            "--tile" => {
-                let val = value("--tile")?;
-                let tile = val
-                    .parse::<usize>()
-                    .map_err(|e| format!("--tile: invalid value {val:?}: {e}"))?;
-                if tile == 0 {
-                    return Err("--tile: tile size must be at least 1".into());
-                }
-                options.tile = Some(tile);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: repro sweep [--family te|sim|failure|scale|all] [--topologies a,b,...] \
@@ -248,7 +251,7 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                      [--solvers fw|fw-fast|fw-pinned|dd|ft] [--traffic ft|gravity] \
                      [--base-seed N] [--sim-durations 2,5] [--sim-warmup-frac 0.1] \
                      [--sim-unit 1e6] [--sim-seed N] [--json FILE] [--serial] [--cold-solves] \
-                     [--tile N] [--full-rebuild]"
+                     [--full-rebuild]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -433,5 +436,48 @@ mod tests {
         ];
         let err = run_sweep(argv.into_iter().map(String::from)).unwrap_err();
         assert!(err.contains("--family all"), "{err}");
+    }
+
+    #[test]
+    fn out_of_domain_grid_values_are_rejected_where_parsed() {
+        let json = std::env::temp_dir().join("repro-out-of-domain-grid-values.json");
+        let base = [
+            "--topologies",
+            "fig1",
+            "--seeds",
+            "1",
+            "--loads",
+            "0.05",
+            "--solvers",
+            "fw-fast",
+            "--json",
+            json.to_str().unwrap(),
+        ];
+        let cases: &[(&str, &[&str])] = &[
+            ("--loads", &["--loads", "inf"]),
+            ("--loads", &["--loads", "nan"]),
+            ("--loads", &["--loads", "-0.1"]),
+            ("--betas", &["--betas", "-1"]),
+            ("--betas", &["--betas", "nan"]),
+            ("--betas", &["--betas", "inf"]),
+            ("--q", &["--q", "0"]),
+            ("--q", &["--q", "inf"]),
+            (
+                "--sim-durations",
+                &["--sim-durations", "inf", "--sim-warmup-frac", "0"],
+            ),
+            ("--sim-unit", &["--sim-durations", "1", "--sim-unit", "inf"]),
+            (
+                "--sim-warmup-frac",
+                &["--sim-durations", "1", "--sim-warmup-frac", "nan"],
+            ),
+        ];
+        for (flag, extra) in cases {
+            let argv = base.iter().chain(extra.iter()).map(|s| s.to_string());
+            match run_sweep(argv) {
+                Err(err) => assert!(err.contains(flag), "{extra:?}: {err}"),
+                Ok(code) => panic!("{extra:?} was accepted ({code:?})"),
+            }
+        }
     }
 }

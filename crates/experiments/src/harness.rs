@@ -120,9 +120,9 @@ pub struct FailureScenarioResult {
 /// Measurements of a scenario's scale-ablation stage. The size counts are
 /// deterministic (pure functions of the scenario) and bit-diffed by
 /// `repro diff`; the two `peak_*_bytes` witnesses are *excluded* from the
-/// diff — they legitimately vary with the tile-size execution knob (that
-/// variation is the whole point of measuring them) and, in chain mode,
-/// with what earlier chain scenarios grew the shared workspace to.
+/// diff — they are memory measurements, which a layout change moves
+/// without moving a result, and in chain mode they reflect what earlier
+/// chain scenarios grew the shared workspace to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleScenarioResult {
     /// Nodes of the materialized network.
@@ -135,9 +135,8 @@ pub struct ScaleScenarioResult {
     /// `(destination, router)` rows.
     pub fib_entries: u64,
     /// High-water bytes of the solver workspace (`TeWorkspace::arena_bytes`:
-    /// routing arenas, flow buffers, caches and saved solutions) —
-    /// capacity-based, so tiled runs show the O(tile·edges) ceiling dense
-    /// runs don't have.
+    /// routing arenas, flow buffers, caches and saved solutions),
+    /// capacity-based.
     pub peak_arena_bytes: u64,
     /// High-water bytes of the forwarding-table arenas.
     pub peak_fib_bytes: u64,
@@ -146,7 +145,7 @@ pub struct ScaleScenarioResult {
 /// Aggregate SPF-engine counters of one sweep: summed over every chain
 /// workspace, failure-stage probe, robust weight search and
 /// reconfiguration transient the batch executed. Execution metadata —
-/// like `threads` and `tile_size` it sits outside the bit-diffed fields
+/// like `threads` it sits outside the bit-diffed fields
 /// (the incremental engine path is bit-identical to dense rebuilds; only
 /// these counters move), so sweeps diff clean across engine modes while
 /// the dirty-set effectiveness stays visible per run.
@@ -290,11 +289,6 @@ pub struct BatchReport {
     /// pool size otherwise). Execution metadata — outside the bit-diffed
     /// fields.
     pub threads: u64,
-    /// Destination tile size the batch ran with
-    /// ([`BatchOptions::tile`]); `None` = dense. Execution metadata —
-    /// outside the bit-diffed fields, which is exactly what lets a tiled
-    /// run diff clean against a dense baseline.
-    pub tile_size: Option<u64>,
     /// Aggregate SPF-engine counters of the batch ([`SpfStatsResult`]);
     /// `None` when the batch executed no SPF builds (or the report
     /// predates the field). Execution metadata — outside the bit-diffed
@@ -302,9 +296,11 @@ pub struct BatchReport {
     pub spf: Option<SpfStatsResult>,
 }
 
-// Hand-written so `tile_size` and `spf` are omitted when absent: dense
-// reports serialize byte-identically to the committed pre-PR 8 / pre-PR 10
-// baselines, and those baselines parse back without the keys.
+// Hand-written so `spf` is omitted when absent: such reports serialize
+// byte-identically to committed baselines that predate the field, and
+// those baselines parse back without the key. Keys this version does not
+// read are ignored, so reports that recorded the since-removed destination
+// tile size still parse.
 impl Serialize for BatchReport {
     fn to_value(&self) -> Value {
         let mut fields = vec![
@@ -314,9 +310,6 @@ impl Serialize for BatchReport {
             ("total_wall_ms".to_string(), self.total_wall_ms.to_value()),
             ("threads".to_string(), self.threads.to_value()),
         ];
-        if let Some(tile) = self.tile_size {
-            fields.push(("tile_size".to_string(), tile.to_value()));
-        }
         if let Some(spf) = &self.spf {
             fields.push(("spf".to_string(), spf.to_value()));
         }
@@ -337,10 +330,6 @@ impl Deserialize for BatchReport {
             failures: Vec::<ScenarioFailure>::from_value(field("failures")?)?,
             total_wall_ms: f64::from_value(field("total_wall_ms")?)?,
             threads: u64::from_value(field("threads")?)?,
-            tile_size: match value.get_field("tile_size") {
-                None => None,
-                Some(v) => Option::<u64>::from_value(v)?,
-            },
             spf: match value.get_field("spf") {
                 None => None,
                 Some(v) => Option::<SpfStatsResult>::from_value(v)?,
@@ -610,8 +599,8 @@ fn drift_failure(
 
 /// Appends per-field drift lines for a scale-stage pair. The size counts
 /// are bit-compared; the `peak_*_bytes` memory witnesses are deliberately
-/// ignored — they vary with the tile-size execution knob and chain-shared
-/// workspace history (see [`ScaleScenarioResult`]).
+/// ignored — they are memory measurements that vary with arena layouts and
+/// chain-shared workspace history (see [`ScaleScenarioResult`]).
 fn drift_scale(
     drift: &mut Vec<String>,
     id: &str,
@@ -642,12 +631,6 @@ pub struct BatchOptions {
     /// exists to capture `pre` baselines and let `repro diff` prove exactly
     /// that.
     pub cold_solves: bool,
-    /// Destination tile size for the routing arenas
-    /// ([`TeWorkspace::set_tile_size`]); `None` = dense. A pure execution
-    /// knob: results are bit-identical for every tile size, only peak
-    /// memory (and the warm-start fingerprint) changes — the regression
-    /// gate cross-diffs tiled vs dense sweeps to prove exactly that.
-    pub tile: Option<usize>,
     /// Force dense SPF rebuilds everywhere
     /// ([`TeWorkspace::set_incremental`] off, and dense probes in the
     /// Fortz–Thorup rows). A pure execution knob: the delta-aware
@@ -981,9 +964,9 @@ fn failure_stage(
 /// Runs a scenario's optional scale stage: record the instance's size
 /// counts plus the workspace and FIB arena high-water marks reached while
 /// solving it. Size counts are bit-diffed; the byte peaks are excluded
-/// from [`result_drift`] because they are exactly what the tile knob is
-/// supposed to change (and, in chain mode, reflect the chain-shared
-/// workspace's history rather than one scenario).
+/// from [`result_drift`] because they are memory measurements, not
+/// results (and, in chain mode, reflect the chain-shared workspace's
+/// history rather than one scenario).
 fn scale_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
@@ -1043,7 +1026,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
 
 /// The cold-solve kernel shared by [`run_scenario`] and the
 /// [`BatchOptions::cold_solves`] lanes of [`run_batch`]: a fresh
-/// [`TeWorkspace`] per scenario, configured with the batch's tile knob.
+/// [`TeWorkspace`] per scenario, configured with the batch's engine mode.
 fn run_scenario_opts(
     scenario: &Scenario,
     options: &BatchOptions,
@@ -1052,7 +1035,6 @@ fn run_scenario_opts(
 ) -> Result<ScenarioResult, String> {
     let started = Instant::now();
     let mut ws = TeWorkspace::new();
-    ws.set_tile_size(options.tile);
     ws.set_incremental(!options.full_rebuild);
     let mut probes = FailureProbes::new(options.full_rebuild);
     let solved = solve_pipeline(scenario, &mut ws, options, spf)?;
@@ -1085,7 +1067,6 @@ fn run_chain(
     options: &BatchOptions,
 ) -> (Vec<IndexedOutcome>, SpfStats) {
     let mut ws = TeWorkspace::new();
-    ws.set_tile_size(options.tile);
     ws.set_incremental(!options.full_rebuild);
     let mut sim_ws = SimWorkspace::new();
     // One probe pair per chain: every failure-stage circuit of the chain
@@ -1234,7 +1215,6 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
         failures,
         total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
         threads,
-        tile_size: options.tile.map(|t| t as u64),
         spf: (spf_total.builds > 0).then(|| SpfStatsResult::from_stats(spf_total)),
     }
 }

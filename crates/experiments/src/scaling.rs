@@ -13,9 +13,8 @@
 //! * the full `SpefRouting` build time,
 //! * the control-plane state: total forwarding-table entries for SPEF vs
 //!   plain-OSPF ECMP (the "one more weight" overhead made concrete),
-//! * the routing-arena high-water mark of the SPEF build, dense vs tiled
-//!   ([`TeWorkspace::set_tile_size`]) — the memory the destination tiles
-//!   buy back, with bit-identical results.
+//! * the high-water mark of the SPEF build's workspace and FIB arenas
+//!   ([`TeWorkspace::arena_bytes`]).
 
 use std::time::Instant;
 
@@ -36,10 +35,6 @@ pub fn sizes(quality: Quality) -> Vec<usize> {
         Quality::Quick => vec![20, 40],
     }
 }
-
-/// Destination tile size for the tiled-arena column. Small enough that
-/// every lane (smallest quick lane: 19 destinations) actually tiles.
-const TILE: usize = 8;
 
 /// The networks swept: the random ladder plus one tiered
 /// (core/aggregation/edge) lane exercising the hierarchical generator.
@@ -77,7 +72,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             "SPEF FIB entries",
             "OSPF FIB entries",
             "peak arena (KiB)",
-            "tile-8 peak (KiB)",
         ],
     );
     let mut rows = Vec::new();
@@ -107,8 +101,8 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
         let te_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Algorithm 1 gets its own workspace so the dual-decomposition
-        // session arenas don't inflate the dense-vs-tiled peak comparison
-        // below (both peaks must cover the same FW + NEM + engine arenas).
+        // session arenas don't inflate the SPEF build's peak below (it
+        // covers the FW + NEM + engine arenas only).
         let mut dd_ws = TeWorkspace::new();
         let alg1_iters = 50;
         let t0 = Instant::now();
@@ -141,21 +135,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             .spef_config()
             .solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let peak_dense = ws.arena_bytes() + routing.forwarding_table().arena_bytes();
-
-        // Same build, destination-tiled arenas: results are bit-identical
-        // (asserted), only the high-water mark moves.
-        let mut tiled_ws = TeWorkspace::new();
-        tiled_ws.set_tile_size(Some(TILE));
-        let tiled = quality
-            .spef_config()
-            .solve_in(TeInstance::new(&net, &tm, &obj), &mut tiled_ws)?;
-        let peak_tiled = tiled_ws.arena_bytes() + tiled.forwarding_table().arena_bytes();
-        assert_eq!(
-            routing.max_link_utilization(&net).to_bits(),
-            tiled.max_link_utilization(&net).to_bits(),
-            "tiled SPEF build drifted from the dense build"
-        );
+        let peak = ws.arena_bytes() + routing.forwarding_table().arena_bytes();
 
         // Control-plane state straight off the flat FIB arena — O(1), not
         // the old O(dests · nodes) re-lookup that rebuilt a NodeId and
@@ -175,8 +155,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             format!("{build_ms:.1}"),
             spef_entries.to_string(),
             ospf_entries.to_string(),
-            format!("{:.0}", peak_dense as f64 / 1024.0),
-            format!("{:.0}", peak_tiled as f64 / 1024.0),
+            format!("{:.0}", peak as f64 / 1024.0),
         ]);
         rows.push(vec![
             n as f64,
@@ -187,8 +166,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             build_ms,
             spef_entries as f64,
             ospf_entries as f64,
-            peak_dense as f64,
-            peak_tiled as f64,
+            peak as f64,
             if tiered { 1.0 } else { 0.0 },
         ]);
     }
@@ -208,7 +186,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
                 "spef_fib_entries",
                 "ospf_fib_entries",
                 "peak_arena_bytes",
-                "peak_arena_tile8_bytes",
                 "tiered",
             ],
             &rows,
@@ -231,9 +208,9 @@ mod tests {
             .collect();
         // Two random sizes plus the tiered lane.
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0][10], 0.0);
-        assert_eq!(rows[1][10], 0.0);
-        assert_eq!(rows[2][10], 1.0);
+        assert_eq!(rows[0][9], 0.0);
+        assert_eq!(rows[1][9], 0.0);
+        assert_eq!(rows[2][9], 1.0);
         for row in &rows {
             // Timings positive, FIB entries at least one per (node−1, dest).
             assert!(row[2] > 0.0);
@@ -245,15 +222,7 @@ mod tests {
             let floor = (nodes * (nodes - 1)) as f64;
             assert!(row[6] >= floor, "SPEF entries {} < {floor}", row[6]);
             assert!(row[7] >= floor, "OSPF entries {} < {floor}", row[7]);
-            // Every lane has more destinations than the tile, so the tiled
-            // build's arena high-water mark must come in under dense.
-            assert!(row[8] > 0.0 && row[9] > 0.0);
-            assert!(
-                row[9] < row[8],
-                "tile-{TILE} peak {} not below dense peak {}",
-                row[9],
-                row[8]
-            );
+            assert!(row[8] > 0.0);
         }
     }
 }

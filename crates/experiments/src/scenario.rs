@@ -48,7 +48,7 @@ pub enum TopologySpec {
     /// edge routers).
     Hier500,
     /// A seeded 1000-node 3-tier network (10 cores × 9 aggregation × 10
-    /// edge routers) — the thousand-node rung the tiled engine exists for.
+    /// edge routers) — the thousand-node rung of the scaling family.
     Hier1000,
     /// A connected random network with exactly `links` directed links.
     Random {
@@ -763,11 +763,10 @@ impl ScenarioGrid {
     /// The `scale` scenario family: the tiered 200/500/1000-node networks
     /// plus a 200-node random control, at a low load every rung routes
     /// with headroom, under pinned Frank–Wolfe (results are a pure
-    /// function of the instance — independent of sweep order, workspace
-    /// history, and the tile-size execution knob). Each scenario carries
-    /// the scale-ablation stage, so the report pins node/link/destination
-    /// counts and total FIB entries while peak arena bytes stay outside
-    /// the diff — the PR 8 regression grid.
+    /// function of the instance — independent of sweep order and
+    /// workspace history). Each scenario carries the scale-ablation stage,
+    /// so the report pins node/link/destination counts and total FIB
+    /// entries while peak arena bytes stay outside the diff.
     pub fn scale_family() -> Self {
         ScenarioGrid::new()
             .topologies([

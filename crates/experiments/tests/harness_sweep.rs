@@ -75,6 +75,16 @@ fn batch_report_roundtrips_through_json() {
     // The id field stays the stable join key tooling can rely on.
     assert!(json.contains("\"fig1+ft-s1-l0.15+q1b1+fw-fast\""));
     assert!(json.contains("\"schema_version\": 1"));
+
+    // A top-level key this version does not read is ignored, so reports
+    // from sweeps that recorded a since-removed option (the destination
+    // tile size) still parse, to the same report.
+    let legacy = json.replacen("\"threads\":", "\"retired_option\": 64,\n  \"threads\":", 1);
+    assert_ne!(legacy, json);
+    assert_eq!(
+        BatchReport::from_json(&legacy).expect("legacy report parses"),
+        report
+    );
 }
 
 /// A small sim-staged sweep: fig4 clean plus fig4 at a lossier point.
