@@ -11,7 +11,7 @@
 //!   SPEF is contrasted with in §V.D: exponential penalties over *all*
 //!   downward paths, not just equal-cost shortest ones.
 //! * [`mlu_lp`] — the classic minimise-MLU linear program (TABLE I's
-//!   "MLU [19]" column), solved exactly with the `spef-lp` simplex.
+//!   "MLU \[19\]" column), solved exactly with the `spef-lp` simplex.
 //!
 //! The β = 0 exact LP lives in `spef-core` (`FrankWolfeConfig`'s `TeSolver`
 //! impl dispatches on β).

@@ -1,4 +1,4 @@
-//! Exact minimisation of the maximum link utilization (the "MLU [19]"
+//! Exact minimisation of the maximum link utilization (the "MLU \[19\]"
 //! column of TABLE I), as a linear program.
 //!
 //! ```text

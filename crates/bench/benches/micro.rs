@@ -160,149 +160,6 @@ fn bench_frank_wolfe(c: &mut Criterion) {
     group.bench_function("frank_wolfe_100it_abilene", |b| {
         b.iter(|| cfg.solve(TeInstance::new(&net, &tm, &obj)).expect("te"))
     });
-
-    // The PR 6 warm-vs-cold pair: the alternating-load steady state a
-    // dependency-aware sweep runs on one chain. The loads are proportional
-    // rescales of one Fortz-Thorup shape, so each warm solve restarts from
-    // its neighbour's rescaled solution and must reach the relative-gap
-    // tolerance in fewer iterations than a cold solve of the same load
-    // (asserted below, and the iteration counts are printed so the lane
-    // doubles as the warm-start witness).
-    let tm_hi = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.13);
-    // Tolerance-bound (generous cap) so the stopping point is the gap, not
-    // the budget — a capped run would hide the warm start's head start.
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::with_tolerance(20_000, 1e-4),
-        ..FrankWolfeConfig::default()
-    };
-    let cold_lo = fw.solve(TeInstance::new(&net, &tm, &obj)).expect("te");
-    let cold_hi = fw.solve(TeInstance::new(&net, &tm_hi, &obj)).expect("te");
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .expect("te");
-    let warm_hi = fw
-        .solve_in(TeInstance::new(&net, &tm_hi, &obj), &mut ws)
-        .expect("te");
-    let warm_lo = fw
-        .solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .expect("te");
-    eprintln!(
-        "frank_wolfe_abilene cold vs warm iterations: \
-         load 0.12: {} -> {}, load 0.13: {} -> {}",
-        cold_lo.iterations, warm_lo.iterations, cold_hi.iterations, warm_hi.iterations
-    );
-    assert!(
-        warm_hi.iterations < cold_hi.iterations || warm_lo.iterations < cold_lo.iterations,
-        "warm start saved no iterations on either neighbouring load"
-    );
-    group.bench_function("frank_wolfe_abilene_cold", |b| {
-        b.iter(|| {
-            let lo = fw.solve(TeInstance::new(&net, &tm, &obj)).expect("te");
-            let hi = fw.solve(TeInstance::new(&net, &tm_hi, &obj)).expect("te");
-            lo.iterations + hi.iterations
-        })
-    });
-    group.bench_function("frank_wolfe_abilene_warm", |b| {
-        b.iter(|| {
-            let hi = fw
-                .solve_in(TeInstance::new(&net, &tm_hi, &obj), &mut ws)
-                .expect("te");
-            let lo = fw
-                .solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-                .expect("te");
-            lo.iterations + hi.iterations
-        })
-    });
-    group.finish();
-}
-
-fn bench_failure_chain(c: &mut Criterion) {
-    // The PR 7 warm-vs-cold pair: a remove-one-link failure chain. The
-    // intact Abilene solve is recorded as the session's base solution;
-    // each degraded solve then restarts from that solution projected onto
-    // the surviving edge set (conservation repaired along detours) instead
-    // of from scratch. Tolerance-bound so the stopping point is the
-    // relative gap, and the iteration totals are printed so the lane
-    // doubles as the warm-start witness.
-    let net = standard::abilene();
-    let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.1);
-    let obj = Objective::proportional(net.link_count());
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::with_tolerance(20_000, 1e-4),
-        ..FrankWolfeConfig::default()
-    };
-    // A chain of circuit failures that stay feasible at this load (some
-    // Abilene circuits leave no slack at 0.1 and would abort both lanes).
-    let circuits = net.duplex_circuits();
-    let chain: Vec<_> = [0usize, 1, 3, 6, 13]
-        .into_iter()
-        .map(|i| {
-            let (degraded, _) = net
-                .without_links(&circuits[i])
-                .expect("no bridges on Abilene");
-            let obj_d = Objective::proportional(degraded.link_count());
-            (degraded, obj_d)
-        })
-        .collect();
-
-    let mut cold_total = 0u64;
-    for (degraded, obj_d) in &chain {
-        let sol = fw.solve(TeInstance::new(degraded, &tm, obj_d)).expect("te");
-        cold_total += sol.iterations as u64;
-    }
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .expect("te");
-    let mut warm_total = 0u64;
-    for (degraded, obj_d) in &chain {
-        let sol = fw
-            .solve_in(TeInstance::new(degraded, &tm, obj_d), &mut ws)
-            .expect("te");
-        warm_total += sol.iterations as u64;
-    }
-    eprintln!(
-        "failure_chain_abilene cold vs warm iterations over {} circuit failures: {} -> {}",
-        chain.len(),
-        cold_total,
-        warm_total
-    );
-    assert!(
-        warm_total < cold_total,
-        "removal warm start saved no iterations across the failure chain \
-         ({cold_total} cold vs {warm_total} warm)"
-    );
-
-    let mut group = c.benchmark_group("solvers");
-    group.sample_size(10);
-    group.bench_function("failure_chain_abilene_cold", |b| {
-        b.iter(|| {
-            let mut total = 0u64;
-            for (degraded, obj_d) in &chain {
-                total += fw
-                    .solve(TeInstance::new(degraded, &tm, obj_d))
-                    .expect("te")
-                    .iterations as u64;
-            }
-            total
-        })
-    });
-    group.bench_function("failure_chain_abilene_warm", |b| {
-        b.iter(|| {
-            // Re-anchor the base at the intact solution, then run the
-            // degraded chain off its projections.
-            ws.clear_solutions();
-            fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-                .expect("te");
-            let mut total = 0u64;
-            for (degraded, obj_d) in &chain {
-                total += fw
-                    .solve_in(TeInstance::new(degraded, &tm, obj_d), &mut ws)
-                    .expect("te")
-                    .iterations as u64;
-            }
-            total
-        })
-    });
     group.finish();
 }
 
@@ -325,7 +182,6 @@ fn bench_nem(c: &mut Criterion) {
     let mut ws = TeWorkspace::new();
     group.bench_function("nem_100it_abilene", |b| {
         b.iter(|| {
-            ws.clear_solutions();
             cfg.solve_in(
                 NemInstance::new(net.graph(), &dags, &tm, te.flows.aggregate()),
                 &mut ws,
@@ -399,14 +255,11 @@ fn build_mlu_lp(network: &Network, tm: &TrafficMatrix) -> LinearProgram {
 }
 
 fn bench_simplex_mlu(c: &mut Criterion) {
-    // The paper-scale MLU LP on Abilene, solved three ways: the flat-arena
-    // engine cold (workspace recycled), the warm-start resolve path, and a
-    // faithful copy of the legacy Vec<Vec<f64>>-with-per-pivot-clone
-    // tableau — the before/after evidence for the flat rewrite.
+    // The paper-scale MLU LP on Abilene, solved two ways: the flat-arena
+    // engine cold (workspace recycled) and the warm-start resolve path.
     let net = standard::abilene();
     let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.12);
     let lp = build_mlu_lp(&net, &tm);
-    let reference = lp.solve().expect("abilene MLU LP solves").objective();
 
     let mut group = c.benchmark_group("solvers");
     group.sample_size(10);
@@ -419,278 +272,7 @@ fn bench_simplex_mlu(c: &mut Criterion) {
         lp.resolve(&mut ws).expect("warm-up");
         b.iter(|| lp.resolve(&mut ws).expect("mlu lp"))
     });
-    group.bench_function("simplex_mlu_abilene_legacy-shape", |b| {
-        b.iter(|| {
-            let sol = legacy_shape::solve(&lp).expect("mlu lp");
-            assert!((sol - reference).abs() < 1e-7, "legacy diverged: {sol}");
-            sol
-        })
-    });
     group.finish();
-}
-
-/// A faithful copy of the pre-flat-arena simplex: `Vec<Vec<f64>>` tableau,
-/// a full row `clone()` per pivot and per objective-row update. Kept here
-/// (not in `spef-lp`) purely as the benchmark comparison shape; it reads
-/// the model through `LinearProgram`'s introspection API and must produce
-/// the same objective as the flat engine.
-mod legacy_shape {
-    use spef_lp::simplex::{LinearProgram, Relation};
-
-    const EPS: f64 = 1e-9;
-    const PIVOT_EPS: f64 = 1e-7;
-
-    type SparseRow = (Vec<(usize, f64)>, Relation, f64);
-
-    struct Tableau {
-        t: Vec<Vec<f64>>,
-        m: usize,
-        cols: usize,
-        basis: Vec<usize>,
-        row_active: Vec<bool>,
-        art_start: usize,
-        costs: Vec<f64>,
-        n_struct: usize,
-    }
-
-    pub fn solve(lp: &LinearProgram) -> Result<f64, String> {
-        let mut tab = build(lp);
-        phase1(&mut tab)?;
-        phase2(&mut tab)?;
-        // Objective extraction (duals omitted: the pivots above are the
-        // measured work and are identical in kind to the legacy engine's).
-        let mut x = vec![0.0; lp.num_vars()];
-        for i in 0..tab.m {
-            if tab.row_active[i] && tab.basis[i] < lp.num_vars() {
-                x[tab.basis[i]] = tab.t[i][tab.cols];
-            }
-        }
-        Ok(x.iter()
-            .enumerate()
-            .map(|(v, xi)| xi * lp.objective_coeff(v))
-            .sum())
-    }
-
-    fn build(lp: &LinearProgram) -> Tableau {
-        let m = lp.num_constraints();
-        let n = lp.num_vars();
-        let rows: Vec<SparseRow> = lp
-            .constraint_rows()
-            .map(|(c, r, b)| (c.to_vec(), r, b))
-            .collect();
-        let rel: Vec<Relation> = rows
-            .iter()
-            .map(|&(_, r, b)| {
-                if b < 0.0 {
-                    match r {
-                        Relation::Le => Relation::Ge,
-                        Relation::Ge => Relation::Le,
-                        Relation::Eq => Relation::Eq,
-                    }
-                } else {
-                    r
-                }
-            })
-            .collect();
-        let n_slack = rel
-            .iter()
-            .filter(|r| matches!(r, Relation::Le | Relation::Ge))
-            .count();
-        let n_art = rel
-            .iter()
-            .filter(|r| matches!(r, Relation::Ge | Relation::Eq))
-            .count();
-        let cols = n + n_slack + n_art;
-        let art_start = n + n_slack;
-        let mut t = vec![vec![0.0; cols + 1]; m + 1];
-        let mut basis = vec![usize::MAX; m];
-        for (i, (coeffs, _, rhs)) in rows.iter().enumerate() {
-            let sign = if *rhs < 0.0 { -1.0 } else { 1.0 };
-            for &(v, a) in coeffs {
-                t[i][v] += sign * a;
-            }
-            t[i][cols] = rhs.abs();
-        }
-        let mut next_slack = n;
-        let mut next_art = art_start;
-        for (i, r) in rel.iter().enumerate() {
-            match r {
-                Relation::Le => {
-                    t[i][next_slack] = 1.0;
-                    basis[i] = next_slack;
-                    next_slack += 1;
-                }
-                Relation::Ge => {
-                    t[i][next_slack] = -1.0;
-                    next_slack += 1;
-                    t[i][next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-                Relation::Eq => {
-                    t[i][next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-            }
-        }
-        let costs: Vec<f64> = (0..n)
-            .map(|v| {
-                if lp.is_maximize() {
-                    -lp.objective_coeff(v)
-                } else {
-                    lp.objective_coeff(v)
-                }
-            })
-            .collect();
-        Tableau {
-            t,
-            m,
-            cols,
-            basis,
-            row_active: vec![true; m],
-            art_start,
-            costs,
-            n_struct: n,
-        }
-    }
-
-    fn phase1(tab: &mut Tableau) -> Result<(), String> {
-        if tab.art_start == tab.cols {
-            return Ok(());
-        }
-        let obj = tab.m;
-        for j in 0..=tab.cols {
-            tab.t[obj][j] = 0.0;
-        }
-        for j in tab.art_start..tab.cols {
-            tab.t[obj][j] = 1.0;
-        }
-        for i in 0..tab.m {
-            if tab.basis[i] >= tab.art_start {
-                let row = tab.t[i].clone();
-                for (dst, src) in tab.t[obj].iter_mut().zip(&row) {
-                    *dst -= *src;
-                }
-            }
-        }
-        iterate(tab, tab.cols)?;
-        if -tab.t[obj][tab.cols] > 1e-7 {
-            return Err("infeasible".into());
-        }
-        for i in 0..tab.m {
-            if tab.basis[i] >= tab.art_start {
-                let pivot_col = (0..tab.art_start).find(|&j| tab.t[i][j].abs() > PIVOT_EPS);
-                match pivot_col {
-                    Some(j) => pivot(tab, i, j),
-                    None => tab.row_active[i] = false,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn phase2(tab: &mut Tableau) -> Result<(), String> {
-        let obj = tab.m;
-        for j in 0..=tab.cols {
-            tab.t[obj][j] = 0.0;
-        }
-        for j in 0..tab.n_struct {
-            tab.t[obj][j] = tab.costs[j];
-        }
-        for i in 0..tab.m {
-            if !tab.row_active[i] {
-                continue;
-            }
-            let b = tab.basis[i];
-            let cb = if b < tab.n_struct { tab.costs[b] } else { 0.0 };
-            if cb != 0.0 {
-                let row = tab.t[i].clone();
-                for (dst, src) in tab.t[obj].iter_mut().zip(&row) {
-                    *dst -= cb * *src;
-                }
-            }
-        }
-        iterate(tab, tab.art_start)
-    }
-
-    fn iterate(tab: &mut Tableau, allowed_cols: usize) -> Result<(), String> {
-        let obj = tab.m;
-        let bland_after = 50 * (tab.m + tab.cols) + 1000;
-        let hard_cap = 400 * (tab.m + tab.cols) + 20_000;
-        for iter in 0..hard_cap {
-            let bland = iter >= bland_after;
-            let entering = if bland {
-                (0..allowed_cols).find(|&j| tab.t[obj][j] < -EPS)
-            } else {
-                let mut best = None;
-                let mut best_val = -EPS;
-                for j in 0..allowed_cols {
-                    let r = tab.t[obj][j];
-                    if r < best_val {
-                        best_val = r;
-                        best = Some(j);
-                    }
-                }
-                best
-            };
-            let Some(j) = entering else {
-                return Ok(());
-            };
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..tab.m {
-                if !tab.row_active[i] {
-                    continue;
-                }
-                let a = tab.t[i][j];
-                if a > PIVOT_EPS {
-                    let ratio = tab.t[i][tab.cols] / a;
-                    let better = match leave {
-                        None => true,
-                        Some(li) => {
-                            ratio < best_ratio - EPS
-                                || (bland
-                                    && (ratio - best_ratio).abs() <= EPS
-                                    && tab.basis[i] < tab.basis[li])
-                        }
-                    };
-                    if better {
-                        best_ratio = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(i) = leave else {
-                return Err("unbounded".into());
-            };
-            pivot(tab, i, j);
-        }
-        Err("iteration cap exceeded".into())
-    }
-
-    fn pivot(tab: &mut Tableau, pivot_row: usize, pivot_col: usize) {
-        let piv = tab.t[pivot_row][pivot_col];
-        let inv = 1.0 / piv;
-        for j in 0..=tab.cols {
-            tab.t[pivot_row][j] *= inv;
-        }
-        tab.t[pivot_row][pivot_col] = 1.0;
-        let prow = tab.t[pivot_row].clone();
-        for i in 0..=tab.m {
-            if i == pivot_row {
-                continue;
-            }
-            let factor = tab.t[i][pivot_col];
-            if factor.abs() > 0.0 {
-                for (dst, src) in tab.t[i].iter_mut().zip(&prow) {
-                    *dst -= factor * *src;
-                }
-                tab.t[i][pivot_col] = 0.0;
-            }
-        }
-        tab.basis[pivot_row] = pivot_col;
-    }
 }
 
 fn bench_simulator(c: &mut Criterion) {
@@ -874,7 +456,6 @@ criterion_group!(
     bench_traffic_distribution,
     bench_fib,
     bench_frank_wolfe,
-    bench_failure_chain,
     bench_nem,
     bench_simplex,
     bench_simplex_mlu,

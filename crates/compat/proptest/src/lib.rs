@@ -2,8 +2,8 @@
 //! property-testing framework.
 //!
 //! Implements the API surface this workspace's property tests use —
-//! [`Strategy`] with `prop_map` / `prop_flat_map`, range and tuple
-//! strategies, [`collection::vec`], [`Just`], [`prop_oneof!`], the
+//! [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map`, range and tuple
+//! strategies, [`collection::vec`], [`Just`](strategy::Just), [`prop_oneof!`], the
 //! [`proptest!`] test macro and `prop_assert*` — with one simplification:
 //! failing cases are **not shrunk**; the failing input is reported by the
 //! panic message of the assertion that tripped.

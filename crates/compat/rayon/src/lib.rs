@@ -4,7 +4,7 @@
 //! `into_par_iter().map(f).collect()` pipeline plus the borrowed-slice and
 //! range entry points the batched routing engine needs (`par_iter`,
 //! `par_iter_mut`, ranges, `enumerate`, `for_each`) — with genuine
-//! parallelism on a **persistent worker pool** (see [`pool`]): worker
+//! parallelism on a **persistent worker pool** (see `pool`): worker
 //! threads are spawned lazily once, parked on a condvar, and dispatched
 //! borrowed job shares per parallel call, mirroring real rayon's global
 //! pool instead of paying `std::thread::scope` spawn-up on every call.

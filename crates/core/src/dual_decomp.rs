@@ -111,12 +111,8 @@ pub struct DualDecompOutcome {
 /// neutral.
 pub const WEIGHT_FLOOR: f64 = 1e-9;
 
-/// Runs Algorithm 1 in the caller's workspace.
-///
-/// A topology/destination-compatible saved multiplier vector seeds `w(0)`
-/// (any `w ≥ 0` is a valid dual start, so no further checks are needed);
-/// otherwise the paper's cold start `w(0) = 1/c` is used. Under
-/// [`ConvergenceCriteria::pinned`] the saved state is ignored and exactly
+/// Runs Algorithm 1 in the caller's workspace from the paper's start
+/// `w(0) = 1/c`. Under [`ConvergenceCriteria::pinned`] exactly
 /// `max_iterations` subgradient steps run.
 pub(crate) fn solve_in(
     network: &Network,
@@ -148,14 +144,9 @@ pub(crate) fn solve_in(
 
     let mut engine = RoutingEngine::with_state(g, ws.take_engine(g));
     let dd = &mut ws.dd;
-    let warm = !config.convergence.pinned && dd.try_warm_start(g, &dests);
-    // Until the run completes, nothing claims the buffers solve anything.
-    dd.forget();
-    if !warm {
-        // Paper §V.F: w(0) = 1/c is a proper choice.
-        dd.weights.clear();
-        dd.weights.extend(caps.iter().map(|c| 1.0 / c));
-    }
+    // Paper §V.F: w(0) = 1/c is a proper choice.
+    dd.weights.clear();
+    dd.weights.extend(caps.iter().map(|c| 1.0 / c));
     let result = run(
         traffic,
         objective,
@@ -168,26 +159,18 @@ pub(crate) fn solve_in(
         dd,
     );
     ws.put_engine(engine.into_state());
-    match result {
-        Ok((dual_trace, gap_trace, iterations, converged)) => {
-            let dd = &mut ws.dd;
-            dd.record_solution(g, &dests);
-            Ok(DualDecompOutcome {
-                weights: dd.weights.clone(),
-                spare: dd.spare.clone(),
-                flows: dd.flows.clone(),
-                average_flows: dd.average_flows.clone(),
-                dual_objective_trace: dual_trace,
-                gap_trace,
-                iterations,
-                converged,
-            })
-        }
-        Err(e) => {
-            ws.dd.forget();
-            Err(e)
-        }
-    }
+    let (dual_trace, gap_trace, iterations, converged) = result?;
+    let dd = &ws.dd;
+    Ok(DualDecompOutcome {
+        weights: dd.weights.clone(),
+        spare: dd.spare.clone(),
+        flows: dd.flows.clone(),
+        average_flows: dd.average_flows.clone(),
+        dual_objective_trace: dual_trace,
+        gap_trace,
+        iterations,
+        converged,
+    })
 }
 
 /// The subgradient loop, operating on the session buffers. `dd.weights`

@@ -1081,10 +1081,11 @@ mod tests {
             .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
             .unwrap();
 
-        // Mutating the buffer (external scaling) clears its stamp; the
-        // next call must fall back dense, not trust stale columns.
-        let ratios = vec![1.0; dests.len()];
-        flows.scale_per_destination(&ratios);
+        // Mutating the buffer (an external blend, here toward a copy of
+        // itself) clears its stamp; the next call must fall back dense,
+        // not trust stale columns.
+        let copy = flows.clone();
+        flows.blend_toward(&copy, 0.5);
         w[0] = 2.0;
         engine.build_dags(&w, &dests, 0.0).unwrap();
         engine

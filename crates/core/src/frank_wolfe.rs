@@ -29,7 +29,7 @@ use spef_graph::NodeId;
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::engine::RoutingEngine;
-use crate::solver::{ConvergenceCriteria, FwSession, FwStart, TeWorkspace};
+use crate::solver::{ConvergenceCriteria, FwSession, TeWorkspace};
 use crate::te::TeSolution;
 use crate::traffic_dist::SplitRule;
 use crate::{Objective, SpefError};
@@ -120,11 +120,10 @@ impl<'a> SmoothedUtility<'a> {
     }
 }
 
-/// The session entry point for β > 0: workspace-resident buffers,
-/// warm-start from a compatible saved solution (proportional demand
-/// rescale), cold fallback otherwise. Reached through the
-/// [`TeSolver`](crate::TeSolver) impl on [`FrankWolfeConfig`] (via
-/// [`solve_te_in`](crate::te::solve_te_in), which adds the β = 0 LP
+/// The session entry point for β > 0: the loop runs on workspace-resident
+/// buffers and always starts from even-ECMP on InvCap weights. Reached
+/// through the [`TeSolver`](crate::TeSolver) impl on [`FrankWolfeConfig`]
+/// (via [`solve_te_in`](crate::te::solve_te_in), which adds the β = 0 LP
 /// dispatch).
 ///
 /// # Errors
@@ -155,24 +154,6 @@ pub(crate) fn solve_in(
         ));
     }
 
-    // Warm start: rescale the previous solution when the fingerprint
-    // matches and the demands are per-destination proportional, or — for
-    // link-removal instances — project a saved full-topology solution
-    // onto the surviving edge set. Pinned mode always runs the cold
-    // trajectory.
-    let start = if config.convergence.pinned {
-        FwStart::Cold
-    } else {
-        ws.fw.warm_start(
-            network,
-            traffic,
-            objective,
-            config.smoothing_fraction,
-            &dests,
-        )
-    };
-    let warm = start != FwStart::Cold;
-
     let mut engine = RoutingEngine::with_state(network.graph(), ws.take_engine(network.graph()));
     let outcome = run(
         network,
@@ -180,50 +161,29 @@ pub(crate) fn solve_in(
         objective,
         config,
         &dests,
-        warm,
         &mut engine,
         &mut ws.fw,
     );
     ws.put_engine(engine.into_state());
-    match outcome {
-        Ok((utility, weights, relative_gap, iterations)) => {
-            ws.fw.record_solution(
-                network,
-                traffic,
-                objective,
-                config.smoothing_fraction,
-                &dests,
-                start == FwStart::RemovalProjected,
-            );
-            Ok(TeSolution {
-                flows: ws.fw.flows.clone(),
-                spare: ws.fw.spare.clone(),
-                utility,
-                weights,
-                relative_gap,
-                iterations,
-            })
-        }
-        Err(e) => {
-            // The buffers may hold a half-blended iterate; nothing claims
-            // they solve anything.
-            ws.fw.forget();
-            Err(e)
-        }
-    }
+    let (utility, weights, relative_gap, iterations) = outcome?;
+    Ok(TeSolution {
+        flows: ws.fw.flows.clone(),
+        spare: ws.fw.spare.clone(),
+        utility,
+        weights,
+        relative_gap,
+        iterations,
+    })
 }
 
-/// The conditional-gradient loop on workspace buffers. Op-for-op the
-/// historical cold path when `warm` is false: arena reuse must never
-/// change results.
-#[allow(clippy::too_many_arguments)]
+/// The conditional-gradient loop on workspace buffers: arena reuse must
+/// never change results.
 fn run(
     network: &Network,
     traffic: &TrafficMatrix,
     objective: &Objective,
     config: &FrankWolfeConfig,
     dests: &[NodeId],
-    warm: bool,
     engine: &mut RoutingEngine<'_>,
     fw: &mut FwSession,
 ) -> Result<(f64, Vec<f64>, f64, usize), SpefError> {
@@ -236,14 +196,12 @@ fn run(
         .unwrap_or(DEFAULT_RELATIVE_GAP);
     let pinned = config.convergence.pinned;
 
-    if !warm {
-        // Initial point: even-ECMP on InvCap weights (always conservation-
-        // feasible; capacities are handled by the smoothed barrier).
-        fw.init_weights.clear();
-        fw.init_weights.extend(caps.iter().map(|c| 1.0 / c));
-        engine.build_dags(&fw.init_weights, dests, 0.0)?;
-        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.flows)?;
-    }
+    // Initial point: even-ECMP on InvCap weights (always conservation-
+    // feasible; capacities are handled by the smoothed barrier).
+    fw.init_weights.clear();
+    fw.init_weights.extend(caps.iter().map(|c| 1.0 / c));
+    engine.build_dags(&fw.init_weights, dests, 0.0)?;
+    engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.flows)?;
 
     fw.spare.clear();
     fw.spare

@@ -22,7 +22,7 @@
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
-//! | [`objective`] | (q, β) load-balance family, Eq. (4)/(11) |
+//! | `objective` ([`Objective`]) | (q, β) load-balance family, Eq. (4)/(11) |
 //! | [`te`] | `TE(V,G,c,D)` (Eq. 5) and the β = 0 LP |
 //! | [`frank_wolfe`] | high-accuracy primal reference solver |
 //! | [`dual_decomp`] | **Algorithm 1** — first weights, Fig. 12(a) |
@@ -53,8 +53,8 @@
 //! ```
 //!
 //! Sweeps over neighbouring instances should hold a [`TeWorkspace`] and
-//! call [`TeSolver::solve_in`] instead — arenas persist and compatible
-//! previous solutions warm-start the run (see [`solver`]).
+//! call [`TeSolver::solve_in`] instead: its arenas persist across solves,
+//! and the results equal `solve()`'s bit for bit (see [`solver`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@
 //!
 //! Algorithm 2 is projected gradient on the dual:
 //! `v ← (v − γ (f* − f(v)))₊`, where `f(v)` is the traffic distribution
-//! induced by exponential splitting ([`traffic_distribution`] with
+//! induced by exponential splitting ([`crate::traffic_distribution`] with
 //! [`SplitRule::Exponential`]). The recorded dual-objective trace
 //! `d(v) = Σ_r d_r · log Σ_k e^(−v^r_k) + Σ_e v_e f*_e` regenerates
 //! Fig. 12(b).
@@ -76,10 +76,9 @@ pub struct NemOutcome {
 
 /// The session entry point: the dual iterate `v`, the flow and demand
 /// buffers and a one-destination split-table scratch live in the
-/// workspace. A saved `v` for the same graph and destination set seeds the
-/// run (any `v ≥ 0` is a valid projected-gradient start); otherwise
-/// `v(0) = 0` as in §V.F. Reached through the [`TeSolver`](crate::TeSolver)
-/// impl on [`NemConfig`] with owned DAGs, and from the SPEF pipeline with
+/// workspace, and every run starts from `v(0) = 0` as in §V.F. Reached
+/// through the [`TeSolver`](crate::TeSolver) impl on [`NemConfig`] with
+/// owned DAGs, and from the SPEF pipeline with
 /// [`DagRef`](spef_graph::DagRef) views of the engine's flat DAG set;
 /// results are bit-identical either way.
 pub(crate) fn solve_in<D: DagAccess>(
@@ -117,15 +116,9 @@ pub(crate) fn solve_in<D: DagAccess>(
 
     let dests = traffic.destinations();
     let nem = &mut ws.nem;
-    let warm = !pinned && nem.try_warm_start(graph, &dests);
-    // Until the run completes, nothing claims the buffers solve anything
-    // (early `?` returns must not leave a stale fingerprint behind).
-    nem.forget();
-    if !warm {
-        // §V.F: v(0) = 0 is a proper choice (and a good approximate dual).
-        nem.v.clear();
-        nem.v.resize(graph.edge_count(), 0.0);
-    }
+    // §V.F: v(0) = 0 is a proper choice (and a good approximate dual).
+    nem.v.clear();
+    nem.v.resize(graph.edge_count(), 0.0);
     let mut trace = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
@@ -166,7 +159,6 @@ pub(crate) fn solve_in<D: DagAccess>(
         }
     }
 
-    nem.record_solution(graph, &dests);
     Ok(NemOutcome {
         second_weights: nem.v.clone(),
         flows: nem.flows.clone(),

@@ -158,8 +158,9 @@ impl SpefRouting {
 }
 
 /// Runs Algorithm 4 in the caller's workspace: the TE stage (step 1), the
-/// DAG engine (steps 2 and 4) and NEM (step 3) all draw their arenas —
-/// and, when the fingerprints allow it, their warm starts — from `ws`.
+/// DAG engine (steps 2 and 4) and NEM (step 3) all draw their arenas from
+/// `ws`, and each starts from its fixed initial point, so the routing is
+/// the same whatever `ws` solved before.
 pub(crate) fn build_in(
     network: &Network,
     traffic: &TrafficMatrix,

@@ -43,8 +43,8 @@ pub struct TeSolution {
 }
 
 /// Solves `TE(V, G, c, D)` in the caller's workspace: β > 0 runs the
-/// Frank–Wolfe session solver (DAG arenas, warm start); β = 0 solves the
-/// LP with the workspace's simplex tableau arena.
+/// Frank–Wolfe session solver on the workspace's DAG and flow arenas;
+/// β = 0 solves the LP with the workspace's simplex tableau arena.
 pub(crate) fn solve_te_in(
     network: &Network,
     traffic: &TrafficMatrix,

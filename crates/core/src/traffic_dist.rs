@@ -513,36 +513,6 @@ impl Flows {
         self.stamp = stamp;
     }
 
-    /// The flow vector of destination *index* `i` (aligned with
-    /// [`Flows::destinations`]) — positional access for callers that walk
-    /// all commodities, avoiding the by-node scan of
-    /// [`Flows::for_destination`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub(crate) fn column(&self, i: usize) -> &[f64] {
-        &self.per_dest[i]
-    }
-
-    /// Clones `src` into `self`, reusing existing allocations (clear +
-    /// extend per vector) — the snapshot copy behind the failure-chain
-    /// warm start's base solution, kept allocation-free once shaped.
-    pub(crate) fn copy_from(&mut self, src: &Flows) {
-        self.stamp = 0;
-        self.dests.clear();
-        self.dests.extend_from_slice(&src.dests);
-        if self.per_dest.len() != src.per_dest.len() {
-            self.per_dest.resize_with(src.per_dest.len(), Vec::new);
-        }
-        for (dst, from) in self.per_dest.iter_mut().zip(&src.per_dest) {
-            dst.clear();
-            dst.extend_from_slice(from);
-        }
-        self.aggregate.clear();
-        self.aggregate.extend_from_slice(&src.aggregate);
-    }
-
     /// An empty flow set, ready to be shaped by [`Flows::reset`] — the
     /// starting point for reusable distribution buffers.
     pub(crate) fn empty() -> Flows {
@@ -609,23 +579,6 @@ impl Flows {
                 .map(|f| f.capacity() * std::mem::size_of::<f64>())
                 .sum::<usize>()
             + self.aggregate.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Scales every per-destination flow vector by its ratio and rebuilds
-    /// the aggregate — the warm-start rescale for proportionally scaled
-    /// demand matrices (load sweeps).
-    pub(crate) fn scale_per_destination(&mut self, ratios: &[f64]) {
-        self.stamp = 0;
-        debug_assert_eq!(ratios.len(), self.per_dest.len());
-        for a in &mut self.aggregate {
-            *a = 0.0;
-        }
-        for (f, &r) in self.per_dest.iter_mut().zip(ratios) {
-            for (x, agg) in f.iter_mut().zip(&mut self.aggregate) {
-                *x *= r;
-                *agg += *x;
-            }
-        }
     }
 
     /// In-place convex combination `self ← (1−α)·self + α·other`, the

@@ -3,7 +3,8 @@
 //! produces DAGs and flows **bit-identical** to a cold dense engine
 //! rebuilt from scratch at every step — across cold-fallback boundaries
 //! (detach/re-attach, `invalidate`, destination and tolerance changes),
-//! and through `TeWorkspace` sessions with `clear_solutions` in between.
+//! and through `TeWorkspace` sessions with an incremental toggle between
+//! solves.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -217,10 +218,10 @@ proptest! {
     }
 
     /// `TeWorkspace` exposure: warm Frank–Wolfe re-solves on an
-    /// incremental workspace — with `clear_solutions` and an incremental
-    /// toggle between solves — reproduce the cold solve bit for bit.
+    /// incremental workspace — with an incremental toggle between solves —
+    /// reproduce the cold solve bit for bit.
     #[test]
-    fn workspace_sessions_match_cold_across_clear_solutions(
+    fn workspace_sessions_match_cold_across_incremental_toggle(
         (net, tm, _script) in random_instance(),
         scale in 1.05f64..1.6,
     ) {
@@ -239,10 +240,8 @@ proptest! {
             .into_iter()
             .enumerate()
         {
-            match round {
-                1 => ws.clear_solutions(),
-                2 => ws.set_incremental(false),
-                _ => {}
+            if round == 2 {
+                ws.set_incremental(false);
             }
             let warm = fw.solve_in(TeInstance::new(&net, demand, &obj), &mut ws).unwrap();
             prop_assert!(bits_eq(&warm.weights, &cold.weights));

@@ -1,9 +1,9 @@
-//! The solver-session determinism contract: under pinned iteration counts,
-//! a warm `solve_in` on a reused [`TeWorkspace`] is bit-identical to a cold
-//! `solve` of the same instance — across random topologies, random load
-//! perturbations, and every solver behind the [`TeSolver`] trait. And with
-//! a gap tolerance instead of pinning, warm starts must never *cost*
-//! iterations on a proportional neighbouring load.
+//! The solver-session determinism contract: a workspace holds arenas,
+//! never a previous solution, so `solve_in` on a warm (previously used)
+//! [`TeWorkspace`] is bit-identical to `solve` on a fresh one — across
+//! random topologies, load perturbations, `without_links` clones and
+//! repeated instances, pinned or stopped on a gap tolerance, for every
+//! solver behind the [`TeSolver`] trait.
 
 use proptest::prelude::*;
 use spef_core::{
@@ -11,7 +11,7 @@ use spef_core::{
     SpefConfig, TeInstance, TeSolver, TeSolverKind, TeWorkspace,
 };
 use spef_graph::NodeId;
-use spef_topology::{gen, standard, TrafficMatrix};
+use spef_topology::{gen, standard, Network, TrafficMatrix};
 
 /// Bitwise equality for float slices — the contract is "no drift at all",
 /// not "close".
@@ -158,351 +158,142 @@ fn pinned_nem_warm_equals_cold() {
     }
 }
 
-/// With a gap tolerance (the sweep setting), a warm start from a
-/// proportional neighbouring load converges in no more iterations than the
-/// cold solve — and strictly fewer on the canonical Abilene pair.
-#[test]
-fn warm_start_saves_iterations_on_neighbouring_loads() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm_lo = shape.scaled_to_network_load(&net, 0.12);
-    let tm_hi = shape.scaled_to_network_load(&net, 0.13);
-    let obj = Objective::proportional(net.link_count());
-    // A tolerance-bound run (generous cap) so the iteration count reflects
-    // convergence, not the budget: both runs stop at a 1e-4 relative gap.
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::with_tolerance(20_000, 1e-4),
-        ..FrankWolfeConfig::default()
-    };
-
-    let cold_hi = fw.solve(TeInstance::new(&net, &tm_hi, &obj)).unwrap();
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm_lo, &obj), &mut ws)
-        .unwrap();
-    let warm_hi = fw
-        .solve_in(TeInstance::new(&net, &tm_hi, &obj), &mut ws)
-        .unwrap();
-    assert!(
-        warm_hi.iterations < cold_hi.iterations,
-        "warm {} vs cold {} iterations",
-        warm_hi.iterations,
-        cold_hi.iterations
-    );
-    // Both runs satisfy the same optimality tolerance: utilities agree to
-    // the gap scale even though the trajectories differ.
-    assert!(
-        (warm_hi.utility - cold_hi.utility).abs() <= 1e-4 * cold_hi.utility.abs().max(1.0),
-        "warm utility {} vs cold {}",
-        warm_hi.utility,
-        cold_hi.utility
-    );
+/// The instances one reused workspace solves in turn: the instance, a
+/// proportional neighbouring load, the instance again, a `without_links`
+/// clone (the first duplex circuit whose loss keeps the network
+/// connected, if any), the instance, and the instance once more.
+fn session_walk(net: &Network, tm: &TrafficMatrix, scale: f64) -> Vec<(Network, TrafficMatrix)> {
+    let mut walk = vec![
+        (net.clone(), tm.clone()),
+        (net.clone(), tm.scaled(scale)),
+        (net.clone(), tm.clone()),
+    ];
+    if let Some((degraded, _)) = net
+        .duplex_circuits()
+        .iter()
+        .find_map(|c| net.without_links(c).ok())
+    {
+        walk.push((degraded, tm.clone()));
+    }
+    walk.push((net.clone(), tm.clone()));
+    walk.push((net.clone(), tm.clone()));
+    walk
 }
 
-/// Cold fallback: an objective change, a topology change, or an
-/// out-of-proportion demand change invalidates the saved trajectory — the
-/// warm path must reproduce the cold solution bit for bit, not reuse it.
-#[test]
-fn fingerprint_mismatch_falls_back_to_cold() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let obj_a = Objective::proportional(net.link_count());
-    let obj_b = Objective::uniform(2.0, net.link_count());
-    let fw = FrankWolfeConfig::fast();
-
+/// Runs `solve` on a fresh workspace and `solve_in` on the walk's shared
+/// one for every instance of [`session_walk`]; true when every pair of
+/// solutions is `same`, or both solves fail with the same error.
+fn walk_sessions<S, T>(
+    solver: &S,
+    net: &Network,
+    tm: &TrafficMatrix,
+    scale: f64,
+    same: impl Fn(&T, &T) -> bool,
+) -> bool
+where
+    S: for<'i> TeSolver<Instance<'i> = TeInstance<'i>, Output = T>,
+{
     let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj_a), &mut ws)
-        .unwrap();
-
-    // Objective change.
-    let cold = fw.solve(TeInstance::new(&net, &tm, &obj_b)).unwrap();
-    let warm = fw
-        .solve_in(TeInstance::new(&net, &tm, &obj_b), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&warm.weights, &cold.weights));
-    assert_eq!(warm.iterations, cold.iterations);
-
-    // Topology change (different network entirely).
-    let net2 = standard::cernet2();
-    let tm2 = TrafficMatrix::gravity(&net2, 1.0, 5).scaled_to_network_load(&net2, 0.05);
-    let obj2 = Objective::proportional(net2.link_count());
-    let cold2 = fw.solve(TeInstance::new(&net2, &tm2, &obj2)).unwrap();
-    let warm2 = fw
-        .solve_in(TeInstance::new(&net2, &tm2, &obj2), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&warm2.weights, &cold2.weights));
-    assert_eq!(warm2.iterations, cold2.iterations);
-
-    // Non-proportional demand change on the original network. Re-solve
-    // the original instance first, so the saved solution differs from the
-    // new one in the demands alone, not in the topology too.
-    fw.solve_in(TeInstance::new(&net, &tm, &obj_a), &mut ws)
-        .unwrap();
-    let mut skewed = shape.scaled_to_network_load(&net, 0.12);
-    let (s, t, d) = skewed.pairs().next().unwrap();
-    skewed.set(s, t, d + 0.01);
-    let cold3 = fw.solve(TeInstance::new(&net, &skewed, &obj_a)).unwrap();
-    let warm3 = fw
-        .solve_in(TeInstance::new(&net, &skewed, &obj_a), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&warm3.weights, &cold3.weights));
-    assert_eq!(warm3.iterations, cold3.iterations);
-}
-
-/// The remove-one-link warm start: on an Abilene failure chain (intact
-/// solve, then every single-circuit degraded topology), projecting the
-/// intact optimum onto the surviving edges must save Frank–Wolfe
-/// iterations versus cold solves — strictly on at least one circuit and
-/// in total — while converging to the same tolerance, with per-
-/// destination conservation intact on every degraded solution.
-#[test]
-fn removal_warm_start_saves_iterations_on_failure_chain() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::with_tolerance(20_000, 1e-4),
-        ..FrankWolfeConfig::default()
-    };
-
-    let mut ws = TeWorkspace::new();
-    let obj = Objective::proportional(net.link_count());
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .unwrap();
-
-    let (mut warm_total, mut cold_total, mut strict_wins, mut circuits_solved) = (0, 0, 0, 0);
-    for circuit in net.duplex_circuits() {
-        let Ok((degraded, _kept)) = net.without_links(&circuit) else {
-            continue; // bridge circuit: removal disconnects Abilene
-        };
-        let obj_d = Objective::proportional(degraded.link_count());
-        let cold = match fw.solve(TeInstance::new(&degraded, &tm, &obj_d)) {
-            Ok(sol) => sol,
-            Err(spef_core::SpefError::Infeasible) => {
-                // Some circuits leave no slack at this load; the warmed
-                // session must reach the same verdict (and keep its base
-                // snapshot for the remaining circuits).
-                let warm = fw.solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws);
-                assert!(
-                    matches!(warm, Err(spef_core::SpefError::Infeasible)),
-                    "circuit {circuit:?}: cold infeasible but warm {warm:?}"
-                );
-                continue;
-            }
-            Err(e) => panic!("circuit {circuit:?}: {e}"),
-        };
-        let warm = fw
-            .solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws)
-            .unwrap();
-        assert!(
-            (warm.utility - cold.utility).abs() <= 1e-3 * cold.utility.abs().max(1.0),
-            "circuit {circuit:?}: warm utility {} vs cold {}",
-            warm.utility,
-            cold.utility
-        );
-        // A removal-projected start must still be conservation-feasible,
-        // and Frank–Wolfe preserves feasibility, so the warm solution
-        // must satisfy per-destination conservation on the degraded net.
-        for &t in warm.flows.destinations() {
-            let f = warm.flows.for_destination(t).unwrap();
-            let div = degraded.graph().divergence(f);
-            let demands = tm.demands_to(t);
-            for node in degraded.graph().nodes() {
-                if node != t {
-                    assert!(
-                        (div[node.index()] - demands[node.index()]).abs() < 1e-6,
-                        "circuit {circuit:?}: conservation at {node} for dest {t}"
-                    );
-                }
-            }
+    session_walk(net, tm, scale).iter().all(|(net, tm)| {
+        let obj = Objective::proportional(net.link_count());
+        let instance = TeInstance::new(net, tm, &obj);
+        match (solver.solve_in(instance, &mut ws), solver.solve(instance)) {
+            (Ok(warm), Ok(cold)) => same(&warm, &cold),
+            (Err(warm), Err(cold)) => warm == cold,
+            _ => false,
         }
-        warm_total += warm.iterations;
-        cold_total += cold.iterations;
-        strict_wins += usize::from(warm.iterations < cold.iterations);
-        circuits_solved += 1;
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Frank–Wolfe stopped on its relative gap: a reused workspace spends
+    /// the same iterations and returns the same bits as a fresh one.
+    #[test]
+    fn tolerance_frank_wolfe_warm_equals_cold(
+        (net, tm) in random_instance(),
+        scale in 1.05f64..1.6,
+    ) {
+        prop_assert!(walk_sessions(&FrankWolfeConfig::fast(), &net, &tm, scale, |w, c| {
+            w.iterations == c.iterations
+                && bits_eq(&w.weights, &c.weights)
+                && bits_eq(w.flows.aggregate(), c.flows.aggregate())
+                && w.utility.to_bits() == c.utility.to_bits()
+        }));
     }
-    assert!(
-        circuits_solved >= 3,
-        "only {circuits_solved} circuits solvable"
-    );
-    assert!(
-        strict_wins >= 1,
-        "no circuit solved in fewer warm iterations"
-    );
-    assert!(
-        warm_total < cold_total,
-        "warm chain {warm_total} vs cold chain {cold_total} iterations"
-    );
-}
 
-/// Chained failures restart from the session *base*: after a degraded
-/// solve, the saved solution describes the degraded topology — a different
-/// circuit's topology is not its edge subset, so the second degraded solve
-/// must project from the intact base snapshot (and still save iterations).
-#[test]
-fn removal_warm_start_falls_back_to_base_across_circuits() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::with_tolerance(20_000, 1e-4),
-        ..FrankWolfeConfig::default()
-    };
-    let circuits: Vec<_> = net
-        .duplex_circuits()
-        .into_iter()
-        .filter(|c| net.without_links(c).is_ok())
-        .take(2)
-        .collect();
-    assert_eq!(circuits.len(), 2);
+    /// Algorithm 1 stopped on its dual gap: same contract.
+    #[test]
+    fn tolerance_dual_decomp_warm_equals_cold(
+        (net, tm) in random_instance(),
+        scale in 1.05f64..1.6,
+    ) {
+        let dd = DualDecompConfig {
+            convergence: ConvergenceCriteria::budget(300),
+            record_trace: false,
+            ..DualDecompConfig::default()
+        };
+        prop_assert!(walk_sessions(&dd, &net, &tm, scale, |w, c| {
+            w.iterations == c.iterations
+                && w.converged == c.converged
+                && bits_eq(&w.weights, &c.weights)
+                && bits_eq(&w.average_flows, &c.average_flows)
+        }));
+    }
 
-    let mut ws = TeWorkspace::new();
-    let obj = Objective::proportional(net.link_count());
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .unwrap();
-    for circuit in &circuits {
-        let (degraded, _) = net.without_links(circuit).unwrap();
-        let obj_d = Objective::proportional(degraded.link_count());
-        let cold = fw.solve(TeInstance::new(&degraded, &tm, &obj_d)).unwrap();
-        let warm = fw
-            .solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws)
-            .unwrap();
-        assert!(
-            warm.iterations < cold.iterations,
-            "circuit {circuit:?}: warm {} vs cold {} iterations",
-            warm.iterations,
-            cold.iterations
-        );
+    /// The SPEF pipeline with both stages on their tolerances: first and
+    /// second weights, realised flows and the TE iteration count match.
+    #[test]
+    fn tolerance_pipeline_warm_equals_cold(
+        (net, tm) in random_instance(),
+        scale in 1.05f64..1.5,
+    ) {
+        let cfg = SpefConfig {
+            solver: TeSolverKind::FrankWolfe(FrankWolfeConfig::fast()),
+            nem: NemConfig {
+                convergence: ConvergenceCriteria::budget(400),
+                ..NemConfig::default()
+            },
+            ..SpefConfig::default()
+        };
+        prop_assert!(walk_sessions(&cfg, &net, &tm, scale, |w, c| {
+            w.te_solution().iterations == c.te_solution().iterations
+                && w.nem_converged() == c.nem_converged()
+                && bits_eq(w.first_weights(), c.first_weights())
+                && bits_eq(w.second_weights(), c.second_weights())
+                && bits_eq(w.flows().aggregate(), c.flows().aggregate())
+        }));
     }
 }
 
-/// Pinned mode ignores the removal warm start exactly as it ignores the
-/// proportional one: a degraded-topology solve on a workspace holding the
-/// intact solution is bit-identical to the cold solve.
+/// NEM stopped on its ε-criterion: a workspace that just solved a
+/// proportional neighbouring instance (demands and target scaled alike,
+/// so the same second weights solve it) or the same instance returns a
+/// fresh solve's iterations and bits.
 #[test]
-fn pinned_mode_ignores_removal_warm_start() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let fw = FrankWolfeConfig {
-        convergence: ConvergenceCriteria::pinned(60),
-        ..FrankWolfeConfig::default()
-    };
-    let circuit = net
-        .duplex_circuits()
-        .into_iter()
-        .find(|c| net.without_links(c).is_ok())
-        .unwrap();
-    let (degraded, _) = net.without_links(&circuit).unwrap();
-
+fn tolerance_nem_warm_equals_cold() {
+    let net = standard::fig4();
+    let tm = standard::fig4_demands();
     let obj = Objective::proportional(net.link_count());
-    let obj_d = Objective::proportional(degraded.link_count());
-    let cold = fw.solve(TeInstance::new(&degraded, &tm, &obj_d)).unwrap();
+    let te = FrankWolfeConfig::fast()
+        .solve(TeInstance::new(&net, &tm, &obj))
+        .unwrap();
+    let max_w = te.weights.iter().cloned().fold(0.0, f64::max);
+    let dags =
+        spef_core::build_dags(net.graph(), &te.weights, &tm.destinations(), 1e-3 * max_w).unwrap();
+    let nem = NemConfig::default();
+    let tm_hi = tm.scaled(1.1);
+    let target_hi: Vec<f64> = te.flows.aggregate().iter().map(|f| 1.1 * f).collect();
+    let instance = NemInstance::new(net.graph(), &dags, &tm, te.flows.aggregate());
+    let neighbour = NemInstance::new(net.graph(), &dags, &tm_hi, &target_hi);
     let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .unwrap();
-    let pinned = fw
-        .solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&pinned.weights, &cold.weights));
-    assert!(bits_eq(pinned.flows.aggregate(), cold.flows.aggregate()));
-    assert_eq!(pinned.iterations, cold.iterations);
-}
-
-/// The removal path only accepts genuine edge-subset instances: a degraded
-/// topology with a perturbed capacity is *not* a subsequence of the saved
-/// fingerprint, so the solve must run the cold trajectory bit for bit.
-#[test]
-fn removal_warm_start_rejects_non_subset_topologies() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let fw = FrankWolfeConfig::fast();
-    let circuit = net
-        .duplex_circuits()
-        .into_iter()
-        .find(|c| net.without_links(c).is_ok())
-        .unwrap();
-    let (degraded, _) = net.without_links(&circuit).unwrap();
-    // Rebuild the degraded network with one capacity nudged: same edges,
-    // same endpoints, but no longer bitwise-identical to the fingerprint.
-    let mut b = spef_topology::Network::builder("perturbed");
-    for node in degraded.graph().nodes() {
-        b.add_node(degraded.node_name(node), degraded.coord(node));
+    for inst in [instance, neighbour, instance, instance] {
+        let cold = nem.solve(inst).unwrap();
+        let warm = nem.solve_in(inst, &mut ws).unwrap();
+        assert_eq!(warm.iterations, cold.iterations);
+        assert_eq!(warm.converged, cold.converged);
+        assert!(bits_eq(&warm.second_weights, &cold.second_weights));
+        assert!(bits_eq(warm.flows.aggregate(), cold.flows.aggregate()));
     }
-    for (e, u, v) in degraded.graph().edges() {
-        let cap = degraded.capacity(e);
-        b.add_link(u, v, if e.index() == 0 { cap * 1.001 } else { cap });
-    }
-    let perturbed = b.build().unwrap();
-
-    let obj = Objective::proportional(net.link_count());
-    let obj_p = Objective::proportional(perturbed.link_count());
-    let cold = fw.solve(TeInstance::new(&perturbed, &tm, &obj_p)).unwrap();
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .unwrap();
-    let warm = fw
-        .solve_in(TeInstance::new(&perturbed, &tm, &obj_p), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&warm.weights, &cold.weights));
-    assert_eq!(warm.iterations, cold.iterations);
-}
-
-/// `clear_solutions` drops the base snapshot too: after clearing, a
-/// degraded-topology solve runs the cold trajectory even though the
-/// workspace previously held the intact optimum.
-#[test]
-fn clear_solutions_drops_the_removal_base() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm = shape.scaled_to_network_load(&net, 0.12);
-    let fw = FrankWolfeConfig::fast();
-    let circuit = net
-        .duplex_circuits()
-        .into_iter()
-        .find(|c| net.without_links(c).is_ok())
-        .unwrap();
-    let (degraded, _) = net.without_links(&circuit).unwrap();
-
-    let obj = Objective::proportional(net.link_count());
-    let obj_d = Objective::proportional(degraded.link_count());
-    let cold = fw.solve(TeInstance::new(&degraded, &tm, &obj_d)).unwrap();
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)
-        .unwrap();
-    ws.clear_solutions();
-    let cleared = fw
-        .solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&cleared.weights, &cold.weights));
-    assert_eq!(cleared.iterations, cold.iterations);
-}
-
-/// `clear_solutions` restores the cold contract without dropping arenas:
-/// a cleared workspace reproduces the cold trajectory exactly even with a
-/// valid neighbouring solution previously recorded.
-#[test]
-fn clear_solutions_restores_cold_trajectories() {
-    let net = standard::abilene();
-    let shape = TrafficMatrix::fortz_thorup(&net, 1);
-    let tm_lo = shape.scaled_to_network_load(&net, 0.12);
-    let tm_hi = shape.scaled_to_network_load(&net, 0.13);
-    let obj = Objective::proportional(net.link_count());
-    let fw = FrankWolfeConfig::fast();
-
-    let cold_hi = fw.solve(TeInstance::new(&net, &tm_hi, &obj)).unwrap();
-    let mut ws = TeWorkspace::new();
-    fw.solve_in(TeInstance::new(&net, &tm_lo, &obj), &mut ws)
-        .unwrap();
-    ws.clear_solutions();
-    let cleared = fw
-        .solve_in(TeInstance::new(&net, &tm_hi, &obj), &mut ws)
-        .unwrap();
-    assert!(bits_eq(&cleared.weights, &cold_hi.weights));
-    assert!(bits_eq(
-        cleared.flows.aggregate(),
-        cold_hi.flows.aggregate()
-    ));
-    assert_eq!(cleared.iterations, cold_hi.iterations);
 }

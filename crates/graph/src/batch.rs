@@ -613,7 +613,7 @@ pub fn validate_dag_inputs(
 /// `out` must hold a DAG set previously built by [`build_dag_set`] over
 /// the same graph with the same destination list and tolerance; `dirty`
 /// is one flag per destination slot. Each rebuilt slot runs the exact
-/// same Dijkstra + classification as a dense build ([`build_one_dag`]
+/// same Dijkstra + classification as a dense build (`build_one_dag`
 /// over the slot's own arena slices), so a rebuilt slot is bit-identical
 /// to what a dense [`build_dag_set`] call would produce for it. The
 /// *caller* is responsible for flagging every destination whose DAG could

@@ -294,28 +294,6 @@ impl LinearProgram {
         self.rows.len()
     }
 
-    /// `true` for programs built with [`LinearProgram::maximize`].
-    pub fn is_maximize(&self) -> bool {
-        self.sense == Sense::Maximize
-    }
-
-    /// The objective coefficient of `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range.
-    pub fn objective_coeff(&self, var: usize) -> f64 {
-        self.objective[var]
-    }
-
-    /// Iterates the constraint rows as `(coeffs, relation, rhs)`, in order
-    /// of `add_constraint` calls.
-    pub fn constraint_rows(&self) -> impl Iterator<Item = (&[(usize, f64)], Relation, f64)> + '_ {
-        self.rows
-            .iter()
-            .map(|r| (r.coeffs.as_slice(), r.relation, r.rhs))
-    }
-
     /// Sets the objective coefficient of `var`.
     ///
     /// # Panics
@@ -423,9 +401,9 @@ impl LinearProgram {
     /// for the new rhs) this falls back to a cold solve automatically.
     ///
     /// Unlike the cold path, a warm solve on a *degenerate* optimal face
-    /// may return a different optimal vertex than [`solve`]
-    /// (LinearProgram::solve); the objective value and dual certificates
-    /// agree to numerical tolerance.
+    /// may return a different optimal vertex than
+    /// [`solve`](LinearProgram::solve); the objective value and dual
+    /// certificates agree to numerical tolerance.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 //! * **Sources** generate fixed-size packets per demand pair as a Poisson
 //!   process matching the pair's offered rate;
 //! * **Routers** forward hop by hop: each packet independently samples a
-//!   next hop from the [`ForwardingTable`] split ratios of its destination
+//!   next hop from the [`ForwardingTable`](spef_core::ForwardingTable) split ratios of its destination
 //!   (exactly how SPEF/PEFT routers use their weights). The table is the
 //!   flat CSR `spef_core::FibSet`: destination slots are resolved once per
 //!   run and stamped into packets, so a hop is two index operations plus a

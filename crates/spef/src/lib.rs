@@ -4,13 +4,13 @@
 //! workspace-level integration tests and examples) can depend on a single
 //! package. The algorithms live in the member crates:
 //!
-//! * [`graph`](spef_graph) — directed multigraph, Dijkstra, shortest-path DAGs
-//! * [`lp`](spef_lp) — simplex with duals, min-cost flow, max-flow
-//! * [`topology`](spef_topology) — evaluation networks and traffic matrices
-//! * [`core`](spef_core) — the SPEF algorithms (first + second weights)
-//! * [`baselines`](spef_baselines) — OSPF/InvCap, Fortz–Thorup, PEFT, min-MLU
-//! * [`netsim`](spef_netsim) — packet-level discrete-event simulator
-//! * [`experiments`](spef_experiments) — paper artifacts and the scenario-sweep harness
+//! * [`graph`] — directed multigraph, Dijkstra, shortest-path DAGs
+//! * [`lp`] — simplex with duals, min-cost flow, max-flow
+//! * [`topology`] — evaluation networks and traffic matrices
+//! * [`core`] — the SPEF algorithms (first + second weights)
+//! * [`baselines`] — OSPF/InvCap, Fortz–Thorup, PEFT, min-MLU
+//! * [`netsim`] — packet-level discrete-event simulator
+//! * [`experiments`] — paper artifacts and the scenario-sweep harness
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

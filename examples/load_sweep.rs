@@ -33,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut ospf_breaks = None;
     let mut spef_breaks = None;
-    // One warm-start session across the sweep: each load is a proportional
-    // rescale of the same demand shape, so every solve after the first
-    // warm-starts from its neighbour's solution.
+    // One workspace across the sweep: every load routes over the same
+    // topology, so each solve after the first reuses its neighbour's
+    // arenas instead of reallocating them.
     let config = SpefConfig::default();
     let mut ws = TeWorkspace::new();
     for step in 4..=15 {
