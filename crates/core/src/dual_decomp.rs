@@ -160,11 +160,12 @@ pub(crate) fn solve_in(
     );
     ws.put_engine(engine.into_state());
     let (dual_trace, gap_trace, iterations, converged) = result?;
-    let dd = &ws.dd;
+    let dd = &mut ws.dd;
     Ok(DualDecompOutcome {
         weights: dd.weights.clone(),
         spare: dd.spare.clone(),
-        flows: dd.flows.clone(),
+        // The outcome takes the routed flows; the next solve regrows them.
+        flows: std::mem::take(&mut dd.flows),
         average_flows: dd.average_flows.clone(),
         dual_objective_trace: dual_trace,
         gap_trace,

@@ -754,7 +754,9 @@ impl<'g> RoutingEngine<'g> {
     /// Each destination's split table is built into the engine's
     /// one-destination scratch and copied into the flat FIB, so no
     /// all-destinations split-table set is built. The rows equal those of
-    /// [`build_split_tables`](Self::build_split_tables), bit for bit.
+    /// [`build_split_tables`](Self::build_split_tables), bit for bit. The
+    /// FIB is sized once, to the DAG set's successor total (one entry per
+    /// DAG edge at most), so no arena doubles while it fills.
     ///
     /// # Errors
     ///
@@ -769,6 +771,7 @@ impl<'g> RoutingEngine<'g> {
         let s = &mut self.state;
         let mut fib = FibSet::new();
         fib.begin(n);
+        fib.reserve_exact(s.dags.len(), s.dags.successor_total());
         for dag in s.dags.iter() {
             s.table.reset(n);
             s.table.push_table(self.graph, &dag, rule);
@@ -1081,11 +1084,13 @@ mod tests {
             .distribute_into(&tm, SplitRule::EvenEcmp, &mut flows)
             .unwrap();
 
-        // Mutating the buffer (an external blend, here toward a copy of
-        // itself) clears its stamp; the next call must fall back dense,
-        // not trust stale columns.
-        let copy = flows.clone();
-        flows.blend_toward(&copy, 0.5);
+        // Mutating the buffer (here halving every column in place) clears
+        // its stamp; the next call must fall back dense, not trust stale
+        // columns.
+        let (columns, aggregate) = flows.parts_mut();
+        for f in columns.iter_mut().flatten().chain(aggregate.iter_mut()) {
+            *f *= 0.5;
+        }
         w[0] = 2.0;
         engine.build_dags(&w, &dests, 0.0).unwrap();
         engine

@@ -12,19 +12,18 @@
 //! ```text
 //! dest_index : node id      → dest slot   (u32, sentinel for non-dests)
 //! row_offsets: slot·n + u   → entry range (CSR prefix offsets, len+1)
-//! hops / cum : entry        → (EdgeId, ratio) and cumulative probability
+//! hops       : entry        → (EdgeId, ratio)
 //! ```
 //!
-//! `next_hops(u, t)` is two index operations; sampling a next hop from a
-//! uniform draw is a `partition_point` binary search over the precomputed
-//! cumulative probabilities. The cumulative array is built with exactly the
-//! running sum the legacy per-draw accumulation performed (`cum[i] = r₀ +
-//! r₁ + … + rᵢ` in entry order), so for every draw `x ∈ [0, 1)` the
-//! selected edge is **bit-identical** to the old linear walk; the final
-//! cumulative of each non-empty row is pinned to exactly `1.0` after the
-//! build-time validation that the ratios sum to 1 within `1e-6`, so the
-//! search can never fall off the end of a row (the invariant the legacy
-//! walk silently papered over with a `hops.last()` fallback per draw).
+//! `next_hops(u, t)` is two index operations. Sampling a next hop from a
+//! uniform draw walks the row's running ratio sum (`acc += rᵢ; if x < acc`)
+//! and falls back to the last entry, which is the legacy per-draw walk
+//! itself, so for every draw the selected edge is **bit-identical** to it.
+//! Rows are short (one to four entries, 1.9 on average, in the 500-node
+//! `scale` scenario's FIB), so the walk costs no more than a search over a
+//! stored cumulative array would, and the FIB keeps no such array. Every
+//! non-empty row's ratios are validated at build time to sum to 1 within
+//! `1e-6`.
 //!
 //! [`ForwardingTable`] — the public type the protocol, baselines and the
 //! simulator exchange — is a thin facade over a `FibSet` that keeps the
@@ -40,8 +39,7 @@ use crate::traffic_dist::{SplitTable, SplitTableSet};
 const NO_DEST: u32 = u32::MAX;
 
 /// The SPEF forwarding information base as a flat CSR arena: per
-/// `(destination, router)` the next-hop links, their split ratios, and the
-/// precomputed cumulative probabilities the simulator samples against —
+/// `(destination, router)` the next-hop links and their split ratios —
 /// the operational reduction of the paper's TABLE II. See the [module
 /// docs](self) for the layout.
 ///
@@ -59,9 +57,6 @@ pub struct FibSet {
     row_offsets: Vec<u32>,
     /// The `(edge, ratio)` entry arena, rows concatenated in cell order.
     hops: Vec<(EdgeId, f64)>,
-    /// `cum[i]` = running ratio sum through entry `i` of its row; the last
-    /// entry of every non-empty row is exactly `1.0`.
-    cum: Vec<f64>,
 }
 
 impl FibSet {
@@ -119,14 +114,22 @@ impl FibSet {
         self.row_offsets.clear();
         self.row_offsets.push(0);
         self.hops.clear();
-        self.cum.clear();
+    }
+
+    /// Reserves room for `dests` more destinations holding `entries` more
+    /// entries in total, exactly, so a build that knows its size (the
+    /// routing engine's, from its DAG set) never doubles an arena past it.
+    /// Call after [`begin`](Self::begin).
+    pub(crate) fn reserve_exact(&mut self, dests: usize, entries: usize) {
+        self.dests.reserve_exact(dests);
+        self.row_offsets.reserve_exact(dests * self.node_count);
+        self.hops.reserve_exact(entries);
     }
 
     /// Appends one destination's rows: `row(u)` must yield node `u`'s
     /// `(edge, ratio)` next-hop entries toward `dest` (empty for the
     /// destination itself and for nodes that cannot reach it). Entries are
-    /// copied into the arena together with their running cumulative
-    /// probability; the row's final cumulative is pinned to exactly `1.0`.
+    /// copied into the arena.
     ///
     /// # Panics
     ///
@@ -151,23 +154,16 @@ impl FibSet {
         for u in 0..self.node_count {
             let hops = row(u);
             if !hops.is_empty() {
-                // The cumulative is the exact running sum the legacy
-                // per-draw walk accumulated, term order preserved.
                 let mut acc = 0.0f64;
                 for &(e, r) in hops {
                     assert!(r >= 0.0, "next-hop ratio {r} is negative or NaN");
                     acc += r;
                     self.hops.push((e, r));
-                    self.cum.push(acc);
                 }
                 assert!(
                     (acc - 1.0).abs() < 1e-6,
                     "next-hop ratios sum to {acc}, expected 1"
                 );
-                // Pin the row's sup to exactly 1.0: every draw in [0, 1)
-                // now lands strictly inside the row, by construction.
-                let last = self.cum.len() - 1;
-                self.cum[last] = 1.0;
             }
             self.row_offsets.push(self.hops.len() as u32);
         }
@@ -198,7 +194,6 @@ impl FibSet {
             + self.dest_index.capacity() * size_of::<u32>()
             + self.row_offsets.capacity() * size_of::<u32>()
             + self.hops.capacity() * size_of::<(EdgeId, f64)>()
-            + self.cum.capacity() * size_of::<f64>()
     }
 
     /// The dense slot of `dest`, or `None` if it is not a covered
@@ -226,7 +221,6 @@ impl FibSet {
         let end = self.row_offsets[cell + 1] as usize;
         FibRow {
             hops: &self.hops[start..end],
-            cum: &self.cum[start..end],
         }
     }
 
@@ -263,11 +257,10 @@ impl fmt::Debug for FibSet {
 }
 
 /// One `(destination, router)` row of a [`FibSet`]: the `(edge, ratio)`
-/// entries plus their cumulative probabilities.
+/// entries.
 #[derive(Debug, Clone, Copy)]
 pub struct FibRow<'a> {
     hops: &'a [(EdgeId, f64)],
-    cum: &'a [f64],
 }
 
 impl<'a> FibRow<'a> {
@@ -291,29 +284,42 @@ impl<'a> FibRow<'a> {
     }
 
     /// Selects the next-hop edge for a uniform draw `x ∈ [0, 1)`: the
-    /// first entry whose cumulative probability exceeds `x`, found by
-    /// binary search — the same edge the legacy linear accumulation
-    /// (`acc += ratio; if x < acc`) selected, for every representable `x`
-    /// (a negative `x` selects the first entry, exactly as the legacy
-    /// walk did; the contract is debug-asserted).
+    /// first entry whose running ratio sum (`acc += ratio`, in entry
+    /// order) exceeds `x`, or the last entry when rounding leaves the
+    /// whole row's sum at or below `x` — the legacy per-draw walk, so a
+    /// draw equal to a boundary goes right (the `[0, 1)` contract is
+    /// debug-asserted).
     ///
     /// # Panics
     ///
-    /// Panics if the row is empty or `x ≥ 1` (the build-time cumulative
-    /// invariant pins every row's sup to exactly 1.0, so draws in
-    /// `[0, 1)` always land on an entry).
+    /// Panics if the row is empty.
     #[inline]
     pub fn select(&self, x: f64) -> EdgeId {
         debug_assert!((0.0..1.0).contains(&x), "draw {x} outside [0, 1)");
-        let i = self.cum.partition_point(|&c| c <= x);
-        self.hops[i].0
+        let mut acc = 0.0;
+        for &(e, r) in self.hops {
+            acc += r;
+            if x < acc {
+                return e;
+            }
+        }
+        self.hops.last().expect("non-empty next-hop row").0
     }
 
-    /// The cumulative probability through entry `i` (the last entry of a
-    /// non-empty row is exactly `1.0`).
+    /// The cumulative probability through entry `i`: the running ratio
+    /// sum, except that the last entry of the row is exactly `1.0`, since
+    /// [`select`](Self::select) takes it for every draw the sum leaves
+    /// over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     #[inline]
     pub fn cum_prob(&self, i: usize) -> f64 {
-        self.cum[i]
+        if i + 1 == self.hops.len() {
+            return 1.0;
+        }
+        self.hops[..=i].iter().fold(0.0, |acc, &(_, r)| acc + r)
     }
 }
 

@@ -25,13 +25,13 @@
 //! smoothed optimum retains an over-capacity link, which is reported as
 //! [`SpefError::Infeasible`].
 
-use spef_graph::NodeId;
+use spef_graph::{EdgeId, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::engine::RoutingEngine;
 use crate::solver::{ConvergenceCriteria, FwSession, TeWorkspace};
 use crate::te::TeSolution;
-use crate::traffic_dist::SplitRule;
+use crate::traffic_dist::{distribute_streamed, Flows, SplitRule, StreamScratch};
 use crate::{Objective, SpefError};
 
 /// Relative duality-gap tolerance used when
@@ -167,7 +167,7 @@ pub(crate) fn solve_in(
     ws.put_engine(engine.into_state());
     let (utility, weights, relative_gap, iterations) = outcome?;
     Ok(TeSolution {
-        flows: ws.fw.flows.clone(),
+        flows: std::mem::take(&mut ws.fw.flows),
         spare: ws.fw.spare.clone(),
         utility,
         weights,
@@ -221,12 +221,12 @@ fn run(
         }
         // All-or-nothing target: Route_t under κ (even split over ties).
         engine.build_dags(&fw.kappa, dests, 0.0)?;
-        engine.distribute_into(traffic, SplitRule::EvenEcmp, &mut fw.target)?;
+        fw.target.fill(engine, traffic, &mut fw.stream)?;
 
         // One pass over the aggregates serves the gap, the line-search
         // direction Δf = y − f, and (below) the spare update.
         let agg = fw.flows.aggregate();
-        let target_agg = fw.target.aggregate();
+        let target_agg = &fw.target.aggregate;
         gap = 0.0;
         for e in 0..m {
             gap += fw.kappa[e] * (agg[e] - target_agg[e]);
@@ -264,7 +264,8 @@ fn run(
             break;
         }
         if alpha > 0.0 {
-            fw.flows.blend_toward(&fw.target, alpha);
+            fw.target
+                .blend_into(&mut fw.flows, alpha, fw.stream.column_mut());
             for (s, (c, f)) in fw
                 .spare
                 .iter_mut()
@@ -290,6 +291,106 @@ fn run(
         .collect();
     let relative_gap = gap / utility.abs().max(1.0);
     Ok((utility, weights, relative_gap, iterations))
+}
+
+/// Frank–Wolfe's all-or-nothing target `y`: its aggregate, plus for each
+/// destination only the flows on that destination's DAG edges, stored flat
+/// in destination order. The kernel writes nothing off the DAG, so every
+/// other slot of a dense target column is `+0.0`, and scattering the
+/// entries into a zeroed column rebuilds that column bit for bit (after
+/// origin-based assignment, Bar-Gera 2002, which stores each commodity's
+/// flow on its own acyclic subnetwork only).
+#[derive(Debug, Default)]
+pub(crate) struct TargetFlows {
+    /// Aggregate target flows `Σ_t y^t`.
+    pub(crate) aggregate: Vec<f64>,
+    edges: Vec<EdgeId>,
+    flows: Vec<f64>,
+    /// Destination `i`'s entries are `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl TargetFlows {
+    /// Routes the demand of every destination of `engine`'s DAG set
+    /// evenly over its DAG (`Route_t`) through the streamed loop NEM
+    /// shares, keeping each destination's DAG-edge flows and the
+    /// aggregate.
+    pub(crate) fn fill(
+        &mut self,
+        engine: &RoutingEngine<'_>,
+        traffic: &TrafficMatrix,
+        stream: &mut StreamScratch,
+    ) -> Result<(), SpefError> {
+        let graph = engine.graph();
+        let dags = engine.dag_set();
+        let TargetFlows {
+            aggregate,
+            edges,
+            flows,
+            offsets,
+        } = self;
+        aggregate.clear();
+        aggregate.resize(graph.edge_count(), 0.0);
+        edges.clear();
+        flows.clear();
+        offsets.clear();
+        offsets.push(0);
+        distribute_streamed(
+            graph,
+            dags.destinations(),
+            dags.iter(),
+            traffic,
+            SplitRule::EvenEcmp,
+            stream,
+            aggregate,
+            |dag, column, _, _| {
+                for &u in dag.nodes_by_decreasing_distance() {
+                    for &e in dag.successors(u) {
+                        edges.push(e);
+                        flows.push(column[e.index()]);
+                    }
+                }
+                offsets.push(edges.len());
+            },
+        )
+    }
+
+    /// The Frank–Wolfe step `f ← f + α·(y − f)` on every column of
+    /// `iterate` and on its aggregate. Each destination's entries are
+    /// scattered into `column` (zeroed here, `m` long), so the update runs
+    /// over all `m` slots against the dense target column, and the
+    /// scattered slots are cleared again for the next destination.
+    pub(crate) fn blend_into(&self, iterate: &mut Flows, alpha: f64, column: &mut Vec<f64>) {
+        let m = self.aggregate.len();
+        column.clear();
+        column.resize(m, 0.0);
+        let (columns, aggregate) = iterate.parts_mut();
+        debug_assert_eq!(columns.len() + 1, self.offsets.len());
+        for (mine, span) in columns.iter_mut().zip(self.offsets.windows(2)) {
+            let (edges, flows) = (&self.edges[span[0]..span[1]], &self.flows[span[0]..span[1]]);
+            for (&e, &y) in edges.iter().zip(flows) {
+                column[e.index()] = y;
+            }
+            for (a, &b) in mine.iter_mut().zip(column.iter()) {
+                *a += alpha * (b - *a);
+            }
+            for &e in edges {
+                column[e.index()] = 0.0;
+            }
+        }
+        for (a, &b) in aggregate.iter_mut().zip(&self.aggregate) {
+            *a += alpha * (b - *a);
+        }
+    }
+
+    /// Bytes of capacity: the aggregate and the flat entry store.
+    pub(crate) fn arena_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.aggregate.capacity() * size_of::<f64>()
+            + self.edges.capacity() * size_of::<EdgeId>()
+            + self.flows.capacity() * size_of::<f64>()
+            + self.offsets.capacity() * size_of::<usize>()
+    }
 }
 
 #[cfg(test)]
@@ -496,6 +597,65 @@ mod tests {
             .map(|(c, f)| c - f)
             .collect();
         assert!(sol.utility >= obj.aggregate_utility(&spare_ecmp) - 1e-9);
+    }
+
+    /// The memory contract of a session after a solve on a generated
+    /// network: the iterate has moved into the returned solution, so the
+    /// session's flow buffers (iterate and target together) are smaller
+    /// than one dense dests × edges column set; the target keeps at most
+    /// one entry per edge of each destination's last DAG, and only those
+    /// edges; and the returned flows equal a fresh `solve()`'s, and a
+    /// re-solve's in the same workspace, bit for bit.
+    #[test]
+    fn session_keeps_no_dense_columns_and_solution_is_unchanged() {
+        let net = spef_topology::gen::random_network("mem", 24, 80, 7);
+        let tm = TrafficMatrix::fortz_thorup(&net, 3).scaled_to_network_load(&net, 0.1);
+        let obj = Objective::proportional(net.link_count());
+        let config = FrankWolfeConfig {
+            convergence: ConvergenceCriteria::pinned(30),
+            ..FrankWolfeConfig::default()
+        };
+        let (d, m) = (tm.destinations().len(), net.link_count());
+        let mut ws = TeWorkspace::new();
+        let sol = solve_in(&net, &tm, &obj, &config, &mut ws).unwrap();
+
+        let dense_bytes = d * m * std::mem::size_of::<f64>();
+        let session_flow_bytes = ws.fw.flows.arena_bytes() + ws.fw.target.arena_bytes();
+        assert!(
+            session_flow_bytes < dense_bytes,
+            "session flow buffers hold {session_flow_bytes} bytes, a dense column set {dense_bytes}"
+        );
+
+        let graph = net.graph();
+        let engine = RoutingEngine::with_state(graph, ws.take_engine(graph));
+        let dags = engine.dag_set();
+        let target = &ws.fw.target;
+        assert_eq!(target.offsets.len(), dags.len() + 1);
+        assert!(target.edges.len() <= dags.successor_total());
+        for (i, span) in target.offsets.windows(2).enumerate() {
+            let dag = dags.dag(i);
+            for &e in &target.edges[span[0]..span[1]] {
+                assert!(
+                    dag.successors(graph.source(e)).contains(&e),
+                    "target entry {e} of destination {} is off its DAG",
+                    dag.target()
+                );
+            }
+        }
+        ws.put_engine(engine.into_state());
+
+        let bits = |f: &Flows| -> Vec<u64> {
+            let columns = f
+                .destinations()
+                .iter()
+                .flat_map(|&t| f.for_destination(t).expect("per-destination columns"));
+            columns.chain(f.aggregate()).map(|x| x.to_bits()).collect()
+        };
+        let fresh = solve(&net, &tm, &obj, &config).unwrap();
+        let again = solve_in(&net, &tm, &obj, &config, &mut ws).unwrap();
+        assert_eq!(sol.flows.destinations(), fresh.flows.destinations());
+        assert_eq!(bits(&sol.flows), bits(&fresh.flows));
+        assert_eq!(bits(&again.flows), bits(&fresh.flows));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use spef_topology::TrafficMatrix;
 
 use crate::dual_decomp::StepRule;
 use crate::solver::{ConvergenceCriteria, NemSession, TeWorkspace};
-use crate::traffic_dist::{distribute_destination, validate_rule, Flows, SplitRule};
+use crate::traffic_dist::{distribute_streamed, Flows, SplitRule};
 use crate::SpefError;
 
 /// Configuration of Algorithm 2.
@@ -169,11 +169,10 @@ pub(crate) fn solve_in<D: DagAccess>(
 }
 
 /// One Algorithm 3 pass under the exponential rule at the current `v`,
-/// one destination at a time through the session's one-destination
-/// split-table scratch and flow column: the batched kernel's operations in
-/// its order (each destination's flows join the aggregate in ascending
-/// destination order), so the aggregate is bit-identical to it. Only the
-/// aggregate survives. Returns the dual objective's demand terms
+/// through the streamed loop Frank–Wolfe's target shares
+/// ([`distribute_streamed`]): the batched kernel's operations in its order,
+/// so the aggregate is bit-identical to it. Only the aggregate survives.
+/// Returns the dual objective's demand terms
 /// `Σ_r d_r · log Σ_k e^(−v^r_k)` when `record`, else `0`.
 fn distribute<D: DagAccess>(
     nem: &mut NemSession,
@@ -183,43 +182,27 @@ fn distribute<D: DagAccess>(
     traffic: &TrafficMatrix,
     record: bool,
 ) -> Result<f64, SpefError> {
-    if dags.len() != dests.len() {
-        return Err(SpefError::InvalidInput(format!(
-            "{} DAGs supplied for {} destinations",
-            dags.len(),
-            dests.len()
-        )));
-    }
-    let rule = SplitRule::Exponential(&nem.v);
-    validate_rule(graph, rule)?;
-    let m = graph.edge_count();
-    nem.flows.reset_aggregate(dests, m);
+    nem.flows.reset_aggregate(dests, graph.edge_count());
     let (_, aggregate) = nem.flows.parts_mut();
     let mut dual = 0.0;
-    for (dag, &t) in dags.iter().zip(dests) {
-        nem.column.clear();
-        nem.column.resize(m, 0.0);
-        distribute_destination(
-            graph,
-            t,
-            dag,
-            traffic,
-            rule,
-            &mut nem.table,
-            &mut nem.scratch,
-            &mut nem.column,
-            aggregate,
-        )?;
-        if record {
-            let table = nem.table.table(0);
-            traffic.demands_to_into(t, &mut nem.scratch.demands);
-            for (s, &d) in graph.nodes().zip(&nem.scratch.demands) {
-                if d > 0.0 {
-                    dual += d * table.log_path_sum(s);
+    distribute_streamed::<D, _>(
+        graph,
+        dests,
+        dags.iter(),
+        traffic,
+        SplitRule::Exponential(&nem.v),
+        &mut nem.stream,
+        aggregate,
+        |_, _, table, demands| {
+            if record {
+                for (s, &d) in graph.nodes().zip(demands) {
+                    if d > 0.0 {
+                        dual += d * table.log_path_sum(s);
+                    }
                 }
             }
-        }
-    }
+        },
+    )?;
     Ok(dual)
 }
 

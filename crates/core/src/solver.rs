@@ -26,7 +26,8 @@ use spef_lp::simplex::SimplexWorkspace;
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::engine::EngineState;
-use crate::traffic_dist::{DistScratch, Flows, SplitTableSet};
+use crate::frank_wolfe::TargetFlows;
+use crate::traffic_dist::{Flows, StreamScratch};
 use crate::{Objective, SpefError};
 
 /// Relative Dijkstra tie threshold for reconverging *stale* continuous
@@ -198,12 +199,20 @@ fn f64_bytes(v: &Vec<f64>) -> usize {
     v.capacity() * std::mem::size_of::<f64>()
 }
 
-/// Frank–Wolfe session buffers: the iterate and the all-or-nothing target
-/// flows plus the per-link scratch vectors.
+/// Frank–Wolfe session buffers: the iterate, the all-or-nothing target,
+/// the streamed-distribution scratch and the per-link vectors. The iterate
+/// is moved into the returned [`TeSolution`](crate::TeSolution) at the end
+/// of a solve, so between solves the session holds no per-destination
+/// column set; the next solve regrows it.
 #[derive(Debug, Default)]
 pub(crate) struct FwSession {
     pub(crate) flows: Flows,
-    pub(crate) target: Flows,
+    /// The target keeps its aggregate and, per destination, only the
+    /// flows on that destination's DAG edges.
+    pub(crate) target: TargetFlows,
+    /// One destination's split table, kernel scratch and flow column: the
+    /// target is routed through it, and the blend reuses the column.
+    pub(crate) stream: StreamScratch,
     pub(crate) spare: Vec<f64>,
     pub(crate) kappa: Vec<f64>,
     pub(crate) delta: Vec<f64>,
@@ -211,11 +220,12 @@ pub(crate) struct FwSession {
 }
 
 impl FwSession {
-    /// Bytes of capacity: the iterate and target flow buffers and the
-    /// per-link buffers.
+    /// Bytes of capacity: the iterate (empty between solves), the target,
+    /// the stream scratch and the per-link buffers.
     fn arena_bytes(&self) -> usize {
         self.flows.arena_bytes()
             + self.target.arena_bytes()
+            + self.stream.arena_bytes()
             + [&self.spare, &self.kappa, &self.delta, &self.init_weights]
                 .into_iter()
                 .map(f64_bytes)
@@ -233,24 +243,15 @@ pub(crate) struct NemSession {
     pub(crate) v: Vec<f64>,
     /// Aggregate-only flows of the last distribution.
     pub(crate) flows: Flows,
-    /// One destination's split table at a time: NEM routes each
-    /// destination through it.
-    pub(crate) table: SplitTableSet,
-    pub(crate) scratch: DistScratch,
-    /// The flow column each destination is routed into before it is
-    /// folded into the aggregate.
-    pub(crate) column: Vec<f64>,
+    /// One destination's split table, kernel scratch and flow column at a
+    /// time: NEM routes each destination through it.
+    pub(crate) stream: StreamScratch,
 }
 
 impl NemSession {
-    /// Bytes of capacity: the flows, the one-destination table and
-    /// scratch, and the iterate.
+    /// Bytes of capacity: the flows, the stream scratch and the iterate.
     fn arena_bytes(&self) -> usize {
-        self.flows.arena_bytes()
-            + self.table.arena_bytes()
-            + self.scratch.arena_bytes()
-            + f64_bytes(&self.v)
-            + f64_bytes(&self.column)
+        self.flows.arena_bytes() + self.stream.arena_bytes() + f64_bytes(&self.v)
     }
 }
 
@@ -323,9 +324,13 @@ impl TeWorkspace {
     /// arenas never shrink. It counts both engine slots' routing arenas
     /// (DAG sets, split tables, Dijkstra scratch) and everything else they
     /// hold (CSR, demand cache, SPF-skip fingerprint), every solver's flow
-    /// buffers (NEM's holds the aggregate only) and the per-link buffers;
-    /// only the β = 0 simplex tableau is left out. The scaling ablation
-    /// prints this as its peak-memory column.
+    /// buffers (NEM's holds the aggregate only, Frank–Wolfe's target only
+    /// its DAG edges) and the per-link buffers; only the β = 0 simplex
+    /// tableau is left out. The Frank–Wolfe and Algorithm 1 iterates are
+    /// not counted: each solve moves its per-destination flows into the
+    /// returned solution, which owns them from then on (add
+    /// `Flows::arena_bytes` of the solution's flows for a route's total).
+    /// The scaling ablation prints this as its peak-memory column.
     pub fn arena_bytes(&self) -> usize {
         let engine_bytes = |e: &EngineState| e.arena_bytes() + e.cache_bytes();
         self.engine.as_ref().map_or(0, engine_bytes)

@@ -51,6 +51,8 @@
 //! and both DAG storages go through one distribution kernel, generic
 //! over [`DagAccess`].
 
+use std::borrow::Borrow;
+
 use spef_graph::batch::{build_dag_set, DagAccess, DagSet, Parallelism, RoutingWorkspace};
 use spef_graph::{Csr, EdgeId, Graph, GraphError, NodeId, ShortestPathDag};
 use spef_topology::TrafficMatrix;
@@ -580,21 +582,6 @@ impl Flows {
                 .sum::<usize>()
             + self.aggregate.capacity() * std::mem::size_of::<f64>()
     }
-
-    /// In-place convex combination `self ← (1−α)·self + α·other`, the
-    /// Frank–Wolfe update. Requires identical destination sets.
-    pub(crate) fn blend_toward(&mut self, other: &Flows, alpha: f64) {
-        self.stamp = 0;
-        debug_assert_eq!(self.dests, other.dests);
-        for (mine, theirs) in self.per_dest.iter_mut().zip(&other.per_dest) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += alpha * (b - *a);
-            }
-        }
-        for (a, b) in self.aggregate.iter_mut().zip(&other.aggregate) {
-            *a += alpha * (b - *a);
-        }
-    }
 }
 
 /// Builds the per-destination shortest-path DAGs `ON = {ON_t}` for the
@@ -764,20 +751,106 @@ where
     Ok(())
 }
 
-/// The per-destination body shared by [`distribute_batch`] and NEM: builds
-/// destination `t`'s split table into the one-destination scratch
-/// `table`, routes `t`'s demand column into `column`, and adds the column
-/// into the **global** `aggregate`. Both callers run it in ascending
-/// destination order, so the aggregate's floating-point accumulation order
-/// is the same on both paths, and NEM's flows are bit-identical to the
-/// engine's.
+/// The one-destination buffers of [`distribute_streamed`]: one split
+/// table, the kernel's scratch and one `m`-long flow column, reused across
+/// destinations and calls.
+#[derive(Debug, Default)]
+pub(crate) struct StreamScratch {
+    table: SplitTableSet,
+    scratch: DistScratch,
+    column: Vec<f64>,
+}
+
+impl StreamScratch {
+    /// The `m`-long column, for a caller that needs one scratch column
+    /// between passes (its contents are unspecified).
+    pub(crate) fn column_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.column
+    }
+
+    /// Bytes of capacity: the table, the kernel scratch and the column.
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.table.arena_bytes()
+            + self.scratch.arena_bytes()
+            + self.column.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+/// One streamed Algorithm 3 pass, the loop NEM and Frank–Wolfe's target
+/// share: each destination in turn (in `dests` order, ascending) is routed
+/// through `stream`'s one split table into its one `m`-long column, the
+/// column is folded into `aggregate`, and `per_dest` sees the destination's
+/// DAG, column, split table and demand column before the next destination
+/// overwrites them. These are [`distribute_batch`]'s operations in its
+/// order, so `aggregate` and every column are bit-identical to its; only
+/// what `per_dest` keeps of the columns survives.
 ///
-/// `column` must be zeroed and `m` long. Inlined because NEM calls it
-/// once per destination, and on small graphs the call overhead is a
-/// measurable share of an iteration.
+/// `aggregate` must be zeroed and `m` long. `dags` may yield the DAGs or
+/// references to them: the kernel sees `&D` either way, since one more
+/// reference layer in its per-node loops costs NEM measurable time.
+///
+/// # Errors
+///
+/// Same conditions as [`distribute_batch`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn distribute_streamed<D: DagAccess, B: Borrow<D>>(
+    graph: &Graph,
+    dests: &[NodeId],
+    dags: impl ExactSizeIterator<Item = B>,
+    traffic: &TrafficMatrix,
+    rule: SplitRule<'_>,
+    stream: &mut StreamScratch,
+    aggregate: &mut [f64],
+    mut per_dest: impl FnMut(&D, &[f64], SplitTableRef<'_>, &[f64]),
+) -> Result<(), SpefError> {
+    if dags.len() != dests.len() {
+        return Err(SpefError::InvalidInput(format!(
+            "{} DAGs supplied for {} destinations",
+            dags.len(),
+            dests.len()
+        )));
+    }
+    validate_rule(graph, rule)?;
+    let m = graph.edge_count();
+    for (dag, &t) in dags.zip(dests) {
+        let dag = dag.borrow();
+        stream.column.clear();
+        stream.column.resize(m, 0.0);
+        distribute_destination(
+            graph,
+            t,
+            dag,
+            traffic,
+            rule,
+            &mut stream.table,
+            &mut stream.scratch,
+            &mut stream.column,
+            aggregate,
+        )?;
+        per_dest(
+            dag,
+            &stream.column,
+            stream.table.table(0),
+            &stream.scratch.demands,
+        );
+    }
+    Ok(())
+}
+
+/// The per-destination body shared by [`distribute_batch`] and
+/// [`distribute_streamed`]: builds destination `t`'s split table into the
+/// one-destination scratch `table`, routes `t`'s demand column into
+/// `column`, and adds the column into the **global** `aggregate`. Both
+/// callers run it in ascending destination order, so the aggregate's
+/// floating-point accumulation order is the same on both paths, and the
+/// streamed flows are bit-identical to the engine's.
+///
+/// `column` must be zeroed and `m` long. Inlined because the streamed loop
+/// calls it once per destination, and on small graphs the call overhead is
+/// a measurable share of an iteration.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn distribute_destination<D: DagAccess>(
+fn distribute_destination<D: DagAccess>(
     graph: &Graph,
     t: NodeId,
     dag: &D,

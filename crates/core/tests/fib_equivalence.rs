@@ -6,9 +6,9 @@
 //! `O(dests)` destination scan, and the simulator's per-draw linear
 //! accumulation walk (`acc += ratio; if x < acc`) with its trailing
 //! `hops.last()` fallback. For every `(node, destination)` cell the flat
-//! rows must match entry for entry, and for every uniform draw the
-//! `partition_point` selection over precomputed cumulative probabilities
-//! must pick the exact edge the linear walk picked — that equality, plus
+//! rows must match entry for entry, and for every uniform draw
+//! `FibRow::select`, which walks the row's running ratio sum, must pick the
+//! exact edge the linear walk picked — that equality, plus
 //! the unchanged RNG stream, is what makes netsim `SimReport`s
 //! bit-identical across the representation swap (pinned end-to-end in CI
 //! by the committed `BENCH_sim.json` sweep baseline, which equals the
@@ -125,9 +125,9 @@ proptest! {
         prop_assert_eq!(flat.entry_count(), legacy_total);
     }
 
-    /// The binary-search selection picks the same edge as the legacy
-    /// linear walk for a dense sweep of draws — including draws on and
-    /// around every cumulative boundary, where tie-breaking matters.
+    /// The row selection picks the same edge as the legacy linear walk
+    /// for a dense sweep of draws — including draws on and around every
+    /// cumulative boundary, where tie-breaking matters.
     #[test]
     fn selection_matches_legacy_walk((net, tm, v) in random_instance()) {
         let (flat, legacy) = build_pair(&net, &tm, &v);
@@ -164,8 +164,8 @@ proptest! {
 }
 
 /// Many equal ratios accumulate float drift (`k × 1/k ≠ 1` in binary):
-/// the pinned final cumulative must still select exactly like the legacy
-/// walk with its fallback, for draws up to the last representable value
+/// the row must still select exactly like the legacy walk with its
+/// last-entry fallback, for draws up to the last representable value
 /// below 1.
 #[test]
 fn drifted_rows_select_identically() {
@@ -187,4 +187,39 @@ fn drifted_rows_select_identically() {
             }
         }
     }
+}
+
+/// A row whose running sum passes 1.0 before its last entry (ratios may
+/// sum to 1 within `1e-6`): every draw below 1 is taken before the trailing
+/// zero-ratio entry, exactly as the legacy walk takes it, including draws
+/// on and around the one interior boundary; the last entry's cumulative
+/// probability still reads exactly 1.0.
+#[test]
+fn overshooting_row_selects_identically() {
+    let hops = vec![
+        (EdgeId::new(0), 0.6),
+        (EdgeId::new(1), 0.4000005),
+        (EdgeId::new(2), 0.0),
+    ];
+    let fib = ForwardingTable::new(
+        2,
+        vec![NodeId::new(1)],
+        vec![vec![hops.clone(), Vec::new()]],
+    );
+    let row = fib.fib().row(0, NodeId::new(0));
+    let boundary = 0.6f64;
+    for x in [
+        0.0,
+        boundary.next_down(),
+        boundary,
+        boundary.next_up(),
+        0.999_999,
+        1.0f64.next_down(),
+    ] {
+        assert_eq!(row.select(x), legacy_select(&hops, x), "x = {x}");
+    }
+    assert_eq!(row.select(1.0f64.next_down()), EdgeId::new(1));
+    assert_eq!(row.cum_prob(0), 0.6);
+    assert_eq!(row.cum_prob(1), 0.6 + 0.4000005);
+    assert_eq!(row.cum_prob(2), 1.0);
 }

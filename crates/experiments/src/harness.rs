@@ -134,7 +134,8 @@ pub struct ScaleScenarioResult {
     /// `(destination, router)` rows.
     pub fib_entries: u64,
     /// High-water bytes of the solver workspace (`TeWorkspace::arena_bytes`:
-    /// routing arenas, flow buffers, caches and saved solutions),
+    /// routing arenas, flow buffers and caches) plus the TE solution's
+    /// per-destination flows, which the solve moves out of the workspace;
     /// capacity-based.
     pub peak_arena_bytes: u64,
     /// High-water bytes of the forwarding-table arenas.
@@ -684,6 +685,15 @@ impl PipelineRouting {
             PipelineRouting::FortzThorup(ft) => ft.routing.forwarding_table(),
         }
     }
+
+    /// Bytes of the TE solution's flows, which a SPEF solve moves out of
+    /// the workspace (FT rows solve no TE).
+    fn te_flow_bytes(&self) -> usize {
+        match self {
+            PipelineRouting::Spef(r) => r.te_solution().flows.arena_bytes(),
+            PipelineRouting::FortzThorup(_) => 0,
+        }
+    }
 }
 
 /// A solved pipeline kept alive so later scenarios in the same chain can
@@ -974,7 +984,7 @@ fn scale_stage(
         links: solved.network.link_count() as u64,
         dests: solved.traffic.destinations().len() as u64,
         fib_entries: table.entry_count() as u64,
-        peak_arena_bytes: ws.arena_bytes() as u64,
+        peak_arena_bytes: (ws.arena_bytes() + solved.routing.te_flow_bytes()) as u64,
         peak_fib_bytes: table.arena_bytes() as u64,
     })
 }

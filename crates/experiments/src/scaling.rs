@@ -14,7 +14,8 @@
 //! * the control-plane state: total forwarding-table entries for SPEF vs
 //!   plain-OSPF ECMP (the "one more weight" overhead made concrete),
 //! * the high-water mark of the SPEF build's workspace and FIB arenas
-//!   ([`TeWorkspace::arena_bytes`]).
+//!   ([`TeWorkspace::arena_bytes`], plus the TE solution's flows, which
+//!   the solve moves out of the workspace).
 
 use std::time::Instant;
 
@@ -133,7 +134,9 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             .spef_config()
             .solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let peak = ws.arena_bytes() + routing.forwarding_table().arena_bytes();
+        let peak = ws.arena_bytes()
+            + routing.te_solution().flows.arena_bytes()
+            + routing.forwarding_table().arena_bytes();
 
         // Control-plane state straight off the flat FIB arena — O(1), not
         // the old O(dests · nodes) re-lookup that rebuilt a NodeId and

@@ -271,9 +271,24 @@ impl TrafficSpec {
             TrafficModel::FortzThorup => "ft",
             TrafficModel::Gravity => "grav",
         };
-        // Shortest round-trip float formatting: distinct loads always
-        // produce distinct ids (ids are the join key of batch reports).
-        format!("{model}-s{}-l{}", self.seed, self.load)
+        // Round-trip float spelling: distinct loads always produce
+        // distinct ids (ids are the join key of batch reports).
+        format!("{model}-s{}-l{}", self.seed, id_float(self.load))
+    }
+}
+
+/// Spells a float for a scenario id or key: the shortest round-trip `{}`
+/// spelling when it is at most 24 characters, the longest `{:e}` spelling
+/// of any `f64` (`-2.2250738585072014e-308`), else `{:e}`. Both spellings
+/// round-trip exactly, so distinct values keep distinct ids; every value a
+/// committed baseline uses keeps its `{}` spelling, and a huge or tiny one
+/// (`1e300`) no longer spells out hundreds of digits.
+fn id_float(x: f64) -> String {
+    let plain = x.to_string();
+    if plain.len() <= 24 {
+        plain
+    } else {
+        format!("{x:e}")
     }
 }
 
@@ -424,7 +439,10 @@ impl SimSpec {
     pub fn id(&self) -> String {
         format!(
             "sim-d{}w{}u{}s{}",
-            self.duration, self.warmup, self.unit_bps, self.seed
+            id_float(self.duration),
+            id_float(self.warmup),
+            id_float(self.unit_bps),
+            self.seed
         )
     }
 }
@@ -493,8 +511,8 @@ impl Scenario {
             "{}+{}+q{}b{}+{}",
             topology.id(),
             traffic.id(),
-            objective.q,
-            objective.beta,
+            id_float(objective.q),
+            id_float(objective.beta),
             solver.id()
         );
         Scenario {
@@ -545,8 +563,8 @@ impl Scenario {
             self.topology.id(),
             self.traffic.model,
             self.traffic.seed,
-            self.objective.q,
-            self.objective.beta,
+            id_float(self.objective.q),
+            id_float(self.objective.beta),
             self.solver.id()
         )
     }
@@ -556,7 +574,7 @@ impl Scenario {
     /// can differ only in the attached sim or failure stage), so one
     /// intact solve serves both.
     pub fn solve_key(&self) -> String {
-        format!("{}+l{}", self.chain_key(), self.traffic.load)
+        format!("{}+l{}", self.chain_key(), id_float(self.traffic.load))
     }
 }
 
@@ -1037,6 +1055,39 @@ mod tests {
         let plain = grid.sim_durations([]).build();
         assert_eq!(plain.len(), 1);
         assert!(plain[0].sim.is_none());
+    }
+
+    /// `repro sweep --topologies fig4 --seeds 1 --loads 0.05 --solvers
+    /// fw-fast --sim-durations 1e300 --sim-warmup-frac 0.5` once named its
+    /// scenario with two 300-digit numbers. Huge and tiny values now spell
+    /// as `{:e}`, which round-trips, while ordinary ones keep `{}`.
+    #[test]
+    fn ids_spell_huge_floats_compactly() {
+        let scenarios = ScenarioGrid::new()
+            .topologies([TopologySpec::Fig4])
+            .seeds([1])
+            .loads([0.05])
+            .solvers([SolverSpec::FrankWolfeFast])
+            .sim_durations([1e300])
+            .sim_warmup_frac(0.5)
+            .build();
+        let id = &scenarios[0].id;
+        let longest_digit_run = id
+            .split(|c: char| !c.is_ascii_digit())
+            .map(str::len)
+            .max()
+            .unwrap_or(0);
+        assert!(longest_digit_run <= 24, "{id}");
+        assert!(id.ends_with("+sim-d1e300w5e299u1000000s20759"), "{id}");
+
+        for x in [1e300, 5e-300, -f64::MIN_POSITIVE, f64::MAX, 0.15, 1e6] {
+            let spelled = id_float(x);
+            assert!(spelled.len() <= 24, "{spelled}");
+            assert_eq!(spelled.parse::<f64>().unwrap().to_bits(), x.to_bits());
+        }
+        assert_eq!(id_float(0.15), "0.15");
+        assert_eq!(id_float(1e6), "1000000");
+        assert_eq!(id_float(1e300), "1e300");
     }
 
     #[test]

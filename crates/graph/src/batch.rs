@@ -18,8 +18,10 @@
 //!   data);
 //! * [`DagSet`] holds the DAGs of *all* destinations in contiguous
 //!   offset-indexed arenas (`dist`, CSR successor lists, processing
-//!   orders, path counts) of 4-byte ids and offsets, instead of
-//!   per-destination heap objects;
+//!   orders) of 4-byte ids and offsets, instead of per-destination heap
+//!   objects; it stores only what routing reads, so edge membership and
+//!   path counts are derived on demand
+//!   ([`DagSet::to_shortest_path_dag`]);
 //! * destinations fan out across worker threads (through the `rayon`
 //!   shim), one contiguous chunk per worker, when the batch is large
 //!   enough to amortise the dispatch — each destination writes only its
@@ -87,12 +89,15 @@ struct SlotScratch {
     /// Doubles as the per-node successor counter and fill cursor during
     /// CSR construction.
     cursor: Vec<usize>,
+    /// DAG membership per edge of the destination being classified.
+    on_dag: Vec<bool>,
 }
 
 impl SlotScratch {
     fn ensure(&mut self, n: usize, m: usize) {
         self.settled.resize(n, false);
         self.cursor.resize(n, 0);
+        self.on_dag.resize(m, false);
         // A Dijkstra pushes the origin plus at most one entry per edge it
         // relaxes, so the heap never outgrows `m + 1`. Reserving that up
         // front keeps the capacity independent of which destinations ran.
@@ -140,6 +145,7 @@ impl RoutingWorkspace {
                 s.settled.capacity()
                     + s.heap.capacity() * std::mem::size_of::<HeapEntry>()
                     + s.cursor.capacity() * std::mem::size_of::<usize>()
+                    + s.on_dag.capacity()
             })
             .sum()
     }
@@ -155,7 +161,10 @@ impl RoutingWorkspace {
 /// This is the one routing arena sized by destinations × edges: each
 /// destination reserves an `m`-slot successor block, of which its DAG
 /// uses only the on-DAG edges. Ids, successor offsets and order lengths
-/// are 4 bytes each.
+/// are 4 bytes each. Nothing else is stored per destination: edge
+/// membership is classified in a per-worker scratch, and edge flags and
+/// path counts are derived from the successor lists only when a DAG is
+/// materialised ([`DagSet::to_shortest_path_dag`]).
 #[derive(Debug, Clone, Default)]
 pub struct DagSet {
     n: usize,
@@ -171,14 +180,10 @@ pub struct DagSet {
     succ_off: Vec<u32>,
     /// Successor edge ids, `m_block` slots per destination.
     succ: Vec<EdgeId>,
-    /// DAG membership per edge, `m_block` slots per destination.
-    on_dag: Vec<bool>,
     /// Reachable nodes by decreasing distance, `n` slots per destination
     /// (only the first `order_len[i]` are meaningful).
     order: Vec<NodeId>,
     order_len: Vec<u32>,
-    /// Saturating shortest-path counts, `n` slots per destination.
-    path_counts: Vec<u64>,
 }
 
 impl DagSet {
@@ -221,10 +226,18 @@ impl DagSet {
             dist: &self.dist[i * n..(i + 1) * n],
             succ_off: &self.succ_off[i * (n + 1)..(i + 1) * (n + 1)],
             succ: &self.succ[i * self.m_block..(i + 1) * self.m_block],
-            on_dag: &self.on_dag[i * self.m_block..(i + 1) * self.m_block],
             order: &self.order[i * n..i * n + self.order_len[i] as usize],
-            path_counts: &self.path_counts[i * n..(i + 1) * n],
         }
+    }
+
+    /// Total DAG edges over every destination: the sum of the successor
+    /// list lengths, and so the entry count of a forwarding table built
+    /// over this set.
+    pub fn successor_total(&self) -> usize {
+        let n = self.n;
+        (0..self.len())
+            .map(|i| self.succ_off[i * (n + 1) + n] as usize)
+            .sum()
     }
 
     /// Iterates over all per-destination DAG views in build order.
@@ -234,7 +247,8 @@ impl DagSet {
 
     /// Materialises destination `i` as an owned [`ShortestPathDag`]
     /// (allocating), for callers that store DAGs beyond the engine's
-    /// lifetime. Predecessor lists are reconstructed from `graph`.
+    /// lifetime. Predecessor lists, edge flags and path counts are derived
+    /// from the successor lists.
     ///
     /// # Panics
     ///
@@ -245,11 +259,13 @@ impl DagSet {
         let n = self.n;
         let mut succ = Vec::with_capacity(n);
         let mut pred = vec![Vec::new(); n];
+        let mut on_dag = vec![false; graph.edge_count()];
         for u in 0..n {
             let s = view.successors(NodeId::new(u));
             succ.push(s.to_vec());
             for &e in s {
                 pred[graph.target(e).index()].push(e);
+                on_dag[e.index()] = true;
             }
         }
         // Predecessor lists must come out in edge-id order (the legacy
@@ -257,15 +273,27 @@ impl DagSet {
         for p in &mut pred {
             p.sort_unstable();
         }
+        // Saturating path counts by increasing distance, as the legacy
+        // build counts them.
+        let mut path_counts = vec![0u64; n];
+        path_counts[view.target.index()] = 1;
+        for &u in view.order.iter().rev() {
+            if u == view.target {
+                continue;
+            }
+            path_counts[u.index()] = succ[u.index()].iter().fold(0u64, |total, &e| {
+                total.saturating_add(path_counts[graph.target(e).index()])
+            });
+        }
         ShortestPathDag::from_parts(
             view.target,
             self.tol,
             view.dist.to_vec(),
             succ,
             pred,
-            view.on_dag[..graph.edge_count()].to_vec(),
+            on_dag,
             view.order.to_vec(),
-            view.path_counts.to_vec(),
+            path_counts,
         )
     }
 
@@ -275,9 +303,7 @@ impl DagSet {
     pub fn arena_bytes(&self) -> usize {
         self.dists_arena_bytes()
             + self.succ.capacity() * std::mem::size_of::<EdgeId>()
-            + self.on_dag.capacity()
             + self.order.capacity() * std::mem::size_of::<NodeId>()
-            + self.path_counts.capacity() * std::mem::size_of::<u64>()
     }
 
     fn dists_arena_bytes(&self) -> usize {
@@ -303,17 +329,19 @@ impl DagSet {
         self.dist.resize(d * n, 0.0);
         self.succ_off.resize(d * (n + 1), 0);
         self.succ.resize(d * m_block, EdgeId::new(0));
-        self.on_dag.resize(d * m_block, false);
         self.order.resize(d * n, NodeId::new(0));
         self.order_len.resize(d, 0);
-        self.path_counts.resize(d * n, 0);
     }
 }
 
 /// A borrowed view of one destination's DAG inside a [`DagSet`].
 ///
-/// Mirrors the accessor surface of [`ShortestPathDag`]; both implement
-/// [`DagAccess`] so downstream algorithms are generic over the storage.
+/// Mirrors the routing accessors of [`ShortestPathDag`] (distances,
+/// successor lists, processing order); both implement [`DagAccess`] so
+/// downstream algorithms are generic over the storage. The set stores no
+/// edge flags or path counts, so a caller that needs
+/// [`ShortestPathDag::contains_edge`] or [`ShortestPathDag::path_count`]
+/// materialises the DAG with [`DagSet::to_shortest_path_dag`].
 #[derive(Debug, Clone, Copy)]
 pub struct DagRef<'a> {
     target: NodeId,
@@ -321,9 +349,7 @@ pub struct DagRef<'a> {
     dist: &'a [f64],
     succ_off: &'a [u32],
     succ: &'a [EdgeId],
-    on_dag: &'a [bool],
     order: &'a [NodeId],
-    path_counts: &'a [u64],
 }
 
 // The accessors are `#[inline]` because the per-node loops of the
@@ -360,12 +386,6 @@ impl<'a> DagRef<'a> {
         &self.succ[self.succ_off[u.index()] as usize..self.succ_off[u.index() + 1] as usize]
     }
 
-    /// Returns `true` if edge `e` lies on some shortest path to the target.
-    #[inline]
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.on_dag[e.index()]
-    }
-
     /// Returns `true` if the target is reachable from `u`.
     #[inline]
     pub fn reaches_target(&self, u: NodeId) -> bool {
@@ -376,12 +396,6 @@ impl<'a> DagRef<'a> {
     #[inline]
     pub fn nodes_by_decreasing_distance(&self) -> &'a [NodeId] {
         self.order
-    }
-
-    /// Number of equal-cost shortest paths from `u`, saturating.
-    #[inline]
-    pub fn path_count(&self, u: NodeId) -> u64 {
-        self.path_counts[u.index()]
     }
 }
 
@@ -467,10 +481,8 @@ struct DagTask<'a> {
     dist: &'a mut [f64],
     succ_off: &'a mut [u32],
     succ: &'a mut [EdgeId],
-    on_dag: &'a mut [bool],
     order: &'a mut [NodeId],
     order_len: &'a mut u32,
-    path_counts: &'a mut [u64],
 }
 
 impl DagSet {
@@ -481,21 +493,17 @@ impl DagSet {
             .chunks_mut(n)
             .zip(self.succ_off.chunks_mut(n + 1))
             .zip(self.succ.chunks_mut(m_block))
-            .zip(self.on_dag.chunks_mut(m_block))
             .zip(self.order.chunks_mut(n))
             .zip(self.order_len.iter_mut())
-            .zip(self.path_counts.chunks_mut(n))
             .zip(self.dests.iter())
             .map(
-                |(((((((dist, succ_off), succ), on_dag), order), order_len), pc), &t)| DagTask {
+                |(((((dist, succ_off), succ), order), order_len), &t)| DagTask {
                     target: t,
                     dist,
                     succ_off,
                     succ,
-                    on_dag,
                     order,
                     order_len,
-                    path_counts: pc,
                 },
             )
     }
@@ -681,10 +689,8 @@ fn build_one_dag(
         dist,
         succ_off,
         succ,
-        on_dag,
         order,
         order_len,
-        path_counts,
     } = task;
 
     let mut len = 0;
@@ -693,9 +699,10 @@ fn build_one_dag(
         len += 1;
     });
 
-    // Classify edges (in id order, exactly like the legacy path) and count
-    // successors per node.
-    on_dag[..m].fill(false);
+    // Classify edges (in id order, exactly like the legacy path) into the
+    // worker's membership scratch and count successors per node.
+    let on_dag = &mut scratch.on_dag[..m];
+    on_dag.fill(false);
     scratch.cursor[..n].fill(0);
     for (e, u, v) in graph.edges() {
         let (du, dv) = (dist[u.index()], dist[v.index()]);
@@ -736,20 +743,6 @@ fn build_one_dag(
     order.reverse();
     for run in order.chunk_by_mut(|a, b| dist[a.index()] == dist[b.index()]) {
         run.sort_unstable();
-    }
-
-    // Path counts by increasing distance.
-    path_counts[..n].fill(0);
-    path_counts[target.index()] = 1;
-    for &u in order.iter().rev() {
-        if u == target {
-            continue;
-        }
-        let mut total = 0u64;
-        for &e in &succ[succ_off[u.index()] as usize..succ_off[u.index() + 1] as usize] {
-            total = total.saturating_add(path_counts[graph.target(e).index()]);
-        }
-        path_counts[u.index()] = total;
     }
 }
 
@@ -896,17 +889,18 @@ mod tests {
             for (i, &t) in dests.iter().enumerate() {
                 let legacy = ShortestPathDag::build(&g, &w, t, tol).unwrap();
                 let view = set.dag(i);
+                let owned = set.to_shortest_path_dag(i, &g);
                 assert_eq!(view.distances(), legacy.distances(), "dist to {t}");
                 for u in g.nodes() {
                     assert_eq!(view.successors(u), legacy.successors(u), "succ {u} -> {t}");
-                    assert_eq!(view.path_count(u), legacy.path_count(u));
+                    assert_eq!(owned.path_count(u), legacy.path_count(u));
                 }
                 assert_eq!(
                     view.nodes_by_decreasing_distance(),
                     legacy.nodes_by_decreasing_distance()
                 );
                 for e in g.edge_ids() {
-                    assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
+                    assert_eq!(owned.contains_edge(e), legacy.contains_edge(e));
                 }
             }
         }
@@ -922,7 +916,6 @@ mod tests {
         assert_eq!(serial.succ_off, parallel.succ_off);
         assert_eq!(serial.succ, parallel.succ);
         assert_eq!(serial.order, parallel.order);
-        assert_eq!(serial.path_counts, parallel.path_counts);
     }
 
     #[test]
@@ -973,6 +966,9 @@ mod tests {
             assert_eq!(owned.successors(u), legacy.successors(u));
             assert_eq!(owned.predecessors(u), legacy.predecessors(u));
             assert_eq!(owned.path_count(u), legacy.path_count(u));
+        }
+        for e in g.edge_ids() {
+            assert_eq!(owned.contains_edge(e), legacy.contains_edge(e));
         }
         assert_eq!(
             owned.nodes_by_decreasing_distance(),
@@ -1077,7 +1073,6 @@ mod tests {
             assert_eq!(view.distances(), reference.distances(), "slot {i}");
             for u in g.nodes() {
                 assert_eq!(view.successors(u), reference.successors(u));
-                assert_eq!(view.path_count(u), reference.path_count(u));
             }
             assert_eq!(
                 view.nodes_by_decreasing_distance(),
@@ -1094,6 +1089,7 @@ mod tests {
         assert_eq!(view.distance(1.into()), 0.0);
         assert!(!view.reaches_target(0.into()));
         assert_eq!(view.nodes_by_decreasing_distance(), &[NodeId::new(1)]);
-        assert_eq!(view.path_count(1.into()), 1);
+        assert_eq!(set.successor_total(), 0);
+        assert_eq!(set.to_shortest_path_dag(0, &g).path_count(1.into()), 1);
     }
 }

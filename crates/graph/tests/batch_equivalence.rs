@@ -7,7 +7,9 @@
 //! engine. On random graphs and weights, every observable — distances,
 //! DAG edge sets, successor order, processing order, path counts — must
 //! agree exactly (`==` on floats, not approximately), and must not depend
-//! on the parallel schedule.
+//! on the parallel schedule. The set stores no edge flags or path counts,
+//! so those are compared through [`DagSet::to_shortest_path_dag`], which
+//! derives them from the successor lists.
 
 use proptest::prelude::*;
 use spef_graph::{
@@ -60,13 +62,17 @@ fn build_batched(g: &Graph, w: &[f64], dests: &[NodeId], tol: f64, par: Parallel
 }
 
 /// Asserts that the engine's DAG of every destination equals the legacy
-/// DAG on every observable.
+/// DAG on every observable: the view's distances, orders and successor
+/// lists, and the path counts and on-DAG flags the materialised DAG
+/// derives from them.
 fn assert_matches_legacy(g: &Graph, w: &[f64], tol: f64, par: Parallelism) {
     let dests: Vec<NodeId> = g.nodes().collect();
     let set = build_batched(g, w, &dests, tol, par);
+    let mut successors = 0;
     for (i, &t) in dests.iter().enumerate() {
         let legacy = ShortestPathDag::build(g, w, t, tol).unwrap();
         let view = set.dag(i);
+        let owned = set.to_shortest_path_dag(i, g);
         // Exact float equality: same relaxation order, same sums.
         assert_eq!(view.distances(), legacy.distances());
         assert_eq!(
@@ -75,12 +81,14 @@ fn assert_matches_legacy(g: &Graph, w: &[f64], tol: f64, par: Parallelism) {
         );
         for u in g.nodes() {
             assert_eq!(view.successors(u), legacy.successors(u));
-            assert_eq!(view.path_count(u), legacy.path_count(u));
+            assert_eq!(owned.path_count(u), legacy.path_count(u));
+            successors += legacy.successors(u).len();
         }
         for e in g.edge_ids() {
-            assert_eq!(view.contains_edge(e), legacy.contains_edge(e));
+            assert_eq!(owned.contains_edge(e), legacy.contains_edge(e));
         }
     }
+    assert_eq!(set.successor_total(), successors);
 }
 
 proptest! {
@@ -143,7 +151,6 @@ proptest! {
             );
             for u in g.nodes() {
                 prop_assert_eq!(a.successors(u), b.successors(u));
-                prop_assert_eq!(a.path_count(u), b.path_count(u));
             }
         }
     }
@@ -219,7 +226,6 @@ fn parallel_fanout_with_forced_threads_matches_serial() {
         );
         for u in g.nodes() {
             assert_eq!(a.successors(u), b.successors(u));
-            assert_eq!(a.path_count(u), b.path_count(u));
         }
     }
     std::env::remove_var("RAYON_NUM_THREADS");
