@@ -99,6 +99,28 @@ impl OspfRouting {
     }
 }
 
+/// The entry count of [`OspfRouting::route`]'s forwarding table, built one
+/// destination at a time: even ECMP gives every shortest-path DAG edge a
+/// share, so each destination adds its DAG's edge count. Only one
+/// destination's DAG is alive at a time, where `route` holds every
+/// destination's DAG, the flows and the whole FIB.
+///
+/// # Errors
+///
+/// The input and weight checks of [`OspfRouting::route`]. No demand is
+/// routed, so unroutable pairs are not detected.
+pub fn fib_entry_count(network: &Network, traffic: &TrafficMatrix) -> Result<usize, SpefError> {
+    let dests = validate_ospf_inputs(network, traffic)?;
+    let weights = invcap_weights(network);
+    let mut engine = RoutingEngine::new(network.graph());
+    let mut total = 0;
+    for t in dests {
+        engine.build_dags(&weights, &[t], 0.0)?;
+        total += engine.dag_set().successor_total();
+    }
+    Ok(total)
+}
+
 /// Shared input validation for OSPF routing; returns the destination set.
 pub(crate) fn validate_ospf_inputs(
     network: &Network,

@@ -41,8 +41,8 @@ impl PeftRouting {
     /// Routes `traffic` with Downward-PEFT splitting under `weights`.
     ///
     /// For the SPEF-vs-PEFT comparison both protocols are driven by the
-    /// same optimal first weights (see `DESIGN.md`), isolating the
-    /// difference in their *splitting* behaviour.
+    /// same optimal first weights, isolating the difference in their
+    /// *splitting* behaviour.
     ///
     /// # Errors
     ///

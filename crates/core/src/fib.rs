@@ -404,8 +404,8 @@ impl ForwardingTable {
     }
 
     /// Total next-hop entries across all `(destination, router)` rows, in
-    /// `O(1)` — the control-plane state count the scaling ablation
-    /// reports.
+    /// `O(1)` — the control-plane state count the sweep harness's scale
+    /// stage reports as `fib_entries`.
     pub fn entry_count(&self) -> usize {
         self.set.entry_count()
     }

@@ -330,7 +330,8 @@ impl TeWorkspace {
     /// not counted: each solve moves its per-destination flows into the
     /// returned solution, which owns them from then on (add
     /// `Flows::arena_bytes` of the solution's flows for a route's total).
-    /// The scaling ablation prints this as its peak-memory column.
+    /// The sweep harness's scale stage reports that total as its
+    /// `peak_arena_bytes` witness.
     pub fn arena_bytes(&self) -> usize {
         let engine_bytes = |e: &EngineState| e.arena_bytes() + e.cache_bytes();
         self.engine.as_ref().map_or(0, engine_bytes)

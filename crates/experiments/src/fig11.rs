@@ -8,15 +8,15 @@
 //! traffic near the shortest paths; SPEF spreads it over the engineered
 //! equal-cost set).
 //!
-//! Weight substitution (see `DESIGN.md`/`EXPERIMENTS.md`): PEFT is driven
-//! by the *integerised* optimal weights (§V.G scaling — the
-//! OSPF-representable range PEFT targets), whose rounding collapses the
-//! engineered equal-cost ties; its exponential penalty then concentrates
-//! traffic near the unique shortest paths. SPEF runs with exact weights
-//! and NEM splits. This reproduces the paper's contrast — "the penalizing
-//! exponential flow-splitting mechanism prefers the shortest path while
-//! penalizing the longer paths" vs SPEF's "multiple equal-cost shortest
-//! paths ... constructed with a higher probability".
+//! Weight substitution: PEFT is driven by the *integerised* optimal
+//! weights (§V.G scaling — the OSPF-representable range PEFT targets),
+//! whose rounding collapses the engineered equal-cost ties; its
+//! exponential penalty then concentrates traffic near the unique shortest
+//! paths. SPEF runs with exact weights and NEM splits. This reproduces the
+//! paper's contrast — "the penalizing exponential flow-splitting mechanism
+//! prefers the shortest path while penalizing the longer paths" vs SPEF's
+//! "multiple equal-cost shortest paths ... constructed with a higher
+//! probability".
 
 use spef_baselines::peft::PeftRouting;
 use spef_core::{Objective, SpefError, TeInstance, TeSolver};
@@ -29,8 +29,7 @@ use crate::Quality;
 /// TABLE IV CERNET2 demands are scaled by this factor: our reconstructed
 /// CERNET2 gives the Xiamen PoP (node 11) only 5 Gb/s of egress, while the
 /// paper's TABLE IV sources 7 Gb/s there. Halving keeps the scenario
-/// routable while preserving its structure (documented in
-/// `EXPERIMENTS.md`).
+/// routable while preserving its structure.
 pub const CERNET2_DEMAND_SCALE: f64 = 0.5;
 
 /// Simulated seconds per panel (the paper's 400 s at `Quality::Full`).
@@ -192,8 +191,8 @@ mod tests {
             };
             // Both protocols engage most of the topology; the paper's
             // exact "SPEF uses more links" count depends on PEFT's
-            // unpublished weight optimiser (see EXPERIMENTS.md), so the
-            // robust claims asserted here are load *balance* and totals.
+            // unpublished weight optimiser, so the robust claims
+            // asserted here are load *balance* and totals.
             let peft_used = used(1);
             let spef_used = used(2);
             assert!(peft_used > 0 && spef_used > 0);

@@ -46,7 +46,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use serde::{Error as SerdeError, Value};
 use spef_baselines::fortz_thorup::{FtConfig, FtOutcome};
-use spef_baselines::{RobustConfig, RobustOutcome};
+use spef_baselines::{ospf, RobustConfig, RobustOutcome};
 use spef_core::{
     ForwardingTable, SpefRouting, SpfStats, TeInstance, TeSolver, TeWorkspace,
     STALE_WEIGHT_DAG_RTOL,
@@ -116,7 +116,7 @@ pub struct FailureScenarioResult {
     pub reconfig_greedy_peak_mlu: f64,
 }
 
-/// Measurements of a scenario's scale-ablation stage. The size counts are
+/// Measurements of a scenario's scale stage. The size counts are
 /// deterministic (pure functions of the scenario) and bit-diffed by
 /// `repro diff`; the two `peak_*_bytes` witnesses are *excluded* from the
 /// diff — they are memory measurements, which a layout change moves
@@ -133,6 +133,9 @@ pub struct ScaleScenarioResult {
     /// Total `(edge, ratio)` forwarding entries across all
     /// `(destination, router)` rows.
     pub fib_entries: u64,
+    /// The same total for OSPF (InvCap weights, even ECMP) on the same
+    /// instance, against which `fib_entries` prices the second weight.
+    pub ospf_fib_entries: u64,
     /// High-water bytes of the solver workspace (`TeWorkspace::arena_bytes`:
     /// routing arenas, flow buffers and caches) plus the TE solution's
     /// per-destination flows, which the solve moves out of the workspace;
@@ -200,7 +203,7 @@ pub struct ScenarioResult {
     /// [`FailureSpec`](crate::scenario::FailureSpec) stage).
     pub failure: Option<FailureScenarioResult>,
     /// Scale-stage measurements (present iff the scenario carries the
-    /// scale-ablation stage).
+    /// scale stage).
     pub scale: Option<ScaleScenarioResult>,
     /// Wall-clock milliseconds for the full pipeline (the only
     /// non-deterministic field).
@@ -612,6 +615,7 @@ fn drift_scale(
         ("links", a.links, b.links),
         ("dests", a.dests, b.dests),
         ("fib_entries", a.fib_entries, b.fib_entries),
+        ("ospf_fib_entries", a.ospf_fib_entries, b.ospf_fib_entries),
     ] {
         if x != y {
             drift.push(format!("{id}: scale {name} {x} vs {y}"));
@@ -965,28 +969,32 @@ fn failure_stage(
 }
 
 /// Runs a scenario's optional scale stage: record the instance's size
-/// counts plus the workspace and FIB arena high-water marks reached while
-/// solving it. Size counts are bit-diffed; the byte peaks are excluded
-/// from [`result_drift`] because they are memory measurements, not
-/// results (and, in chain mode, reflect the chain-shared workspace's
-/// history rather than one scenario).
+/// counts and OSPF's forwarding entries next to the routing's, plus the
+/// workspace and FIB arena high-water marks reached while solving it.
+/// Size counts are bit-diffed; the byte peaks are excluded from
+/// [`result_drift`] because they are memory measurements, not results
+/// (and, in chain mode, reflect the chain-shared workspace's history
+/// rather than one scenario).
 fn scale_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
     ws: &TeWorkspace,
-) -> Option<ScaleScenarioResult> {
+) -> Result<Option<ScaleScenarioResult>, String> {
     if !scenario.scale {
-        return None;
+        return Ok(None);
     }
+    let ospf_fib_entries = ospf::fib_entry_count(&solved.network, &solved.traffic)
+        .map_err(|e| format!("scale stage: OSPF forwarding entries: {e}"))?;
     let table = solved.routing.forwarding_table();
-    Some(ScaleScenarioResult {
+    Ok(Some(ScaleScenarioResult {
         nodes: solved.network.node_count() as u64,
         links: solved.network.link_count() as u64,
         dests: solved.traffic.destinations().len() as u64,
         fib_entries: table.entry_count() as u64,
+        ospf_fib_entries: ospf_fib_entries as u64,
         peak_arena_bytes: (ws.arena_bytes() + solved.routing.te_flow_bytes()) as u64,
         peak_fib_bytes: table.arena_bytes() as u64,
-    })
+    }))
 }
 
 /// Assembles the per-scenario measurements from a solved pipeline.
@@ -1051,7 +1059,7 @@ fn run_scenario_opts(
         spf,
     )?;
     let sim = sim_stage(scenario, &solved, sim_ws)?;
-    let scale = scale_stage(scenario, &solved, &ws);
+    let scale = scale_stage(scenario, &solved, &ws)?;
     add_spf(spf, ws.spf_stats());
     add_spf(spf, probes.spf_stats());
     Ok(measure(scenario, &solved, sim, failure, scale, started))
@@ -1104,10 +1112,9 @@ fn run_chain(
                 &mut spf,
             )
             .and_then(|failure| {
-                sim_stage(&scenario, solved, &mut sim_ws).map(|sim| {
-                    let scale = scale_stage(&scenario, solved, &ws);
-                    measure(&scenario, solved, sim, failure, scale, started)
-                })
+                let sim = sim_stage(&scenario, solved, &mut sim_ws)?;
+                let scale = scale_stage(&scenario, solved, &ws)?;
+                Ok(measure(&scenario, solved, sim, failure, scale, started))
             }),
         };
         out.push((index, scenario, outcome));

@@ -3,9 +3,8 @@
 //!
 //! Each experiment module exposes `run(quality) -> ExperimentResult`
 //! containing human-readable tables (printed by the `repro` binary) and
-//! CSV series (written to the results directory for plotting). The mapping
-//! from module to paper artifact is in `DESIGN.md`'s per-experiment index;
-//! paper-vs-measured numbers live in `EXPERIMENTS.md`.
+//! CSV series (written to the results directory for plotting). Each
+//! module's doc names the paper artifact it regenerates.
 //!
 //! Run everything:
 //!
@@ -32,7 +31,6 @@ pub mod fig3;
 pub mod fig6;
 pub mod fig7;
 pub mod fig9;
-pub mod scaling;
 pub mod table1;
 pub mod table3;
 pub mod table5;
@@ -98,9 +96,8 @@ pub const ALL_EXPERIMENTS: [&str; 12] = [
 ];
 
 /// Extension experiments beyond the paper's artifacts (run explicitly via
-/// `repro --exp <id>`): the §VII computational-scaling ablation and a
-/// single-link-failure robustness study.
-pub const EXTRA_EXPERIMENTS: [&str; 2] = ["scaling", "failure"];
+/// `repro --exp <id>`): a single-link-failure robustness study.
+pub const EXTRA_EXPERIMENTS: [&str; 1] = ["failure"];
 
 /// Runs one experiment by id.
 ///
@@ -122,7 +119,6 @@ pub fn run_experiment(id: &str, quality: Quality) -> Result<ExperimentResult, St
         "fig13" => fig13::run(quality).map_err(|e| e.to_string()),
         "table3" => Ok(table3::run()),
         "table5" => table5::run(quality).map_err(|e| e.to_string()),
-        "scaling" => scaling::run(quality).map_err(|e| e.to_string()),
         "failure" => failure::run(quality).map_err(|e| e.to_string()),
         other => Err(format!(
             "unknown experiment {other:?}; known: {ALL_EXPERIMENTS:?} plus {EXTRA_EXPERIMENTS:?}"

@@ -293,7 +293,7 @@ pub fn migrate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spef_topology::standard;
+    use spef_topology::{gen, standard};
 
     fn abilene_instance(load: f64) -> (Network, TrafficMatrix) {
         let net = standard::abilene();
@@ -460,5 +460,47 @@ mod tests {
         let out = migrate(&net, &tm, &from, &to).unwrap();
         assert_eq!(out.steps, 1);
         assert_eq!(out.naive_peak_mlu.to_bits(), out.greedy_peak_mlu.to_bits());
+    }
+
+    #[test]
+    fn leaf_pushes_on_hier200_rebuild_few_destinations() {
+        // Six pushes lower the weights of links *into* edge-layer leaves
+        // (an access-link reweighting campaign), so each push can dirty
+        // only the destinations behind that access link; lowering keeps
+        // the mixed vector's maximum, which scales the equal-cost
+        // tolerance, fixed across the whole migration.
+        let net = gen::tiered_network("Tier200", 8, 4, 5, 0x7E2);
+        let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.04);
+        let from: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
+        let first_leaf = 8 + 8 * 4; // cores + aggregation routers
+        let into_leaves: Vec<usize> = net
+            .graph()
+            .edges()
+            .filter(|&(_, _, v)| v.index() >= first_leaf)
+            .map(|(e, _, _)| e.index())
+            .collect();
+        let mut to = from.clone();
+        for (k, &e) in into_leaves
+            .iter()
+            .step_by(into_leaves.len() / 6)
+            .take(6)
+            .enumerate()
+        {
+            to[e] *= 0.45 + 0.05 * k as f64;
+        }
+        let (full, full_stats) = migrate_with(&net, &tm, &from, &to, true).unwrap();
+        let (inc, inc_stats) = migrate_with(&net, &tm, &from, &to, false).unwrap();
+        assert_eq!(inc, full);
+        assert_eq!(full_stats.incremental_builds, 0);
+        assert!(
+            inc_stats.incremental_builds > 0,
+            "push probes never took the incremental path: {inc_stats:?}"
+        );
+        let dests = tm.destinations().len() as u64;
+        assert!(
+            inc_stats.slots_rebuilt * 3 <= inc_stats.incremental_builds * dests,
+            "mean dirty set per push probe exceeds a third of the {dests} destinations: \
+             {inc_stats:?}"
+        );
     }
 }

@@ -319,10 +319,8 @@ pub enum SolverSpec {
     /// and smoke-sweep setting.
     FrankWolfeFast,
     /// Frank–Wolfe with *pinned* iteration counts (12 TE, 40 NEM): runs
-    /// exactly that many iterations, ignores saved workspace solutions,
-    /// and so produces results that are a pure function of the instance.
-    /// The scaling family's setting — thousand-node sweeps finish in
-    /// seconds and diff bit-identically regardless of sweep order.
+    /// exactly that many iterations, with no tolerance stop. The `scale`
+    /// family's setting — thousand-node sweeps finish in seconds.
     FrankWolfePinned,
     /// The paper's Algorithm 1 (distributed dual decomposition).
     DualDecomposition,
@@ -543,7 +541,7 @@ impl Scenario {
         self
     }
 
-    /// Attaches the scale-ablation stage, extending the id (ids stay the
+    /// Attaches the scale stage, extending the id (ids stay the
     /// unique join key of batch reports).
     pub fn with_scale(mut self) -> Scenario {
         self.id = format!("{}+scale", self.id);
@@ -676,7 +674,7 @@ pub struct ScenarioGrid {
     failure_circuits: Vec<u64>,
     robust_evals: u64,
     robust_seed: u64,
-    /// Whether every scenario carries the scale-ablation stage.
+    /// Whether every scenario carries the scale stage.
     scale: bool,
 }
 
@@ -782,9 +780,9 @@ impl ScenarioGrid {
     /// plus a 200-node random control, at a low load every rung routes
     /// with headroom, under pinned Frank–Wolfe (results are a pure
     /// function of the instance — independent of sweep order and
-    /// workspace history). Each scenario carries the scale-ablation stage,
-    /// so the report pins node/link/destination counts and total FIB
-    /// entries while peak arena bytes stay outside the diff.
+    /// workspace history). Each scenario carries the scale stage,
+    /// so the report pins node/link/destination counts and the SPEF and
+    /// OSPF FIB entry totals while peak arena bytes stay outside the diff.
     pub fn scale_family() -> Self {
         ScenarioGrid::new()
             .topologies([
@@ -898,7 +896,7 @@ impl ScenarioGrid {
         self
     }
 
-    /// Attaches (or removes) the scale-ablation stage on every scenario.
+    /// Attaches (or removes) the scale stage on every scenario.
     pub fn scale_stage(mut self, scale: bool) -> Self {
         self.scale = scale;
         self

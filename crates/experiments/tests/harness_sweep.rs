@@ -1,8 +1,9 @@
 //! Integration tests of the scenario-sweep harness: determinism across
-//! runs, JSON round-tripping of the batch report, and the packet-level
-//! `sim` scenario family (schedule-independent results, old-baseline
-//! compatibility).
+//! runs, JSON round-tripping of the batch report, the packet-level `sim`
+//! scenario family (schedule-independent results, old-baseline
+//! compatibility) and the scale stage's forwarding-entry counts.
 
+use spef_baselines::OspfRouting;
 use spef_experiments::harness::{run_batch, BatchOptions, BatchReport};
 use spef_experiments::scenario::{
     FailureSpec, ObjectiveSpec, Scenario, ScenarioGrid, SimSpec, SolverSpec, TopologySpec,
@@ -354,4 +355,58 @@ fn grid_sweep_runs_mixed_feasibility_batches() {
     assert_eq!(report.results.len(), 1);
     assert_eq!(report.failures.len(), 1);
     assert!(report.failures[0].scenario.traffic.load > 1.0);
+}
+
+#[test]
+fn scale_stage_counts_both_fibs_and_diffs_the_ospf_count() {
+    let scenarios = ScenarioGrid::new()
+        .topologies([TopologySpec::Random {
+            nodes: 24,
+            links: 96,
+            seed: 0x5CA1E,
+        }])
+        .seeds([1])
+        .loads([0.04])
+        .solvers([SolverSpec::FrankWolfePinned])
+        .scale_stage(true)
+        .build();
+    let report = run_batch(scenarios, &BatchOptions::default());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let result = &report.results[0];
+    let scale = result.scale.as_ref().expect("the scale stage ran");
+
+    // The per-destination count equals the full OSPF routing's FIB.
+    let network = result.scenario.topology.build();
+    let traffic = result.scenario.traffic.build(&network);
+    let ospf = OspfRouting::route(&network, &traffic).unwrap();
+    assert_eq!(
+        scale.ospf_fib_entries,
+        ospf.forwarding_table().entry_count() as u64
+    );
+    // Every router but the destination needs an entry per destination,
+    // and the Fortz–Thorup model makes every node a destination.
+    assert_eq!(scale.dests, scale.nodes);
+    let floor = scale.dests * (scale.nodes - 1);
+    assert!(
+        scale.fib_entries >= floor,
+        "SPEF {} < {floor}",
+        scale.fib_entries
+    );
+    assert!(
+        scale.ospf_fib_entries >= floor,
+        "OSPF {} < {floor}",
+        scale.ospf_fib_entries
+    );
+
+    let json = report.to_json();
+    assert!(json.contains("\"ospf_fib_entries\""));
+    let back = BatchReport::from_json(&json).expect("parses back");
+    assert_eq!(back, report);
+
+    // A moved OSPF count is drift.
+    let mut other = back;
+    other.results[0].scale.as_mut().unwrap().ospf_fib_entries += 1;
+    let drift = report.result_drift(&other);
+    assert_eq!(drift.len(), 1, "{drift:?}");
+    assert!(drift[0].contains("scale ospf_fib_entries"), "{drift:?}");
 }

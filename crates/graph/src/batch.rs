@@ -298,8 +298,7 @@ impl DagSet {
     }
 
     /// Bytes of arena capacity this set holds. `Vec` capacity never
-    /// shrinks, so after a solve this is the high-water mark of the build —
-    /// the number the scaling ablation reports as DAG-arena footprint.
+    /// shrinks, so after a solve this is the high-water mark of the build.
     pub fn arena_bytes(&self) -> usize {
         self.dists_arena_bytes()
             + self.succ.capacity() * std::mem::size_of::<EdgeId>()

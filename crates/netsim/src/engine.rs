@@ -632,7 +632,8 @@ fn validate(
     ] {
         if !v.is_finite() || v < 0.0 {
             return Err(SimError::InvalidConfig(format!(
-                "{name} must be finite and non-negative, got {v}"
+                "{name} must be finite and non-negative, got {}",
+                compact(v)
             )));
         }
     }
@@ -642,7 +643,7 @@ fn validate(
     if config.duration * NANOS_PER_SEC >= u64::MAX as f64 {
         return Err(SimError::InvalidConfig(format!(
             "duration {} s does not fit in u64 nanoseconds",
-            config.duration
+            compact(config.duration)
         )));
     }
     if config.warmup >= config.duration {
@@ -665,6 +666,18 @@ fn validate(
         return Err(SimError::InvalidConfig("traffic matrix is empty".into()));
     }
     Ok(())
+}
+
+/// Spells a float for an error message: `{}` when that is at most 24
+/// characters, the longest `{:e}` of any `f64`, else `{:e}`, so a value
+/// like `1e300` does not spell out hundreds of digits.
+fn compact(x: f64) -> String {
+    let plain = x.to_string();
+    if plain.len() <= 24 {
+        plain
+    } else {
+        format!("{x:e}")
+    }
 }
 
 /// Exponential inter-arrival sample in nanoseconds.
@@ -1067,6 +1080,22 @@ mod tests {
         }
         let empty = TrafficMatrix::new(3);
         assert!(simulate(&net, &empty, &fib, &SimConfig::default()).is_err());
+    }
+
+    #[test]
+    fn huge_times_are_spelled_compactly() {
+        let (net, tm, fib) = chain_setup();
+        for (duration, warmup) in [(1e300, 0.0), (1.0, -1e300)] {
+            let cfg = SimConfig {
+                duration,
+                warmup,
+                ..SimConfig::default()
+            };
+            let Err(SimError::InvalidConfig(msg)) = simulate(&net, &tm, &fib, &cfg) else {
+                panic!("duration {duration:e}, warmup {warmup:e} must be rejected");
+            };
+            assert!(msg.contains("1e300") && msg.len() < 80, "{msg}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`Network`] — a directed graph with per-link capacities, node names and
 //!   planar coordinates;
 //! * [`standard`] — Fig. 1, Fig. 4, Abilene and CERNET2 (the latter two
-//!   reconstructed; see `DESIGN.md` for the substitution notes);
+//!   reconstructed; its module doc gives the substitution notes);
 //! * [`gen`] — GT-ITM-style 2-level hierarchical networks and random
 //!   networks with exact link-count targeting;
 //! * [`TrafficMatrix`] and its generators — the Fortz–Thorup demand model

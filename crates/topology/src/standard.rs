@@ -4,8 +4,7 @@
 //! circuits, 10 Gb/s). CERNET2 and the Fig. 4 example are *reconstructions*:
 //! the paper's figures are not machine-readable, so we rebuilt topologies
 //! with the stated node/link counts and capacity classes that reproduce the
-//! qualitative behaviour the paper reports — see `DESIGN.md` for the
-//! substitution rationale.
+//! qualitative behaviour the paper reports.
 
 use spef_graph::NodeId;
 
