@@ -13,17 +13,18 @@
 //!     --loads 0.15,0.3 --betas 0.5,1.0,2.0 --solvers fw \
 //!     --json BENCH_sweep.json
 //!
+//! repro sweep --family te      # solver grid (fig1/fig4/abilene/cernet2)
 //! repro sweep --family sim     # packet-level sim grid (fig4/abilene/cernet2)
 //! repro sweep --family failure # single-circuit failure grid (abilene)
 //! repro sweep --family scale   # tiered 200/500/1000-node scaling ladder
-//! repro sweep --family all     # te grid + sim grid, one report (PR 6 gate)
-//! repro sweep --family all --cold-solves   # same grid, isolated cold solves:
-//!                                          # results must not move a bit
 //! repro sweep --family te --full-rebuild   # dense SPF rebuilds everywhere:
 //!                                          # results must not move a bit
+//! RAYON_NUM_THREADS=1 repro sweep --family sim   # one worker thread
 //!
 //! repro diff BENCH_a.json BENCH_b.json   # fail on any scenario-result drift
 //! ```
+//!
+//! Each family's committed baseline is `BENCH_<family>.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -109,7 +110,6 @@ fn non_negative(flag: &str, values: Vec<f64>) -> Result<Vec<f64>, String> {
 /// Parses and runs `repro sweep ...`, returning the process exit code.
 fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut grid = ScenarioGrid::new();
-    let mut family_all = false;
     let mut json_path = PathBuf::from("BENCH_sweep.json");
     let mut options = BatchOptions::default();
 
@@ -128,13 +128,7 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         if arg.starts_with("--")
             && !matches!(
                 arg.as_str(),
-                "--family"
-                    | "--json"
-                    | "--serial"
-                    | "--cold-solves"
-                    | "--full-rebuild"
-                    | "--help"
-                    | "-h"
+                "--family" | "--json" | "--full-rebuild" | "--help" | "-h"
             )
         {
             grid_customised = true;
@@ -152,11 +146,10 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                     "sim" => grid = ScenarioGrid::sim_family(),
                     "failure" => grid = ScenarioGrid::failure_family(),
                     "scale" => grid = ScenarioGrid::scale_family(),
-                    "all" => family_all = true,
                     other => {
                         return Err(format!(
-                        "--family: unknown family {other:?}; known: te, sim, failure, scale, all"
-                    ))
+                            "--family: unknown family {other:?}; known: te, sim, failure, scale"
+                        ))
                     }
                 };
             }
@@ -247,17 +240,15 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                 );
             }
             "--json" => json_path = PathBuf::from(value("--json")?),
-            "--serial" => options.serial = true,
-            "--cold-solves" => options.cold_solves = true,
             "--full-rebuild" => options.full_rebuild = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: repro sweep [--family te|sim|failure|scale|all] [--topologies a,b,...] \
+                    "usage: repro sweep [--family te|sim|failure|scale] [--topologies a,b,...] \
                      [--seeds 1,2,...] [--loads 0.15,...] [--betas 1.0,...] [--q 1.0] \
                      [--solvers fw|fw-fast|fw-pinned|dd|ft] [--traffic ft|gravity] \
                      [--base-seed N] [--sim-durations 2,5] [--sim-warmup-frac 0.1] \
-                     [--sim-unit 1e6] [--sim-seed N] [--json FILE] [--serial] [--cold-solves] \
-                     [--full-rebuild]"
+                     [--sim-unit 1e6] [--sim-seed N] [--json FILE] [--full-rebuild]\n\
+                     worker threads: RAYON_NUM_THREADS (default: all cores)"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -265,31 +256,11 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         }
     }
 
-    if family_all && grid_customised {
-        return Err("--family all is a fixed regression surface; it takes no grid flags".into());
-    }
-    let scenarios = if family_all {
-        // The full regression surface: the PR 2 `te` grid followed by the
-        // PR 4 `sim` family, as one report (the PR 6 baseline pair). The
-        // solver row is pinned to the PR 6 surface — the Fortz–Thorup row
-        // the `te` family gained later is gated by its own PR 9 baseline
-        // pair, and the committed PR 6 reports must keep diffing clean.
-        let mut scenarios = ScenarioGrid::te_family()
-            .solvers([SolverSpec::FrankWolfeFast])
-            .build();
-        scenarios.extend(ScenarioGrid::sim_family().build());
-        scenarios
-    } else {
-        grid.build()
-    };
+    let scenarios = grid.build();
     println!(
         "sweep: {} scenario(s), {} thread(s)",
         scenarios.len(),
-        if options.serial {
-            1
-        } else {
-            rayon::current_num_threads()
-        }
+        rayon::current_num_threads()
     );
     let report = run_batch(scenarios, &options);
     print!("{}", report.summary_table());
@@ -430,18 +401,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn family_all_rejects_grid_flags() {
-        let json = std::env::temp_dir().join("repro-family-all-rejects-grid-flags.json");
-        let argv = [
-            "--family",
-            "all",
-            "--json",
-            json.to_str().unwrap(),
-            "--topologies",
-            "fig1",
-        ];
-        let err = run_sweep(argv.into_iter().map(String::from)).unwrap_err();
-        assert!(err.contains("--family all"), "{err}");
+    fn retired_sweep_options_are_rejected_by_name() {
+        for (argv, name) in [
+            (&["--cold-solves"][..], "--cold-solves"),
+            (&["--serial"][..], "--serial"),
+            (&["--family", "all"][..], "\"all\""),
+        ] {
+            let err = run_sweep(argv.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.contains(name), "{argv:?}: {err}");
+        }
     }
 
     #[test]

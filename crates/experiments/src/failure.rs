@@ -24,12 +24,10 @@
 //! sweep for its arenas; every re-optimisation starts from the solver's
 //! fixed initial point, as it would on a fresh workspace.
 
-use spef_core::{
-    metrics, Objective, SpefError, TeInstance, TeSolver, TeWorkspace, STALE_WEIGHT_DAG_RTOL,
-};
+use spef_core::{metrics, Objective, SpefError, TeInstance, TeSolver, TeWorkspace};
 use spef_topology::{standard, TrafficMatrix};
 
-use crate::reconfig::MluProbe;
+use crate::reconfig::StaleWeightProbes;
 use crate::report::{fmt_val, CsvFile, ExperimentResult, TextTable};
 use crate::{scale, Quality};
 
@@ -50,7 +48,6 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     // reuses the previous one's arenas.
     let mut ws = TeWorkspace::new();
     let intact = fw.solve_in(TeInstance::new(&net, &tm, &obj), &mut ws)?;
-    let invcap: Vec<f64> = net.capacities().iter().map(|c| 1.0 / c).collect();
 
     let circuits = net.duplex_circuits();
     let budget = match quality {
@@ -74,12 +71,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
     );
     let mut rows = Vec::new();
     let mut skipped_bridges = 0usize;
-    // Two persistent probes, one per weight setting: each routes the
-    // circuit's `without_links` clone in one retained engine state's
-    // arenas, bit-identical to cold routing on that clone (pinned in
+    // One persistent probe per weight setting: each routes the circuit's
+    // `without_links` clone in one retained engine state's arenas,
+    // bit-identical to cold routing on that clone (pinned in
     // `reconfig::tests::mlu_probe_matches_degraded_free_function`).
-    let mut ospf_probe = MluProbe::new(false);
-    let mut stale_probe = MluProbe::new(false);
+    let mut probes = StaleWeightProbes::new(false);
 
     for (i, circuit) in circuits.iter().take(budget).enumerate() {
         let degraded = match net.without_links(circuit) {
@@ -93,29 +89,8 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
             }
         };
 
-        // OSPF reconvergence.
-        let mlu_ospf = ospf_probe.mlu(&net, &tm, &dests, &invcap, 0.0, circuit)?;
-
-        // SPEF with stale (intact-optimal) weights. The continuous weights
-        // solve nothing on the degraded topology, so equal-cost ties use
-        // the shared coarse threshold (see `STALE_WEIGHT_DAG_RTOL`),
-        // scaled by the largest *surviving* weight — the same maximum the
-        // kept-remapped vector folds to.
-        let max_w = intact
-            .weights
-            .iter()
-            .zip(0usize..)
-            .filter(|&(_, e)| !circuit.iter().any(|&c| c.index() == e))
-            .map(|(&w, _)| w)
-            .fold(0.0, f64::max);
-        let mlu_stale = stale_probe.mlu(
-            &net,
-            &tm,
-            &dests,
-            &intact.weights,
-            STALE_WEIGHT_DAG_RTOL * max_w,
-            circuit,
-        )?;
+        // OSPF reconvergence, and SPEF with stale (intact-optimal) weights.
+        let (mlu_ospf, mlu_stale) = probes.mlus(&net, &tm, &dests, &intact.weights, circuit)?;
 
         // SPEF re-optimised on the degraded topology.
         let obj_d = Objective::proportional(degraded.link_count());

@@ -5,23 +5,25 @@
 //! [`BatchReport`] of [`ScenarioResult`]s that serializes to the
 //! `BENCH_*.json` format downstream tooling tracks.
 //!
-//! Execution is dependency-aware: scenarios are grouped into *chains* by
+//! Execution has one path: scenarios are grouped into *chains* by
 //! [`Scenario::chain_key`] (same topology, demand model + seed, objective
-//! and solver — only the load and the sim stage vary within a chain).
+//! and solver — only the load and the stages vary within a chain).
 //! Rayon fans out across chains; within a chain the scenarios run serially
 //! on one shared [`spef_core::TeWorkspace`] + [`SimWorkspace`] pair, so
 //! neighbouring grid points reuse the engine's DAG/flow/split arenas, the
 //! SPF skip, and the simplex tableau without reallocating. Scenarios in a
 //! chain that are identical up to the sim stage ([`Scenario::solve_key`])
-//! share a single pipeline solve outright.
+//! share a single pipeline solve outright. A scenario that panics becomes
+//! a failure row carrying the panic message, and the rest of its chain
+//! runs on fresh workspaces.
 //!
 //! Reuse is strictly *result-preserving*: a workspace holds arenas, never
 //! a previous solution, so each scenario runs the same iteration sequence
 //! as on a fresh workspace and every deterministic result field is
-//! bit-identical to an isolated run — [`BatchOptions::cold_solves`]
-//! forces those isolated runs for baseline-capture and A/B proofs. Every
-//! scenario carries its own seed, so the parallel schedule cannot change
-//! any result either way.
+//! bit-identical to an isolated [`run_scenario`] — the reference the
+//! tests compare batches against. Every scenario carries its own seed, so
+//! the parallel schedule cannot change any result either; a serial run is
+//! `RAYON_NUM_THREADS=1`.
 //!
 //! ```
 //! use spef_experiments::harness::{run_batch, BatchOptions};
@@ -38,7 +40,9 @@
 //! assert!(report.results[0].mlu < 1.0);
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
@@ -47,14 +51,11 @@ use serde::{Deserialize, Serialize};
 use serde::{Error as SerdeError, Value};
 use spef_baselines::fortz_thorup::{FtConfig, FtOutcome};
 use spef_baselines::{ospf, RobustConfig, RobustOutcome};
-use spef_core::{
-    ForwardingTable, SpefRouting, SpfStats, TeInstance, TeSolver, TeWorkspace,
-    STALE_WEIGHT_DAG_RTOL,
-};
+use spef_core::{ForwardingTable, SpefRouting, SpfStats, TeInstance, TeSolver, TeWorkspace};
 use spef_netsim::{simulate_with, SimWorkspace};
 use spef_topology::{Network, TrafficMatrix};
 
-use crate::reconfig;
+use crate::reconfig::{self, StaleWeightProbes};
 use crate::scenario::{Scenario, SolverSpec};
 
 /// Schema version stamped into every [`BatchReport`]; bump when the JSON
@@ -120,8 +121,8 @@ pub struct FailureScenarioResult {
 /// deterministic (pure functions of the scenario) and bit-diffed by
 /// `repro diff`; the two `peak_*_bytes` witnesses are *excluded* from the
 /// diff — they are memory measurements, which a layout change moves
-/// without moving a result, and in chain mode they reflect what earlier
-/// chain scenarios grew the shared workspace to.
+/// without moving a result, and they reflect what earlier scenarios of the
+/// chain grew the shared workspace to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleScenarioResult {
     /// Nodes of the materialized network.
@@ -288,9 +289,9 @@ pub struct BatchReport {
     pub failures: Vec<ScenarioFailure>,
     /// Wall-clock milliseconds for the whole batch.
     pub total_wall_ms: f64,
-    /// Worker threads the batch ran on (1 = serial; rayon's effective
-    /// pool size otherwise). Execution metadata — outside the bit-diffed
-    /// fields.
+    /// Worker threads the batch ran on: rayon's pool size
+    /// (`RAYON_NUM_THREADS` if set, else the machine's parallelism).
+    /// Execution metadata — outside the bit-diffed fields.
     pub threads: u64,
     /// Aggregate SPF-engine counters of the batch ([`SpfStatsResult`]);
     /// `None` when the batch executed no SPF builds (or the report
@@ -626,15 +627,6 @@ fn drift_scale(
 /// Batch execution options.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
-    /// Run scenarios one at a time on the calling thread instead of fanning
-    /// out over rayon (useful for profiling a single scenario's cost).
-    pub serial: bool,
-    /// Solve every scenario in its own fresh workspace with no chain
-    /// grouping or solve sharing (the pre-PR 6 execution model). Results
-    /// are bit-identical to the default dependency-aware mode — the flag
-    /// exists to capture `pre` baselines and let `repro diff` prove exactly
-    /// that.
-    pub cold_solves: bool,
     /// Force dense SPF rebuilds everywhere
     /// ([`TeWorkspace::set_incremental`] off, and dense probes in the
     /// Fortz–Thorup rows). A pure execution knob: the delta-aware
@@ -801,34 +793,9 @@ fn sim_stage(
 /// Per-chain memo of robust weight-search worst cases. The search depends
 /// on the intact instance and the search parameters — not on which circuit
 /// a scenario fails — so every circuit of a chain shares one search.
-/// Memoization is a pure speedup: the search is deterministic, so the
-/// cold-solves path recomputing it per scenario gets bit-identical values.
+/// Memoization is a pure speedup: the search is deterministic, so an
+/// isolated [`run_scenario`] recomputing it gets bit-identical values.
 type RobustMemo = Vec<(String, f64)>;
-
-/// Persistent failure-stage MLU probes, one per weight setting (OSPF /
-/// stale-SPEF). Shared across every scenario of a chain so each circuit's
-/// degraded clone is routed in one retained engine state's warmed arenas
-/// and flow buffer (see [`reconfig::MluProbe`]).
-struct FailureProbes {
-    ospf: reconfig::MluProbe,
-    stale: reconfig::MluProbe,
-}
-
-impl FailureProbes {
-    fn new(full_rebuild: bool) -> FailureProbes {
-        FailureProbes {
-            ospf: reconfig::MluProbe::new(full_rebuild),
-            stale: reconfig::MluProbe::new(full_rebuild),
-        }
-    }
-
-    /// Both probes' SPF counters, summed.
-    fn spf_stats(&self) -> SpfStats {
-        let mut total = self.ospf.spf_stats();
-        add_spf(&mut total, self.stale.spf_stats());
-        total
-    }
-}
 
 /// Runs a scenario's optional single-circuit failure stage against an
 /// already solved (intact) pipeline: fail the circuit, measure the OSPF /
@@ -837,14 +804,14 @@ impl FailureProbes {
 ///
 /// The re-optimisation runs on the chain's workspace, whose second engine
 /// slot keeps the degraded topology's arenas apart from the intact one's;
-/// it is bit-identical to a solve on a fresh workspace, so chain mode and
-/// [`BatchOptions::cold_solves`] agree.
+/// it is bit-identical to a solve on a fresh workspace, so a chain and an
+/// isolated [`run_scenario`] agree.
 fn failure_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
     ws: &mut TeWorkspace,
     robust_memo: &mut RobustMemo,
-    probes: &mut FailureProbes,
+    probes: &mut StaleWeightProbes,
     options: &BatchOptions,
     spf: &mut SpfStats,
 ) -> Result<Option<FailureScenarioResult>, String> {
@@ -870,47 +837,17 @@ fn failure_stage(
         .network
         .without_links(&circuits[c])
         .map_err(|e| format!("failure stage: failing circuit {c}: {e}"))?;
-    let dests = solved.traffic.destinations();
-    let remap = |vals: &[f64]| -> Vec<f64> { kept.iter().map(|&old| vals[old.index()]).collect() };
 
-    // OSPF reconvergence: InvCap weights on the survivors, even ECMP.
-    let invcap: Vec<f64> = solved
-        .network
-        .capacities()
-        .iter()
-        .map(|c| 1.0 / c)
-        .collect();
-    let mlu_ospf = probes
-        .ospf
-        .mlu(
+    // OSPF reconvergence and stale SPEF weights on the survivors.
+    let (mlu_ospf, mlu_stale) = probes
+        .mlus(
             &solved.network,
             &solved.traffic,
-            &dests,
-            &invcap,
-            0.0,
-            &circuits[c],
-        )
-        .map_err(|e| format!("failure stage: OSPF routing: {e}"))?;
-
-    // Stale SPEF: the intact-optimal first weights on the survivors. The
-    // continuous weights solve nothing on the degraded topology, so
-    // equal-cost ties use the shared coarse threshold (see
-    // [`STALE_WEIGHT_DAG_RTOL`]'s contract), scaled by the largest
-    // *surviving* weight — the same maximum the kept-remapped vector
-    // folds to.
-    let w_stale = remap(&intact.te_solution().weights);
-    let max_w = w_stale.iter().cloned().fold(0.0, f64::max);
-    let mlu_stale = probes
-        .stale
-        .mlu(
-            &solved.network,
-            &solved.traffic,
-            &dests,
+            &solved.traffic.destinations(),
             &intact.te_solution().weights,
-            STALE_WEIGHT_DAG_RTOL * max_w,
             &circuits[c],
         )
-        .map_err(|e| format!("failure stage: stale-weight routing: {e}"))?;
+        .map_err(|e| format!("failure stage: OSPF and stale-weight routing: {e}"))?;
 
     // Full SPEF re-optimisation on the degraded topology.
     let obj = scenario.objective.build(degraded.link_count());
@@ -944,8 +881,12 @@ fn failure_stage(
         }
     };
 
-    // Reconfiguration transient: ordered pushes from the stale weights to
-    // the re-optimised ones.
+    // Reconfiguration transient: ordered pushes from the stale weights,
+    // remapped to the surviving links, to the re-optimised ones.
+    let w_stale: Vec<f64> = kept
+        .iter()
+        .map(|&old| intact.te_solution().weights[old.index()])
+        .collect();
     let (transit, transit_spf) = reconfig::migrate_with(
         &degraded,
         &solved.traffic,
@@ -973,8 +914,8 @@ fn failure_stage(
 /// workspace and FIB arena high-water marks reached while solving it.
 /// Size counts are bit-diffed; the byte peaks are excluded from
 /// [`result_drift`] because they are memory measurements, not results
-/// (and, in chain mode, reflect the chain-shared workspace's history
-/// rather than one scenario).
+/// (and reflect the chain-shared workspace's history rather than one
+/// scenario).
 fn scale_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,
@@ -1020,69 +961,78 @@ fn measure(
 }
 
 /// Runs one scenario end to end in fresh workspaces: materialize → solve
-/// → (optionally) simulate → measure.
+/// → (optionally) fail a circuit, simulate, measure the scale stage. A
+/// one-scenario chain of [`run_batch`]'s execution path, and the isolated
+/// reference the batch tests compare against.
 ///
 /// # Errors
 ///
 /// Returns the stringified solver error (e.g. infeasible demands at the
-/// requested load) or simulator error.
+/// requested load), a stage error, or `panicked: <message>` if the
+/// pipeline panicked.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, String> {
-    run_scenario_opts(
-        scenario,
-        &BatchOptions::default(),
-        &mut SimWorkspace::new(),
-        &mut SpfStats::default(),
-    )
-}
-
-/// The cold-solve kernel shared by [`run_scenario`] and the
-/// [`BatchOptions::cold_solves`] lanes of [`run_batch`]: a fresh
-/// [`TeWorkspace`] per scenario, configured with the batch's engine mode.
-fn run_scenario_opts(
-    scenario: &Scenario,
-    options: &BatchOptions,
-    sim_ws: &mut SimWorkspace,
-    spf: &mut SpfStats,
-) -> Result<ScenarioResult, String> {
-    let started = Instant::now();
-    let mut ws = TeWorkspace::new();
-    ws.set_incremental(!options.full_rebuild);
-    let mut probes = FailureProbes::new(options.full_rebuild);
-    let solved = solve_pipeline(scenario, &mut ws, options, spf)?;
-    let failure = failure_stage(
-        scenario,
-        &solved,
-        &mut ws,
-        &mut RobustMemo::new(),
-        &mut probes,
-        options,
-        spf,
-    )?;
-    let sim = sim_stage(scenario, &solved, sim_ws)?;
-    let scale = scale_stage(scenario, &solved, &ws)?;
-    add_spf(spf, ws.spf_stats());
-    add_spf(spf, probes.spf_stats());
-    Ok(measure(scenario, &solved, sim, failure, scale, started))
+    let (mut outcomes, _) = run_chain(vec![(0, scenario.clone())], &BatchOptions::default());
+    outcomes
+        .pop()
+        .expect("a one-scenario chain yields one outcome")
+        .2
 }
 
 /// A scenario's outcome tagged with its original batch index so the caller
 /// can restore submission order after the parallel chain fan-out.
 type IndexedOutcome = (usize, Scenario, Result<ScenarioResult, String>);
 
-/// Runs one chain serially: every scenario shares the chain's
-/// workspace pair, and scenarios with equal solve keys (identical up to the
-/// sim stage) share one pipeline solve. Returns each scenario tagged with
-/// its original batch index so the caller can restore submission order.
+/// The arenas a chain's scenarios share: the solver and simulator
+/// workspaces, and one failure-stage probe pair, so every circuit of the
+/// chain is routed in the same retained engine states.
+struct ChainArenas {
+    ws: TeWorkspace,
+    sim_ws: SimWorkspace,
+    probes: StaleWeightProbes,
+}
+
+impl ChainArenas {
+    fn new(options: &BatchOptions) -> ChainArenas {
+        let mut ws = TeWorkspace::new();
+        ws.set_incremental(!options.full_rebuild);
+        ChainArenas {
+            ws,
+            sim_ws: SimWorkspace::new(),
+            probes: StaleWeightProbes::new(options.full_rebuild),
+        }
+    }
+
+    /// Adds the SPF counters of the arenas' engines into `total`.
+    fn add_spf_to(&self, total: &mut SpfStats) {
+        add_spf(total, self.ws.spf_stats());
+        for probe in self.probes.spf_stats() {
+            add_spf(total, probe);
+        }
+    }
+}
+
+/// The message of a caught panic's payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("non-string panic payload", String::as_str),
+    }
+}
+
+/// Runs one chain serially: every scenario shares the chain's arenas, and
+/// scenarios with equal solve keys (identical up to the sim stage) share
+/// one pipeline solve. A scenario that panics yields a `panicked:` failure
+/// row; the rest of the chain continues on fresh arenas, since the panic
+/// may have left the shared ones mid-update. Returns each scenario tagged
+/// with its original batch index so the caller can restore submission
+/// order.
 fn run_chain(
     chain: Vec<(usize, Scenario)>,
     options: &BatchOptions,
 ) -> (Vec<IndexedOutcome>, SpfStats) {
-    let mut ws = TeWorkspace::new();
-    ws.set_incremental(!options.full_rebuild);
-    let mut sim_ws = SimWorkspace::new();
-    // One probe pair per chain: every failure-stage circuit of the chain
-    // is routed in the same retained engine state.
-    let mut probes = FailureProbes::new(options.full_rebuild);
+    let mut arenas = ChainArenas::new(options);
     let mut spf = SpfStats::default();
     // Chains are short (one entry per load × sim/failure point), so
     // linear-scan memos keyed by solve key beat hashing.
@@ -1091,124 +1041,78 @@ fn run_chain(
     let mut out = Vec::with_capacity(chain.len());
     for (index, scenario) in chain {
         let started = Instant::now();
-        let key = scenario.solve_key();
-        if !memo.iter().any(|(k, _)| *k == key) {
-            let solved = solve_pipeline(&scenario, &mut ws, options, &mut spf);
-            memo.push((key.clone(), solved));
-        }
-        let pos = memo
-            .iter()
-            .position(|(k, _)| *k == key)
-            .expect("solve key was just memoized");
-        let outcome = match &memo[pos].1 {
-            Err(e) => Err(e.clone()),
-            Ok(solved) => failure_stage(
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            let key = scenario.solve_key();
+            let pos = match memo.iter().position(|(k, _)| *k == key) {
+                Some(pos) => pos,
+                None => {
+                    let solved = solve_pipeline(&scenario, &mut arenas.ws, options, &mut spf);
+                    memo.push((key, solved));
+                    memo.len() - 1
+                }
+            };
+            let solved = memo[pos].1.as_ref().map_err(String::clone)?;
+            let failure = failure_stage(
                 &scenario,
                 solved,
-                &mut ws,
+                &mut arenas.ws,
                 &mut robust_memo,
-                &mut probes,
+                &mut arenas.probes,
                 options,
                 &mut spf,
-            )
-            .and_then(|failure| {
-                let sim = sim_stage(&scenario, solved, &mut sim_ws)?;
-                let scale = scale_stage(&scenario, solved, &ws)?;
-                Ok(measure(&scenario, solved, sim, failure, scale, started))
-            }),
-        };
+            )?;
+            let sim = sim_stage(&scenario, solved, &mut arenas.sim_ws)?;
+            let scale = scale_stage(&scenario, solved, &arenas.ws)?;
+            Ok(measure(&scenario, solved, sim, failure, scale, started))
+        }))
+        .unwrap_or_else(|payload| {
+            arenas.add_spf_to(&mut spf);
+            arenas = ChainArenas::new(options);
+            Err(format!("panicked: {}", panic_message(&*payload)))
+        });
         out.push((index, scenario, outcome));
     }
-    add_spf(&mut spf, ws.spf_stats());
-    add_spf(&mut spf, probes.spf_stats());
+    arenas.add_spf_to(&mut spf);
     (out, spf)
 }
 
-/// Runs a batch of scenarios, in parallel unless
-/// [`BatchOptions::serial`] is set.
-///
-/// By default scenarios are grouped into chains (see the module
-/// docs): rayon fans out across chains, each chain runs serially on shared
-/// workspaces, and scenarios identical up to the sim stage share one solve.
-/// [`BatchOptions::cold_solves`] reverts to one isolated solve per
-/// scenario.
+/// Runs a batch of scenarios: groups them into chains (see the module
+/// docs), fans the chains out over rayon, runs each chain serially on
+/// shared arenas, and lets scenarios identical up to the sim stage share
+/// one solve.
 ///
 /// Results and failures come back in scenario order regardless of the
 /// parallel schedule or chain grouping, and every field except the
 /// wall-clock times is a pure function of the scenario (each run re-seeds
 /// its own generators), so a sweep is reproducible run-to-run,
-/// machine-to-machine, and mode-to-mode.
+/// machine-to-machine, and thread count to thread count.
 pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchReport {
     let started = Instant::now();
-    let threads = if options.serial {
-        1
-    } else {
-        rayon::current_num_threads() as u64
-    };
-    let mut spf_total = SpfStats::default();
-    let mut outcomes: Vec<IndexedOutcome> = if options.cold_solves {
-        if options.serial {
-            // Serial lane: one simulator workspace amortised over the whole
-            // batch (allocation-free sim stages after the first).
-            let mut sim_ws = SimWorkspace::new();
-            scenarios
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let outcome = run_scenario_opts(&s, options, &mut sim_ws, &mut spf_total);
-                    (i, s, outcome)
-                })
-                .collect()
-        } else {
-            let with_stats: Vec<(IndexedOutcome, SpfStats)> = scenarios
-                .into_par_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let mut spf = SpfStats::default();
-                    let outcome =
-                        run_scenario_opts(&s, options, &mut SimWorkspace::new(), &mut spf);
-                    ((i, s, outcome), spf)
-                })
-                .collect();
-            with_stats
-                .into_iter()
-                .map(|(outcome, spf)| {
-                    add_spf(&mut spf_total, spf);
-                    outcome
-                })
-                .collect()
-        }
-    } else {
-        // Dependency-aware mode: group into chains keyed by everything but
-        // the load and sim axes, preserving first-appearance chain order
-        // and submission order within each chain.
-        let mut chains: Vec<Vec<(usize, Scenario)>> = Vec::new();
-        let mut chain_index: HashMap<String, usize> = HashMap::new();
-        for (i, s) in scenarios.into_iter().enumerate() {
-            match chain_index.get(&s.chain_key()) {
-                Some(&c) => chains[c].push((i, s)),
-                None => {
-                    chain_index.insert(s.chain_key(), chains.len());
-                    chains.push(vec![(i, s)]);
-                }
+    // Chains are keyed by everything but the load and stage axes, in
+    // first-appearance order, with submission order kept within each.
+    let mut chains: Vec<Vec<(usize, Scenario)>> = Vec::new();
+    let mut chain_index: HashMap<String, usize> = HashMap::new();
+    for (i, s) in scenarios.into_iter().enumerate() {
+        match chain_index.get(&s.chain_key()) {
+            Some(&c) => chains[c].push((i, s)),
+            None => {
+                chain_index.insert(s.chain_key(), chains.len());
+                chains.push(vec![(i, s)]);
             }
         }
-        let per_chain: Vec<(Vec<IndexedOutcome>, SpfStats)> = if options.serial {
-            chains.into_iter().map(|c| run_chain(c, options)).collect()
-        } else {
-            chains
-                .into_par_iter()
-                .map(|c| run_chain(c, options))
-                .collect()
-        };
-        per_chain
-            .into_iter()
-            .flat_map(|(outcomes, spf)| {
-                add_spf(&mut spf_total, spf);
-                outcomes
-            })
-            .collect()
-    };
+    }
+    let per_chain: Vec<(Vec<IndexedOutcome>, SpfStats)> = chains
+        .into_par_iter()
+        .map(|c| run_chain(c, options))
+        .collect();
+    let mut spf_total = SpfStats::default();
+    let mut outcomes: Vec<IndexedOutcome> = per_chain
+        .into_iter()
+        .flat_map(|(outcomes, spf)| {
+            add_spf(&mut spf_total, spf);
+            outcomes
+        })
+        .collect();
     outcomes.sort_by_key(|(i, _, _)| *i);
 
     let mut results = Vec::new();
@@ -1224,7 +1128,7 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
         results,
         failures,
         total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        threads,
+        threads: rayon::current_num_threads() as u64,
         spf: (spf_total.builds > 0).then(|| SpfStatsResult::from_stats(spf_total)),
     }
 }
@@ -1234,6 +1138,29 @@ mod tests {
     use super::*;
     use crate::scenario::TrafficModel;
     use crate::scenario::{ObjectiveSpec, ScenarioGrid, SolverSpec, TopologySpec, TrafficSpec};
+
+    /// Each scenario run alone through [`run_scenario`], collected into a
+    /// report that `result_drift` can compare with a batch.
+    fn isolated(scenarios: &[Scenario]) -> BatchReport {
+        let mut report = BatchReport {
+            schema_version: BATCH_SCHEMA_VERSION,
+            results: Vec::new(),
+            failures: Vec::new(),
+            total_wall_ms: 0.0,
+            threads: 1,
+            spf: None,
+        };
+        for scenario in scenarios {
+            match run_scenario(scenario) {
+                Ok(result) => report.results.push(result),
+                Err(error) => report.failures.push(ScenarioFailure {
+                    scenario: scenario.clone(),
+                    error,
+                }),
+            }
+        }
+        report
+    }
 
     #[test]
     fn single_scenario_runs_and_reports() {
@@ -1278,13 +1205,7 @@ mod tests {
             .loads([0.15])
             .build();
         let base = run_batch(scenarios.clone(), &BatchOptions::default());
-        let mut other = run_batch(
-            scenarios,
-            &BatchOptions {
-                serial: true,
-                ..BatchOptions::default()
-            },
-        );
+        let mut other = isolated(&scenarios);
         // Same deterministic results, different wall clock/threads: clean.
         assert!(
             base.result_drift(&other).is_empty(),
@@ -1306,7 +1227,8 @@ mod tests {
     fn warm_chains_match_cold_solves_bit_for_bit() {
         // Two chains (fig4, abilene), each spanning two loads × two sim
         // durations: exercises workspace reuse along the load axis AND
-        // solve sharing across sim durations.
+        // solve sharing across sim durations, against each scenario solved
+        // alone in fresh workspaces.
         let scenarios = ScenarioGrid::new()
             .topologies([TopologySpec::Fig4, TopologySpec::Abilene])
             .seeds([1])
@@ -1314,13 +1236,7 @@ mod tests {
             .sim_durations([1.0, 2.0])
             .build();
         assert_eq!(scenarios.len(), 8);
-        let cold = run_batch(
-            scenarios.clone(),
-            &BatchOptions {
-                cold_solves: true,
-                ..BatchOptions::default()
-            },
-        );
+        let cold = isolated(&scenarios);
         let warm = run_batch(scenarios, &BatchOptions::default());
         assert_eq!(warm.results.len(), 8);
         let drift = cold.result_drift(&warm);
@@ -1336,13 +1252,7 @@ mod tests {
             .solvers([SolverSpec::FrankWolfeFast, SolverSpec::FortzThorup])
             .build();
         let incremental = run_batch(scenarios.clone(), &BatchOptions::default());
-        let full = run_batch(
-            scenarios,
-            &BatchOptions {
-                full_rebuild: true,
-                ..BatchOptions::default()
-            },
-        );
+        let full = run_batch(scenarios, &BatchOptions { full_rebuild: true });
         assert_eq!(incremental.results.len(), 2);
         let ft = &incremental.results[1];
         assert!(ft.scenario.id.ends_with("+ft"));
@@ -1390,19 +1300,15 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
+        // The parallel batch against each scenario run alone, one after
+        // another on this thread.
         let scenarios = ScenarioGrid::new()
             .topologies([TopologySpec::Fig1, TopologySpec::Fig4])
             .seeds([1, 2])
             .loads([0.15])
             .build();
         let par = run_batch(scenarios.clone(), &BatchOptions::default());
-        let ser = run_batch(
-            scenarios,
-            &BatchOptions {
-                serial: true,
-                ..BatchOptions::default()
-            },
-        );
+        let ser = isolated(&scenarios);
         assert_eq!(par.results.len(), ser.results.len());
         for (a, b) in par.results.iter().zip(&ser.results) {
             assert_eq!(a.scenario.id, b.scenario.id, "order is preserved");

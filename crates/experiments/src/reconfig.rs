@@ -29,6 +29,11 @@
 //! [`crate::failure`]). Equal-cost ties are detected with the shared
 //! stale-weight threshold [`spef_core::STALE_WEIGHT_DAG_RTOL`] scaled by
 //! the largest weight of the *current mixed vector*.
+//!
+//! The stale-weight failure model itself lives here too: [`MluProbe`]
+//! routes one weight setting on a circuit's degraded clone, and
+//! [`StaleWeightProbes`] pairs OSPF's InvCap probe with SPEF's stale-weight
+//! probe for the `failure` experiment and the sweep's failure stage.
 
 use spef_core::{
     metrics, EngineState, Flows, RoutingEngine, SpefError, SpfStats, SplitRule,
@@ -157,6 +162,72 @@ impl MluProbe {
             .as_ref()
             .map(EngineState::spf_stats)
             .unwrap_or_default()
+    }
+}
+
+/// The stale-weight failure model's probe pair, shared by the `failure`
+/// experiment and the sweep harness's failure stage: after a circuit
+/// fails, OSPF reconverges on InvCap weights, and SPEF keeps routing on its
+/// stale intact-optimal first weights with even ECMP (the second weights'
+/// split ratios are meaningless once the path set changed). Each setting
+/// has its own persistent [`MluProbe`], so a sweep over circuits routes
+/// every degraded clone in that probe's warmed arenas.
+pub struct StaleWeightProbes {
+    ospf: MluProbe,
+    stale: MluProbe,
+}
+
+impl StaleWeightProbes {
+    /// Creates the pair; `full_rebuild` as in [`MluProbe::new`].
+    pub fn new(full_rebuild: bool) -> StaleWeightProbes {
+        StaleWeightProbes {
+            ospf: MluProbe::new(full_rebuild),
+            stale: MluProbe::new(full_rebuild),
+        }
+    }
+
+    /// `(OSPF MLU, stale-SPEF MLU)` on `network` with the links of
+    /// `circuit` failed; `weights` are SPEF's intact first weights, one per
+    /// intact link. The continuous weights solve nothing on the degraded
+    /// topology, so the stale routing's equal-cost ties use the shared
+    /// coarse threshold [`STALE_WEIGHT_DAG_RTOL`] scaled by the largest
+    /// *surviving* weight.
+    ///
+    /// # Errors
+    ///
+    /// As [`MluProbe::mlu`], OSPF's probe first.
+    pub fn mlus(
+        &mut self,
+        network: &Network,
+        traffic: &TrafficMatrix,
+        dests: &[NodeId],
+        weights: &[f64],
+        circuit: &[EdgeId],
+    ) -> Result<(f64, f64), SpefError> {
+        let invcap: Vec<f64> = network.capacities().iter().map(|c| 1.0 / c).collect();
+        let ospf = self
+            .ospf
+            .mlu(network, traffic, dests, &invcap, 0.0, circuit)?;
+        let max_surviving = weights
+            .iter()
+            .enumerate()
+            .filter(|&(e, _)| !circuit.iter().any(|c| c.index() == e))
+            .map(|(_, &w)| w)
+            .fold(0.0, f64::max);
+        let stale = self.stale.mlu(
+            network,
+            traffic,
+            dests,
+            weights,
+            STALE_WEIGHT_DAG_RTOL * max_surviving,
+            circuit,
+        )?;
+        Ok((ospf, stale))
+    }
+
+    /// Each probe's SPF counters, OSPF's first.
+    pub fn spf_stats(&self) -> [SpfStats; 2] {
+        [self.ospf.spf_stats(), self.stale.spf_stats()]
     }
 }
 

@@ -741,9 +741,7 @@ impl ScenarioGrid {
     /// scenarios are intentionally infeasible at this load; their failures
     /// (solver infeasibility for Frank–Wolfe, an overloaded best routing
     /// for Fortz–Thorup) are part of the committed baseline and pin the
-    /// failure-reporting path. The `all` family keeps the PR 6
-    /// Frank–Wolfe-only surface, so the PR 9 rows are gated by their own
-    /// baseline pair.
+    /// failure-reporting path.
     pub fn te_family() -> Self {
         ScenarioGrid::new()
             .topologies([

@@ -1,14 +1,53 @@
 //! Integration tests of the scenario-sweep harness: determinism across
-//! runs, JSON round-tripping of the batch report, the packet-level `sim`
-//! scenario family (schedule-independent results, old-baseline
-//! compatibility) and the scale stage's forwarding-entry counts.
+//! runs, batches against isolated runs, JSON round-tripping of the batch
+//! report, the packet-level `sim` scenario family (schedule-independent
+//! results, old-baseline compatibility), panic isolation, the committed
+//! baselines' families and the scale stage's forwarding-entry counts.
+
+use std::collections::HashSet;
+use std::path::Path;
 
 use spef_baselines::OspfRouting;
-use spef_experiments::harness::{run_batch, BatchOptions, BatchReport};
+use spef_experiments::harness::{
+    run_batch, run_scenario, BatchOptions, BatchReport, ScenarioFailure, BATCH_SCHEMA_VERSION,
+};
 use spef_experiments::scenario::{
     FailureSpec, ObjectiveSpec, Scenario, ScenarioGrid, SimSpec, SolverSpec, TopologySpec,
     TrafficModel, TrafficSpec,
 };
+
+/// Each scenario run alone through `run_scenario`, collected into a report
+/// that `result_drift` can compare with a batch.
+fn isolated(scenarios: &[Scenario]) -> BatchReport {
+    let mut report = BatchReport {
+        schema_version: BATCH_SCHEMA_VERSION,
+        results: Vec::new(),
+        failures: Vec::new(),
+        total_wall_ms: 0.0,
+        threads: 1,
+        spf: None,
+    };
+    for scenario in scenarios {
+        match run_scenario(scenario) {
+            Ok(result) => report.results.push(result),
+            Err(error) => report.failures.push(ScenarioFailure {
+                scenario: scenario.clone(),
+                error,
+            }),
+        }
+    }
+    report
+}
+
+/// Parses a committed baseline from the repository root.
+fn committed_baseline(name: &str) -> BatchReport {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("committed baseline {name} readable: {e}"));
+    BatchReport::from_json(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"))
+}
 
 /// A 3-scenario sweep: fig1 at two seeds plus Abilene.
 fn three_scenarios() -> Vec<Scenario> {
@@ -113,9 +152,9 @@ fn sim_scenarios() -> Vec<Scenario> {
 
 #[test]
 fn sim_sweep_is_deterministic_and_scheduler_independent() {
-    // Whatever the thread schedule, parallel and serial runs must produce
-    // bit-identical deterministic fields through the whole solve+simulate
-    // pipeline.
+    // Whatever the thread schedule, the parallel batch and each scenario
+    // run alone must produce bit-identical deterministic fields through
+    // the whole solve+simulate pipeline.
     let parallel = run_batch(sim_scenarios(), &BatchOptions::default());
     assert_eq!(parallel.results.len(), 3, "{:?}", parallel.failures);
     for r in &parallel.results {
@@ -126,13 +165,7 @@ fn sim_sweep_is_deterministic_and_scheduler_independent() {
         assert!(sim.total_link_load_bps >= sim.max_link_load_bps);
         assert!(sim.peak_packet_slots > 0);
     }
-    let serial = run_batch(
-        sim_scenarios(),
-        &BatchOptions {
-            serial: true,
-            ..BatchOptions::default()
-        },
-    );
+    let serial = isolated(&sim_scenarios());
     assert!(
         parallel.result_drift(&serial).is_empty(),
         "serial drift: {:?}",
@@ -161,18 +194,14 @@ fn sim_results_roundtrip_and_drift_catches_sim_fields() {
 
 #[test]
 fn pre_sim_reports_still_parse_and_sim_less_results_omit_the_field() {
-    // The committed grid baseline predates the sim stage; its
-    // `ScenarioResult` objects carry no `sim` key and must keep parsing
-    // (the CI regression gate reads it on every PR).
-    let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_grid.json"),
-    )
-    .expect("committed baseline readable");
-    let baseline = BatchReport::from_json(&text).expect("pre-sim baseline parses");
+    // The committed te baseline's `ScenarioResult` objects carry no `sim`
+    // key and must keep parsing (the CI regression gate reads it on every
+    // PR).
+    let baseline = committed_baseline("BENCH_te.json");
     assert!(baseline.results.iter().all(|r| r.sim.is_none()));
 
     // And a sim-less run serializes without the key, so regenerating the
-    // old grid still byte-matches the old schema shape.
+    // te grid still byte-matches its schema shape.
     let report = run_batch(three_scenarios(), &BatchOptions::default());
     let json = report.to_json();
     assert!(!json.contains("\"sim\""));
@@ -192,9 +221,10 @@ fn failure_scenarios() -> Vec<Scenario> {
 
 #[test]
 fn failure_sweep_is_deterministic_and_mode_independent() {
-    // Warm chains (shared intact solve + chain-memoized robust search),
-    // serial warm, and isolated cold solves must produce bit-identical
-    // deterministic fields — the failure family's regression contract.
+    // Warm chains (shared intact solve + chain-memoized robust search) and
+    // each scenario run alone in fresh workspaces must produce
+    // bit-identical deterministic fields — the failure family's regression
+    // contract.
     let warm = run_batch(failure_scenarios(), &BatchOptions::default());
     assert_eq!(warm.results.len(), 2, "{:?}", warm.failures);
     for r in &warm.results {
@@ -212,29 +242,11 @@ fn failure_sweep_is_deterministic_and_mode_independent() {
         assert!(f.reconfig_peak_mlu >= f.mlu_stale - 1e-12);
         assert!(f.reconfig_greedy_peak_mlu >= f.mlu_stale - 1e-12);
     }
-    let cold = run_batch(
-        failure_scenarios(),
-        &BatchOptions {
-            cold_solves: true,
-            ..BatchOptions::default()
-        },
-    );
-    let serial = run_batch(
-        failure_scenarios(),
-        &BatchOptions {
-            serial: true,
-            ..BatchOptions::default()
-        },
-    );
+    let cold = isolated(&failure_scenarios());
     assert!(
         warm.result_drift(&cold).is_empty(),
         "cold drift: {:?}",
         warm.result_drift(&cold)
-    );
-    assert!(
-        warm.result_drift(&serial).is_empty(),
-        "serial drift: {:?}",
-        warm.result_drift(&serial)
     );
 }
 
@@ -274,13 +286,7 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
     let back = BatchReport::from_json(&incremental.to_json()).expect("parses back");
     assert_eq!(back, incremental);
 
-    let rebuild = run_batch(
-        failure_scenarios(),
-        &BatchOptions {
-            full_rebuild: true,
-            ..BatchOptions::default()
-        },
-    );
+    let rebuild = run_batch(failure_scenarios(), &BatchOptions { full_rebuild: true });
     let rebuild_spf = rebuild.spf.expect("rebuild sweep carries spf metadata");
     assert_eq!(rebuild_spf.incremental_builds, 0);
     assert_ne!(spf, rebuild_spf, "engine modes should differ in SPF work");
@@ -293,12 +299,7 @@ fn spf_metadata_is_surfaced_but_never_diffed() {
     // The committed failure baseline predates the field; it must keep
     // parsing with the metadata absent (the CI regression gate reads it on
     // every PR).
-    let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_failure.json"),
-    )
-    .expect("committed baseline readable");
-    let baseline = BatchReport::from_json(&text).expect("pre-spf baseline parses");
-    assert!(baseline.spf.is_none());
+    assert!(committed_baseline("BENCH_failure.json").spf.is_none());
 }
 
 #[test]
@@ -326,20 +327,90 @@ fn out_of_range_circuit_is_a_scenario_failure_not_a_panic() {
 
 #[test]
 fn pre_failure_reports_still_parse_and_failure_less_results_omit_the_field() {
-    // The committed te+sim baseline predates the failure stage; its
+    // The committed te baseline predates the failure stage; its
     // `ScenarioResult` objects carry no `failure` key and must keep
     // parsing (the CI regression gate reads it on every PR).
-    let text = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_all.json"),
-    )
-    .expect("committed baseline readable");
-    let baseline = BatchReport::from_json(&text).expect("pre-failure baseline parses");
+    let baseline = committed_baseline("BENCH_te.json");
     assert!(baseline.results.iter().all(|r| r.failure.is_none()));
 
     // And a failure-less run serializes without the key, so regenerating
-    // the old grids still byte-matches the old schema shape.
+    // the te grid still byte-matches its schema shape.
     let report = run_batch(three_scenarios(), &BatchOptions::default());
     assert!(!report.to_json().contains("\"failure\""));
+}
+
+#[test]
+fn a_panicking_scenario_is_a_failure_row_and_its_chain_runs_on() {
+    // A negative load panics in `TrafficMatrix::scaled`. Each topology's
+    // chain runs 0.15, the panicking -0.1, then 0.1 on fresh arenas.
+    let scenarios = ScenarioGrid::new()
+        .topologies([TopologySpec::Fig1, TopologySpec::Fig4])
+        .seeds([1])
+        .loads([0.15, -0.1, 0.1])
+        .build();
+    let report = run_batch(scenarios.clone(), &BatchOptions::default());
+    assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+    for f in &report.failures {
+        assert!(f.scenario.traffic.load < 0.0, "{}", f.scenario.id);
+        assert!(
+            f.error.starts_with("panicked: ") && f.error.contains("scale factor"),
+            "{}",
+            f.error
+        );
+    }
+    // The other scenarios' results are those of clean runs, bit for bit.
+    let clean: Vec<Scenario> = scenarios
+        .into_iter()
+        .filter(|s| s.traffic.load >= 0.0)
+        .collect();
+    let expected = isolated(&clean);
+    assert_eq!(expected.results.len(), 4);
+    let results_only = BatchReport {
+        failures: Vec::new(),
+        ..report
+    };
+    let drift = expected.result_drift(&results_only);
+    assert!(drift.is_empty(), "{drift:?}");
+}
+
+#[test]
+fn each_committed_baseline_is_exactly_its_family() {
+    // The `.gitignore` allow-lines are the list of committed baselines;
+    // each must be one family's grid, scenario for scenario, and no
+    // scenario may be pinned by two baselines.
+    let gitignore =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.gitignore"))
+            .expect(".gitignore readable");
+    let committed: Vec<&str> = gitignore
+        .lines()
+        .filter_map(|l| l.strip_prefix("!BENCH_")?.strip_suffix(".json"))
+        .collect();
+    let mut families = committed.clone();
+    families.sort_unstable();
+    assert_eq!(families, ["failure", "scale", "sim", "te"]);
+    let mut pinned = HashSet::new();
+    for family in committed {
+        let grid = match family {
+            "te" => ScenarioGrid::te_family(),
+            "sim" => ScenarioGrid::sim_family(),
+            "failure" => ScenarioGrid::failure_family(),
+            _ => ScenarioGrid::scale_family(),
+        };
+        let mut want: Vec<String> = grid.build().into_iter().map(|s| s.id).collect();
+        let baseline = committed_baseline(&format!("BENCH_{family}.json"));
+        let mut got: Vec<String> = baseline
+            .results
+            .iter()
+            .map(|r| r.scenario.id.clone())
+            .chain(baseline.failures.iter().map(|f| f.scenario.id.clone()))
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "BENCH_{family}.json");
+        for id in got {
+            assert!(pinned.insert(id.clone()), "{id} is in two baselines");
+        }
+    }
 }
 
 #[test]
