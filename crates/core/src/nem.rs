@@ -15,7 +15,10 @@
 //! induced by exponential splitting ([`crate::traffic_distribution`] with
 //! [`SplitRule::Exponential`]). The recorded dual-objective trace
 //! `d(v) = Σ_r d_r · log Σ_k e^(−v^r_k) + Σ_e v_e f*_e` regenerates
-//! Fig. 12(b).
+//! Fig. 12(b). The split tables carry each path sum `Σ_k e^(−v^r_k)` as a
+//! log offset and a scale, so computing its log costs one `ln` per
+//! demand pair (`SplitTableRef::log_path_sum`), paid only by an iteration
+//! that records the trace; the splits themselves call no `ln`.
 
 use spef_graph::{DagAccess, Graph, NodeId};
 use spef_topology::TrafficMatrix;

@@ -22,8 +22,15 @@
 //! ```
 //!
 //! giving `Γ_t(s, k) ∝ e^(−v_{s,n_k}) · Z_t(n_k)` — exactly Eq. (22),
-//! computed in `O(|J|)` per destination (in log-space for numerical
-//! stability).
+//! computed in `O(|J|)` per destination. Each `Z_t(u)` is carried as a
+//! log offset and a linear scale, `Z_t(u) = e^(o(u)) · s(u)` with
+//! `s(u) ≥ 1`, so no product of path weights over- or underflows. A row over
+//! successors `x_i` takes terms `a_i = −v_{u,x_i} + o(x_i)` and their max
+//! `A`, weighs each next hop `w_i = s(x_i) · e^(a_i − A)`, and sets
+//! `Γ_i = w_i / Σw`, `o(u) = A` and `s(u) = Σw`: a `k`-way row makes at
+//! most `k − 1` `exp` calls and no `ln`. The scale is folded into the
+//! offset only past `1e150` ([`SplitTable::log_path_sum`] and the fold are
+//! the only `ln` calls).
 //!
 //! Nodes are processed "in the decreasing distance order" exactly as
 //! Algorithm 3 prescribes, so each node's incoming flow
@@ -40,16 +47,18 @@
 //!   a time through a reusable one-destination [`SplitTableSet`], and a
 //!   solver iteration performs zero steady-state allocations.
 //!
-//! The batched path skips work whose result is fixed before it runs. Its
-//! split rows skip the `exp` and `ln` calls that IEEE 754 fixes at
-//! `exp(±0) = 1` and `ln(1) = +0`: a one-successor row gets ratio `1.0`
-//! with no call, and a term equal to its row's max adds `1.0` to the sum.
-//! Its DAGs take the processing order from Dijkstra's settle order, which
-//! is already by distance, and sort only the runs of equal distance by
-//! node id ([`spef_graph::batch`]). The public wrappers here
-//! ([`build_dags`], [`traffic_distribution`]) ride the batched engine,
-//! and both DAG storages go through one distribution kernel, generic
-//! over [`DagAccess`].
+//! The batched path skips work whose result is fixed before it runs. A
+//! split row with one successor copies its successor's path sum and gets
+//! ratio `1.0` with no call, and a term equal to its row's max weighs its
+//! successor's scale with no `exp`, which is what `s · exp(0)` evaluates
+//! to (IEEE 754 fixes `exp(±0) = 1`). So an even-ECMP row makes no call at
+//! all, and its ratios are quotients of path counts, correctly rounded
+//! while the counts stay below `2^53`. Its DAGs take the processing order
+//! from Dijkstra's settle order, which is already by distance, and sort
+//! only the runs of equal distance by node id ([`spef_graph::batch`]). The
+//! public wrappers here ([`build_dags`], [`traffic_distribution`]) ride
+//! the batched engine, and both DAG storages go through one distribution
+//! kernel, generic over [`DagAccess`].
 
 use std::borrow::Borrow;
 
@@ -66,25 +75,86 @@ pub enum SplitRule<'a> {
     /// ECMP as the OSPF baseline models it: an even split over all
     /// equal-cost shortest **paths**. A next hop with `k` shortest paths to
     /// the destination gets `k` shares, so this is not the per-next-hop
-    /// even split a router's hash-based ECMP performs.
+    /// even split a router's hash-based ECMP performs. It is the
+    /// exponential rule at `v = 0`: every row term is `0`, so a next hop's
+    /// ratio is its path count over the row's, one division with no `exp`.
     EvenEcmp,
     /// SPEF: exponential split driven by the second link weights
     /// (one `f64` per edge).
     Exponential(&'a [f64]),
 }
 
-/// Per-destination split ratios on a shortest-path DAG, plus the log-domain
-/// path sums `log Z_t(u)` used by the NEM dual objective.
+/// Once a path sum's scale passes this bound, [`PathSum::settle`] folds
+/// `ln scale` into the offset and resets the scale to `1`, so scales stay
+/// in `[1, 1e150]`. A row term `s(x) · e^(a − A)` whose `exp` falls below
+/// the smallest normal `f64` (2.2e-308, where it starts to lose bits and,
+/// past `e^(−745)`, underflows to `0`) then weighs at most
+/// `1e150 · 2.2e-308 ≈ 2.2e-158` against a row sum of at least `1` (the
+/// max term's scale): far below ε = 2.2e-16 of its row. A row of `k` terms
+/// sums to at most `k · 1e150`, far from overflow. A scale never
+/// exceeds its node's path count, so a fold, and its `ln`, runs only past
+/// `1e150 ≈ 2^498` paths.
+const SCALE_FOLD: f64 = 1e150;
+
+/// One node's path sum `Z_t(u) = e^offset · scale`: the split kernel's
+/// per-node state (see the module doc).
+#[derive(Debug, Clone, Copy)]
+struct PathSum {
+    offset: f64,
+    scale: f64,
+}
+
+impl PathSum {
+    /// `Z_t(t) = 1`: the target's one path has length `0`.
+    const TARGET: PathSum = PathSum {
+        offset: 0.0,
+        scale: 1.0,
+    };
+
+    /// `Z = 0` (`log Z = −∞`): a node with no path to the target.
+    const UNREACHED: PathSum = PathSum {
+        offset: f64::NEG_INFINITY,
+        scale: 1.0,
+    };
+
+    /// The sum of a row whose largest term is `max` and whose weights
+    /// `s(x_i) · e^(a_i − max)` total `total`, with the scale folded into
+    /// the offset past [`SCALE_FOLD`].
+    fn settle(max: f64, total: f64) -> PathSum {
+        if total > SCALE_FOLD {
+            PathSum {
+                offset: max + total.ln(),
+                scale: 1.0,
+            }
+        } else {
+            PathSum {
+                offset: max,
+                scale: total,
+            }
+        }
+    }
+
+    /// `log Z = offset + ln scale`.
+    fn log(self) -> f64 {
+        self.offset + self.scale.ln()
+    }
+}
+
+/// Per-destination split ratios on a shortest-path DAG, plus the path sums
+/// `Z_t(u)` whose logs the NEM dual objective reads.
+///
+/// The readable reference for [`SplitTableSet`]'s rows: it computes every
+/// row the same way, including the `exp` calls the batched kernel skips
+/// because their result is fixed, so the two agree bit for bit.
 #[derive(Debug, Clone)]
 pub struct SplitTable {
     /// `ratios[u]` lists `(edge, fraction)` for every DAG successor edge of
     /// `u`; fractions sum to 1 for reachable non-target nodes.
     ratios: Vec<Vec<(EdgeId, f64)>>,
-    /// `log Σ_paths e^(−len₂(path))` from each node to the target
-    /// (`0` at the target, `−∞` when unreachable). Under
-    /// [`SplitRule::EvenEcmp`] the convention `v = 0` applies, so this is
-    /// `log(#paths)`.
-    log_path_sum: Vec<f64>,
+    /// `Σ_paths e^(−len₂(path))` from each node to the target (`1` at the
+    /// target, `0` when unreachable). Under [`SplitRule::EvenEcmp`] the
+    /// convention `v = 0` applies, so this counts the paths.
+    sums: Vec<PathSum>,
 }
 
 impl SplitTable {
@@ -116,8 +186,8 @@ impl SplitTable {
 
         let n = graph.node_count();
         let mut ratios = vec![Vec::new(); n];
-        let mut log_z = vec![f64::NEG_INFINITY; n];
-        log_z[dag.target().index()] = 0.0;
+        let mut sums = vec![PathSum::UNREACHED; n];
+        sums[dag.target().index()] = PathSum::TARGET;
 
         // Increasing distance: reverse of the decreasing-distance order.
         for &u in dag.nodes_by_decreasing_distance().iter().rev() {
@@ -128,38 +198,35 @@ impl SplitTable {
             if succ.is_empty() {
                 continue; // stranded node; caught later only if it has demand
             }
-            // Per-successor log-terms: -v_e + log Z(next).
-            let terms: Vec<(EdgeId, f64)> = succ
+            // Per-successor terms: -v_e + o(next).
+            let terms: Vec<(EdgeId, PathSum, f64)> = succ
                 .iter()
                 .map(|&e| {
-                    let x = graph.target(e);
+                    let x = sums[graph.target(e).index()];
                     let v_e = match rule {
                         SplitRule::EvenEcmp => 0.0,
                         SplitRule::Exponential(v) => v[e.index()],
                     };
-                    (e, -v_e + log_z[x.index()])
+                    (e, x, -v_e + x.offset)
                 })
                 .collect();
             let max_term = terms
                 .iter()
-                .map(|&(_, t)| t)
+                .map(|&(_, _, a)| a)
                 .fold(f64::NEG_INFINITY, f64::max);
             if max_term == f64::NEG_INFINITY {
                 continue; // all successors stranded
             }
-            let sum_exp: f64 = terms.iter().map(|&(_, t)| (t - max_term).exp()).sum();
-            let lz = max_term + sum_exp.ln();
-            log_z[u.index()] = lz;
-            ratios[u.index()] = terms
+            let weights: Vec<(EdgeId, f64)> = terms
                 .into_iter()
-                .map(|(e, t)| (e, (t - lz).exp()))
+                .map(|(e, x, a)| (e, x.scale * (a - max_term).exp()))
                 .collect();
+            let total = weights.iter().fold(0.0, |acc, &(_, w)| acc + w);
+            sums[u.index()] = PathSum::settle(max_term, total);
+            ratios[u.index()] = weights.into_iter().map(|(e, w)| (e, w / total)).collect();
         }
 
-        Ok(SplitTable {
-            ratios,
-            log_path_sum: log_z,
-        })
+        Ok(SplitTable { ratios, sums })
     }
 
     /// The `(edge, fraction)` next-hop entries of node `u` — one row of the
@@ -173,13 +240,15 @@ impl SplitTable {
     }
 
     /// `log Σ_k e^(−v^r_k)` over all equal-cost shortest paths from `u` to
-    /// the target — the per-pair partition function of the NEM dual.
+    /// the target — the per-pair partition function of the NEM dual
+    /// (`0` at the target, `−∞` when unreachable), computed on demand
+    /// from the stored offset and scale.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn log_path_sum(&self, u: NodeId) -> f64 {
-        self.log_path_sum[u.index()]
+        self.sums[u.index()].log()
     }
 
     /// Materialises an owned table from an arena-backed view.
@@ -188,7 +257,7 @@ impl SplitTable {
             ratios: (0..n)
                 .map(|u| view.next_hops(NodeId::new(u)).to_vec())
                 .collect(),
-            log_path_sum: view.log_z.to_vec(),
+            sums: view.sums.to_vec(),
         }
     }
 }
@@ -202,7 +271,7 @@ impl SplitTable {
 ///
 /// The routing paths ([`crate::RoutingEngine::distribute_into`], NEM, the
 /// FIB builds) hold one destination's table at a time: `n` spans, `n`
-/// log-Z slots and at most `m` entries. Only
+/// path sums (a log offset and a scale each) and at most `m` entries. Only
 /// [`crate::RoutingEngine::build_split_tables`] fills one table per
 /// destination.
 #[derive(Debug, Clone, Default)]
@@ -214,8 +283,8 @@ pub struct SplitTableSet {
     /// order, not node-id order.
     spans: Vec<(usize, usize)>,
     entries: Vec<(EdgeId, f64)>,
-    /// `log Z_t(u)` per `(dest, node)`.
-    log_z: Vec<f64>,
+    /// `Z_t(u)` per `(dest, node)`.
+    sums: Vec<PathSum>,
 }
 
 impl SplitTableSet {
@@ -244,7 +313,7 @@ impl SplitTableSet {
         SplitTableRef {
             spans: &self.spans[i * self.n..(i + 1) * self.n],
             entries: &self.entries,
-            log_z: &self.log_z[i * self.n..(i + 1) * self.n],
+            sums: &self.sums[i * self.n..(i + 1) * self.n],
         }
     }
 
@@ -253,7 +322,7 @@ impl SplitTableSet {
         self.count = 0;
         self.spans.clear();
         self.entries.clear();
-        self.log_z.clear();
+        self.sums.clear();
     }
 
     /// Bytes currently reserved by the split-table arenas (capacity, not
@@ -262,18 +331,18 @@ impl SplitTableSet {
     pub fn arena_bytes(&self) -> usize {
         self.spans.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.entries.capacity() * std::mem::size_of::<(EdgeId, f64)>()
-            + self.log_z.capacity() * std::mem::size_of::<f64>()
+            + self.sums.capacity() * std::mem::size_of::<PathSum>()
     }
 
     /// Appends the split table of one destination DAG: the same ratios
-    /// and log path sums as [`SplitTable::build`], bit for bit (see
+    /// and path sums as [`SplitTable::build`], bit for bit (see
     /// [`SplitTableSet::build_block`] for the calls it skips). The rule's
     /// weight vector must be pre-validated.
     pub(crate) fn push_table<D: DagAccess>(&mut self, graph: &Graph, dag: &D, rule: SplitRule<'_>) {
         let n = self.n;
         let span_base = self.spans.len();
         self.spans.resize(span_base + n, (0, 0));
-        self.log_z.resize(span_base + n, f64::NEG_INFINITY);
+        self.sums.resize(span_base + n, PathSum::UNREACHED);
         // Each DAG edge is one entry, so a table holds at most `m`: room
         // for that many keeps a one-destination table at exactly `m`.
         self.entries.reserve(graph.edge_count());
@@ -282,19 +351,24 @@ impl SplitTableSet {
     }
 
     /// The row-construction body of [`SplitTableSet::push_table`]: fills
-    /// block `block`'s spans and log-Z slots (which must already be
+    /// block `block`'s spans and path sums (which must already be
     /// cleared) by appending entry rows with the same values as
     /// [`SplitTable::build`], bit for bit.
     ///
-    /// It skips the `exp` and `ln` calls whose results are fixed, since
-    /// `exp(±0) = 1` and `ln(1) = +0` exactly (IEEE 754, C99 Annex F):
+    /// A row over successors `x_i` with terms `a_i = −v_i + o(x_i)` and
+    /// max `A` weighs `w_i = s(x_i) · e^(a_i − A)`, sets `Γ_i = w_i / Σw`
+    /// and stores `Z(u)` as offset `A` and scale `Σw`. It skips the `exp`
+    /// calls whose results are fixed, since `exp(±0) = 1` exactly
+    /// (IEEE 754, C99 Annex F):
     ///
-    /// * a row with one successor, term `t`, gets ratio `1.0` and
-    ///   `log Z = t + 0.0`: what `max + ln(exp(t − max))` and
-    ///   `exp(t − log Z)` evaluate to;
-    /// * in a longer row, each term equal to the max adds `1.0` to the sum
-    ///   in its place instead of `exp(0)`; the `ln` and the ratio `exp`s
-    ///   stay.
+    /// * a row with one successor takes its one term as offset, its
+    ///   successor's scale as scale, and ratio `1.0`: what `s · exp(0)`,
+    ///   `s / s` and the unfolded settle evaluate to;
+    /// * in a longer row, a term equal to the max weighs its successor's
+    ///   scale as it is, so a `k`-way row makes at most `k − 1` calls and
+    ///   an even-ECMP row (every term `0` below the first fold) none.
+    ///
+    /// No row calls `ln` unless its sum passes [`SCALE_FOLD`].
     fn build_block<D: DagAccess>(
         &mut self,
         block: usize,
@@ -302,59 +376,62 @@ impl SplitTableSet {
         dag: &D,
         rule: SplitRule<'_>,
     ) {
-        let span_base = block * self.n;
-        let lz_base = span_base;
+        let base = block * self.n;
+        let spans = &mut self.spans[base..base + self.n];
+        let sums = &mut self.sums[base..base + self.n];
+        let entries = &mut self.entries;
+        let second = |e: EdgeId| match rule {
+            SplitRule::EvenEcmp => 0.0,
+            SplitRule::Exponential(v) => v[e.index()],
+        };
         let target = dag.dag_target();
-        self.log_z[lz_base + target.index()] = 0.0;
+        sums[target.index()] = PathSum::TARGET;
 
         for &u in dag.dag_order_desc().iter().rev() {
             if u == target {
                 continue;
             }
             let succ = dag.dag_successors(u);
-            if succ.is_empty() {
+            let start = entries.len();
+            if let [e] = *succ {
+                let x = sums[graph.target(e).index()];
+                let a = -second(e) + x.offset;
+                if a == f64::NEG_INFINITY {
+                    continue; // stranded successor, or a `+∞` second weight
+                }
+                sums[u.index()] = PathSum {
+                    offset: a,
+                    scale: x.scale,
+                };
+                entries.push((e, 1.0));
+                spans[u.index()] = (start, 1);
                 continue;
             }
-            let start = self.entries.len();
+            let mut max_term = f64::NEG_INFINITY;
             for &e in succ {
-                let x = graph.target(e);
-                let v_e = match rule {
-                    SplitRule::EvenEcmp => 0.0,
-                    SplitRule::Exponential(v) => v[e.index()],
-                };
-                self.entries
-                    .push((e, -v_e + self.log_z[lz_base + x.index()]));
+                let a = -second(e) + sums[graph.target(e).index()].offset;
+                max_term = max_term.max(a);
+                entries.push((e, a));
             }
-            let max_term = self.entries[start..]
-                .iter()
-                .map(|&(_, t)| t)
-                .fold(f64::NEG_INFINITY, f64::max);
             if max_term == f64::NEG_INFINITY {
-                self.entries.truncate(start);
-                continue; // all successors stranded
+                entries.truncate(start);
+                continue; // no usable successor
             }
-            if succ.len() == 1 {
-                // `+ 0.0` as the reference adds ln(1) = +0: it maps −0 to +0.
-                self.log_z[lz_base + u.index()] = max_term + 0.0;
-                self.entries[start].1 = 1.0;
-            } else {
-                let sum_exp: f64 = self.entries[start..]
-                    .iter()
-                    .map(|&(_, t)| {
-                        if t == max_term {
-                            1.0
-                        } else {
-                            (t - max_term).exp()
-                        }
-                    })
-                    .sum();
-                let lz = max_term + sum_exp.ln();
-                self.log_z[lz_base + u.index()] = lz;
-                for slot in &mut self.entries[start..] {
-                    slot.1 = (slot.1 - lz).exp();
-                }
+            let mut total = 0.0;
+            for slot in &mut entries[start..] {
+                let scale = sums[graph.target(slot.0).index()].scale;
+                slot.1 = if slot.1 == max_term {
+                    scale
+                } else {
+                    scale * (slot.1 - max_term).exp()
+                };
+                total += slot.1;
             }
-            self.spans[span_base + u.index()] = (start, succ.len());
+            for slot in &mut entries[start..] {
+                slot.1 /= total;
+            }
+            sums[u.index()] = PathSum::settle(max_term, total);
+            spans[u.index()] = (start, succ.len());
         }
     }
 }
@@ -365,7 +442,7 @@ impl SplitTableSet {
 pub struct SplitTableRef<'a> {
     spans: &'a [(usize, usize)],
     entries: &'a [(EdgeId, f64)],
-    log_z: &'a [f64],
+    sums: &'a [PathSum],
 }
 
 impl<'a> SplitTableRef<'a> {
@@ -379,13 +456,14 @@ impl<'a> SplitTableRef<'a> {
         &self.entries[start..start + len]
     }
 
-    /// `log Σ_k e^(−v^r_k)` from `u` to the target.
+    /// `log Σ_k e^(−v^r_k)` from `u` to the target, as
+    /// [`SplitTable::log_path_sum`] computes it.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn log_path_sum(&self, u: NodeId) -> f64 {
-        self.log_z[u.index()]
+        self.sums[u.index()].log()
     }
 }
 
@@ -990,18 +1068,12 @@ mod tests {
         for (e, (&f, &x)) in flows.aggregate().iter().zip(&expected).enumerate() {
             assert!((f - x).abs() < 1e-12, "e{e}: {f} vs {x}");
         }
+        // Every term of an even-ECMP row is 0, so each ratio is one
+        // division of path counts: exactly the nearest double to 2/3.
         let table = SplitTable::build(&g, &dags[0], SplitRule::EvenEcmp).unwrap();
         let hops = table.next_hops(0.into());
-        assert!(
-            (hops[0].1 - 2.0 / 3.0).abs() < 1e-12,
-            "via 1: {}",
-            hops[0].1
-        );
-        assert!(
-            (hops[1].1 - 1.0 / 3.0).abs() < 1e-12,
-            "via 2: {}",
-            hops[1].1
-        );
+        assert_eq!(hops[0].1, 2.0 / 3.0, "via 1");
+        assert_eq!(hops[1].1, 1.0 / 3.0, "via 2");
     }
 
     #[test]

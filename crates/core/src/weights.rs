@@ -12,7 +12,9 @@
 //! (for the β = 1, q = 1 objective, where `w = 1/s`). Because rounding
 //! perturbs path costs, equal-cost detection must use a tolerance:
 //! the paper specifies **0.3** for noninteger (scaled) weights and **1**
-//! for integer weights.
+//! for integer weights. OSPFv2 carries a link's metric in 16 bits
+//! (RFC 2328, §A.4.2), so [`integerize`] refuses a weight above
+//! [`OSPF_MAX_METRIC`] instead of emitting one no router can advertise.
 
 use crate::{Objective, SpefError};
 
@@ -21,6 +23,10 @@ pub const NONINTEGER_DIJKSTRA_TOLERANCE: f64 = 0.3;
 
 /// Dijkstra equal-cost tolerance for *integer* weights (§V.G).
 pub const INTEGER_DIJKSTRA_TOLERANCE: f64 = 1.0;
+
+/// The largest link metric an OSPFv2 router-LSA carries: its metric field
+/// is 16 bits (RFC 2328, §A.4.2).
+pub const OSPF_MAX_METRIC: f64 = 65_535.0;
 
 /// Computes the optimal first weights `w_e = V'_e(s_e)` from a spare-
 /// capacity vector (Eq. 6b). Only valid for β > 0, where no optimal spare
@@ -82,16 +88,26 @@ pub fn scale_weights(weights: &[f64], spare: &[f64]) -> Result<Vec<f64>, SpefErr
 }
 
 /// §V.G integerisation: `w'_e = round(w_e · max_e s_e)`, floored at 1 so
-/// every weight stays a positive protocol-representable integer.
+/// every weight stays a positive protocol-representable integer: one in
+/// `[1, OSPF_MAX_METRIC]`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`scale_weights`].
+/// Same conditions as [`scale_weights`], and [`SpefError::InvalidInput`]
+/// naming the first edge whose integer weight exceeds [`OSPF_MAX_METRIC`]
+/// (a link whose spare capacity is below `1 / 65 535` of the largest, for
+/// the β = 1, q = 1 objective).
 pub fn integerize(weights: &[f64], spare: &[f64]) -> Result<Vec<f64>, SpefError> {
-    Ok(scale_weights(weights, spare)?
+    let ints: Vec<f64> = scale_weights(weights, spare)?
         .into_iter()
         .map(|w| w.round().max(1.0))
-        .collect())
+        .collect();
+    if let Some((e, &w)) = ints.iter().enumerate().find(|(_, &w)| w > OSPF_MAX_METRIC) {
+        return Err(SpefError::InvalidInput(format!(
+            "integer weight of edge e{e} is {w}, above OSPF's 16-bit metric limit {OSPF_MAX_METRIC}"
+        )));
+    }
+    Ok(ints)
 }
 
 #[cfg(test)]
@@ -125,6 +141,24 @@ mod tests {
         // floored (1, 1, 3).
         let w = integerize(&weights, &spare).unwrap();
         assert_eq!(w, vec![1.0, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn integerize_refuses_weights_past_the_16_bit_metric() {
+        let obj = Objective::proportional(3);
+        // w = 1/s and s_max = 1, so the integer weights are 1/s: edge e1's
+        // spare of 1/65 535 gives the largest metric OSPF carries.
+        let at_limit = [1.0, 1.0 / 65_535.0, 0.5];
+        let w = first_weights(&obj, &at_limit).unwrap();
+        assert_eq!(integerize(&w, &at_limit).unwrap(), vec![1.0, 65_535.0, 2.0]);
+        // A spare ratio of 1e-5 scales e1's weight to 100 000.
+        let past = [1.0, 1e-5, 0.5];
+        let w = first_weights(&obj, &past).unwrap();
+        let err = integerize(&w, &past).unwrap_err();
+        let SpefError::InvalidInput(msg) = err else {
+            panic!("expected InvalidInput, got {err:?}");
+        };
+        assert!(msg.contains("edge e1") && msg.contains("100000"), "{msg}");
     }
 
     #[test]

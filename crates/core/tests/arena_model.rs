@@ -19,14 +19,15 @@ fn tiered() -> (Network, TrafficMatrix, Vec<f64>) {
 }
 
 /// (a) A distribution adds at most one destination's split table to the
-/// engine's arenas — `n` spans, `n` log-Z slots and at most `m` entries —
-/// however many destinations it routes.
+/// engine's arenas — `n` spans, `n` path sums (a log offset and a scale
+/// each) and at most `m` entries — however many destinations it routes.
 #[test]
 fn distribution_holds_one_destination_table() {
     let (net, tm, w) = tiered();
     let (n, m) = (net.node_count(), net.link_count());
-    let one_table =
-        n * size_of::<(usize, usize)>() + n * size_of::<f64>() + m * size_of::<(EdgeId, f64)>();
+    let one_table = n * size_of::<(usize, usize)>()
+        + n * size_of::<(f64, f64)>()
+        + m * size_of::<(EdgeId, f64)>();
     let dests = tm.destinations();
     assert!(
         dests.len() > 8,
