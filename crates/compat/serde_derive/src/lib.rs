@@ -6,7 +6,10 @@
 //! assembled as source text. Supported shapes — everything this workspace
 //! derives on:
 //!
-//! * structs with named fields → JSON object in declaration order,
+//! * structs with named fields → JSON object in declaration order; a field
+//!   whose type is written `Option<…>` (bare or path-qualified — the derive
+//!   sees tokens, so an alias hides it) is omitted when `None`, and an
+//!   absent key (or `null`) reads back as `None`,
 //! * newtype structs (`struct NodeId(usize)`) → serialized transparently,
 //! * tuple structs with ≥ 2 fields → JSON array,
 //! * unit structs → `null`,
@@ -34,16 +37,29 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             format!("::serde::Value::Array(::std::vec![{}])", elems.join(", "))
         }
         Kind::NamedStruct(fields) => {
+            // Every field is an optional `(key, value)` pair, so the `None`
+            // of an `Option` field drops out.
             let pairs: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, optional }| {
+                    let field = if *optional {
+                        format!("self.{f}.as_ref()")
+                    } else {
+                        format!("::std::option::Option::Some(&self.{f})")
+                    };
                     format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value(&self.{f}))"
+                        "{field}.map(|value| (::std::string::String::from(\"{f}\"), \
+                         ::serde::Serialize::to_value(value)))"
                     )
                 })
                 .collect();
-            format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
+            format!(
+                "let pairs: [::std::option::Option<(::std::string::String, ::serde::Value)>; {}] \
+                     = [{}];\n\
+                 ::serde::Value::Object(pairs.into_iter().flatten().collect())",
+                pairs.len(),
+                pairs.join(", ")
+            )
         }
         Kind::FieldlessEnum(variants) => {
             let arms: Vec<String> = variants
@@ -101,7 +117,16 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Kind::NamedStruct(fields) => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, optional }| {
+                    if *optional {
+                        // An absent key and `null` both read as `None`.
+                        return format!(
+                            "{f}: value.get_field(\"{f}\")\
+                                 .map(::serde::Deserialize::from_value)\
+                                 .transpose()?\
+                                 .flatten()"
+                        );
+                    }
                     format!(
                         "{f}: ::serde::Deserialize::from_value(\
                              value.get_field(\"{f}\").ok_or_else(|| \
@@ -158,8 +183,15 @@ enum Kind {
     UnitStruct,
     NewtypeStruct,
     TupleStruct(usize),
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     FieldlessEnum(Vec<String>),
+}
+
+struct Field {
+    name: String,
+    /// The type is written `Option<…>`: omitted when `None`, and `None`
+    /// when its key is absent.
+    optional: bool,
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -220,10 +252,10 @@ fn skip_attrs_and_vis(tokens: &mut std::iter::Peekable<impl Iterator<Item = Toke
     }
 }
 
-/// Collects field names from `{ field: Type, ... }`, skipping each type by
-/// scanning to the next comma outside `<...>` (angle brackets are plain
-/// puncts, so nesting must be tracked by hand).
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+/// Collects the fields of `{ field: Type, ... }`, reading each type up to
+/// the next comma outside `<...>` (angle brackets are plain puncts, so
+/// nesting must be tracked by hand).
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut tokens = stream.into_iter().peekable();
     loop {
@@ -237,10 +269,23 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("serde shim derive: expected `:` after `{name}`, got {other:?}"),
         }
-        fields.push(name);
-        skip_type_to_comma(&mut tokens);
+        let ty = take_type_to_comma(&mut tokens);
+        fields.push(Field {
+            name,
+            optional: is_option(&ty),
+        });
     }
     fields
+}
+
+/// Whether a type's tokens read `Option<…>`, possibly behind a path such
+/// as `std::option::`: the name before the first `<` is `Option`.
+fn is_option(ty: &[TokenTree]) -> bool {
+    let open = ty
+        .iter()
+        .position(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == '<'));
+    matches!(open, Some(i) if i > 0
+        && matches!(&ty[i - 1], TokenTree::Ident(id) if id.to_string() == "Option"))
 }
 
 /// Counts top-level comma-separated fields of a tuple struct body.
@@ -253,25 +298,30 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
             break; // trailing comma
         }
         count += 1;
-        skip_type_to_comma(&mut tokens);
+        take_type_to_comma(&mut tokens);
     }
     count
 }
 
 /// Consumes tokens of one type expression up to (and including) the next
-/// top-level `,`.
-fn skip_type_to_comma(tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
+/// top-level `,`, and returns the type's tokens.
+fn take_type_to_comma(
+    tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>,
+) -> Vec<TokenTree> {
+    let mut ty = Vec::new();
     let mut angle_depth = 0usize;
     for tok in tokens.by_ref() {
         if let TokenTree::Punct(p) = &tok {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth = angle_depth.saturating_sub(1),
-                ',' if angle_depth == 0 => return,
+                ',' if angle_depth == 0 => return ty,
                 _ => {}
             }
         }
+        ty.push(tok);
     }
+    ty
 }
 
 /// Collects variant names from a fieldless enum body, rejecting

@@ -441,4 +441,39 @@ mod tests {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
     }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Staged {
+        a: u64,
+        stage: Option<u64>,
+        other: std::option::Option<Vec<Option<u64>>>,
+        b: bool,
+    }
+
+    #[test]
+    fn derived_option_fields_are_omitted_when_none_and_absent_reads_none() {
+        let none = Staged {
+            a: 1,
+            stage: None,
+            other: None,
+            b: true,
+        };
+        let text = to_string(&none).unwrap();
+        assert_eq!(text, r#"{"a":1,"b":true}"#);
+        assert_eq!(from_str::<Staged>(&text).unwrap(), none);
+        let null: Staged = from_str(r#"{"a":1,"stage":null,"b":true}"#).unwrap();
+        assert_eq!(null, none);
+
+        // Present values keep their declaration-order slot.
+        let some = Staged {
+            stage: Some(7),
+            other: Some(vec![None, Some(2)]),
+            ..none
+        };
+        let text = to_string(&some).unwrap();
+        assert_eq!(text, r#"{"a":1,"stage":7,"other":[null,2],"b":true}"#);
+        assert_eq!(from_str::<Staged>(&text).unwrap(), some);
+        // A required field is still required.
+        assert!(from_str::<Staged>(r#"{"a":1}"#).is_err());
+    }
 }

@@ -169,20 +169,7 @@ impl SplitTable {
         dag: &ShortestPathDag,
         rule: SplitRule<'_>,
     ) -> Result<SplitTable, SpefError> {
-        if let SplitRule::Exponential(v) = rule {
-            if v.len() != graph.edge_count() {
-                return Err(SpefError::InvalidInput(format!(
-                    "second weight vector has length {}, expected {}",
-                    v.len(),
-                    graph.edge_count()
-                )));
-            }
-            if let Some((i, &w)) = v.iter().enumerate().find(|(_, &w)| w.is_nan() || w < 0.0) {
-                return Err(SpefError::InvalidInput(format!(
-                    "second weight of edge e{i} is {w}"
-                )));
-            }
-        }
+        validate_rule(graph, rule)?;
 
         let n = graph.node_count();
         let mut ratios = vec![Vec::new(); n];
@@ -764,9 +751,10 @@ pub fn traffic_distribution_detailed(
     Ok((flows, owned))
 }
 
-/// Validates an [`SplitRule::Exponential`] weight vector — once per batch
-/// rather than once per destination (identical errors to the per-table
-/// validation in [`SplitTable::build`]).
+/// Validates an [`SplitRule::Exponential`] weight vector: its length must
+/// be the edge count and no entry may be negative or NaN. Batches call it
+/// once rather than once per destination; [`SplitTable::build`] calls it
+/// per table.
 pub(crate) fn validate_rule(graph: &Graph, rule: SplitRule<'_>) -> Result<(), SpefError> {
     if let SplitRule::Exponential(v) = rule {
         if v.len() != graph.edge_count() {

@@ -69,13 +69,19 @@ pub fn first_weights(objective: &Objective, spare: &[f64]) -> Result<Vec<f64>, S
 /// # Errors
 ///
 /// Returns [`SpefError::InvalidInput`] if the slices have different
-/// lengths or `spare` has no positive entry.
+/// lengths, if some spare capacity is NaN (naming the first such edge), or
+/// if `spare` has no positive entry.
 pub fn scale_weights(weights: &[f64], spare: &[f64]) -> Result<Vec<f64>, SpefError> {
     if weights.len() != spare.len() {
         return Err(SpefError::InvalidInput(format!(
             "weights ({}) and spare ({}) lengths differ",
             weights.len(),
             spare.len()
+        )));
+    }
+    if let Some(e) = spare.iter().position(|s| s.is_nan()) {
+        return Err(SpefError::InvalidInput(format!(
+            "spare capacity of edge e{e} is NaN"
         )));
     }
     let s_max = spare.iter().cloned().fold(0.0, f64::max);
@@ -94,18 +100,24 @@ pub fn scale_weights(weights: &[f64], spare: &[f64]) -> Result<Vec<f64>, SpefErr
 /// # Errors
 ///
 /// Same conditions as [`scale_weights`], and [`SpefError::InvalidInput`]
-/// naming the first edge whose integer weight exceeds [`OSPF_MAX_METRIC`]
-/// (a link whose spare capacity is below `1 / 65 535` of the largest, for
-/// the β = 1, q = 1 objective).
+/// naming the first edge whose weight is NaN or whose integer weight
+/// exceeds [`OSPF_MAX_METRIC`] (a link whose spare capacity is below
+/// `1 / 65 535` of the largest, for the β = 1, q = 1 objective).
 pub fn integerize(weights: &[f64], spare: &[f64]) -> Result<Vec<f64>, SpefError> {
-    let ints: Vec<f64> = scale_weights(weights, spare)?
-        .into_iter()
-        .map(|w| w.round().max(1.0))
-        .collect();
-    if let Some((e, &w)) = ints.iter().enumerate().find(|(_, &w)| w > OSPF_MAX_METRIC) {
-        return Err(SpefError::InvalidInput(format!(
-            "integer weight of edge e{e} is {w}, above OSPF's 16-bit metric limit {OSPF_MAX_METRIC}"
-        )));
+    let mut ints = scale_weights(weights, spare)?;
+    for (e, w) in ints.iter_mut().enumerate() {
+        // Checked before rounding: `f64::max` would turn NaN into 1.
+        if w.is_nan() {
+            return Err(SpefError::InvalidInput(format!(
+                "first weight of edge e{e} is NaN"
+            )));
+        }
+        *w = w.round().max(1.0);
+        if *w > OSPF_MAX_METRIC {
+            return Err(SpefError::InvalidInput(format!(
+                "integer weight of edge e{e} is {w}, above OSPF's 16-bit metric limit {OSPF_MAX_METRIC}"
+            )));
+        }
     }
     Ok(ints)
 }
@@ -159,6 +171,30 @@ mod tests {
             panic!("expected InvalidInput, got {err:?}");
         };
         assert!(msg.contains("edge e1") && msg.contains("100000"), "{msg}");
+    }
+
+    #[test]
+    fn integerize_refuses_a_nan_weight() {
+        let err = integerize(&[1.0, f64::NAN, 2.0], &[1.0, 0.5, 0.25]).unwrap_err();
+        let SpefError::InvalidInput(msg) = err else {
+            panic!("expected InvalidInput, got {err:?}");
+        };
+        assert!(msg.contains("edge e1") && msg.contains("NaN"), "{msg}");
+    }
+
+    #[test]
+    fn scale_weights_and_integerize_refuse_a_nan_spare() {
+        let weights = [1.0, 2.0, 3.0];
+        let spare = [1.0, 0.5, f64::NAN];
+        for err in [
+            scale_weights(&weights, &spare).unwrap_err(),
+            integerize(&weights, &spare).unwrap_err(),
+        ] {
+            let SpefError::InvalidInput(msg) = err else {
+                panic!("expected InvalidInput, got {err:?}");
+            };
+            assert!(msg.contains("edge e2") && msg.contains("NaN"), "{msg}");
+        }
     }
 
     #[test]

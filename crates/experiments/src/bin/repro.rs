@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spef_experiments::{
-    harness::{run_batch, BatchOptions},
+    harness::{run_batch, BatchOptions, BatchReport},
     run_experiment, Quality, ScenarioGrid, SolverSpec, TopologySpec, TrafficModel, ALL_EXPERIMENTS,
     EXTRA_EXPERIMENTS,
 };
@@ -287,9 +287,11 @@ fn run_sweep(argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     }
 }
 
-/// Parses and runs `repro diff BASELINE.json CANDIDATE.json`: compares the
-/// deterministic scenario results of two sweep reports and fails on any
-/// drift. Wall-clock fields are ignored. The regression gate for perf PRs.
+/// Parses and runs `repro diff BASELINE.json CANDIDATE.json`: bit-compares
+/// every field of two sweep reports except the execution metadata named
+/// in [`REPORT_METADATA`](spef_experiments::harness::REPORT_METADATA), and
+/// fails on any drift, printing one line per difference
+/// ([`BatchReport::result_drift`]). The regression gate of every change.
 fn run_diff(mut argv: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let usage = "usage: repro diff BASELINE.json CANDIDATE.json";
     let baseline_path = argv.next().ok_or(usage)?;
@@ -297,10 +299,9 @@ fn run_diff(mut argv: impl Iterator<Item = String>) -> Result<ExitCode, String> 
     if let Some(extra) = argv.next() {
         return Err(format!("unexpected diff argument {extra:?}\n{usage}"));
     }
-    let load = |path: &str| -> Result<spef_experiments::harness::BatchReport, String> {
+    let load = |path: &str| -> Result<BatchReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        spef_experiments::harness::BatchReport::from_json(&text)
-            .map_err(|e| format!("parsing {path}: {e}"))
+        BatchReport::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))
     };
     let baseline = load(&baseline_path)?;
     let candidate = load(&candidate_path)?;

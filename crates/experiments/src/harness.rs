@@ -47,8 +47,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use serde::{Error as SerdeError, Value};
+use serde::{Deserialize, Number, Serialize, Value};
 use spef_baselines::fortz_thorup::{FtConfig, FtOutcome};
 use spef_baselines::{ospf, RobustConfig, RobustOutcome};
 use spef_core::{ForwardingTable, SpefRouting, SpfStats, TeInstance, TeSolver, TeWorkspace};
@@ -117,12 +116,11 @@ pub struct FailureScenarioResult {
     pub reconfig_greedy_peak_mlu: f64,
 }
 
-/// Measurements of a scenario's scale stage. The size counts are
-/// deterministic (pure functions of the scenario) and bit-diffed by
-/// `repro diff`; the two `peak_*_bytes` witnesses are *excluded* from the
-/// diff — they are memory measurements, which a layout change moves
-/// without moving a result, and they reflect what earlier scenarios of the
-/// chain grew the shared workspace to.
+/// Measurements of a scenario's scale stage. The size counts are pure
+/// functions of the scenario and bit-diffed by `repro diff`; the two
+/// `peak_*_bytes` memory witnesses are on [`REPORT_METADATA`], since they
+/// also reflect the worker count and what earlier scenarios of the chain
+/// grew the shared workspace to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleScenarioResult {
     /// Nodes of the materialized network.
@@ -148,11 +146,10 @@ pub struct ScaleScenarioResult {
 
 /// Aggregate SPF-engine counters of one sweep: summed over every chain
 /// workspace, failure-stage probe, robust weight search and
-/// reconfiguration transient the batch executed. Execution metadata —
-/// like `threads` it sits outside the bit-diffed fields
-/// (the incremental engine path is bit-identical to dense rebuilds; only
-/// these counters move), so sweeps diff clean across engine modes while
-/// the dirty-set effectiveness stays visible per run.
+/// reconfiguration transient the batch executed. Execution metadata (the
+/// incremental engine path is bit-identical to dense rebuilds; only these
+/// counters move), so sweeps diff clean across engine modes while the
+/// dirty-set effectiveness stays visible per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpfStatsResult {
     /// SPF batch builds actually executed (fingerprint skips excluded).
@@ -183,7 +180,7 @@ fn add_spf(total: &mut SpfStats, s: SpfStats) {
 }
 
 /// Measurements of one successfully solved scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioResult {
     /// The scenario that produced this result (embedded so a report is
     /// self-describing).
@@ -206,66 +203,8 @@ pub struct ScenarioResult {
     /// Scale-stage measurements (present iff the scenario carries the
     /// scale stage).
     pub scale: Option<ScaleScenarioResult>,
-    /// Wall-clock milliseconds for the full pipeline (the only
-    /// non-deterministic field).
+    /// Wall-clock milliseconds for the full pipeline (execution metadata).
     pub wall_ms: f64,
-}
-
-// Hand-written so the optional `sim`, `failure` and `scale` fields are
-// omitted when absent: stage-less results serialize byte-identically to
-// the committed pre-PR 4 / pre-PR 7 / pre-PR 8 baselines, and those
-// baselines parse back without the keys.
-impl Serialize for ScenarioResult {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("scenario".to_string(), self.scenario.to_value()),
-            ("mlu".to_string(), self.mlu.to_value()),
-            ("utility".to_string(), self.utility.to_value()),
-            ("iterations".to_string(), self.iterations.to_value()),
-            ("nem_converged".to_string(), self.nem_converged.to_value()),
-        ];
-        if let Some(sim) = &self.sim {
-            fields.push(("sim".to_string(), sim.to_value()));
-        }
-        if let Some(failure) = &self.failure {
-            fields.push(("failure".to_string(), failure.to_value()));
-        }
-        if let Some(scale) = &self.scale {
-            fields.push(("scale".to_string(), scale.to_value()));
-        }
-        fields.push(("wall_ms".to_string(), self.wall_ms.to_value()));
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ScenarioResult {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let field = |key: &str| -> Result<&Value, SerdeError> {
-            value.get_field(key).ok_or_else(|| {
-                SerdeError::custom(format!("missing field `{key}` in ScenarioResult"))
-            })
-        };
-        Ok(ScenarioResult {
-            scenario: Scenario::from_value(field("scenario")?)?,
-            mlu: f64::from_value(field("mlu")?)?,
-            utility: f64::from_value(field("utility")?)?,
-            iterations: u64::from_value(field("iterations")?)?,
-            nem_converged: bool::from_value(field("nem_converged")?)?,
-            sim: match value.get_field("sim") {
-                None => None,
-                Some(v) => Option::<SimScenarioResult>::from_value(v)?,
-            },
-            failure: match value.get_field("failure") {
-                None => None,
-                Some(v) => Option::<FailureScenarioResult>::from_value(v)?,
-            },
-            scale: match value.get_field("scale") {
-                None => None,
-                Some(v) => Option::<ScaleScenarioResult>::from_value(v)?,
-            },
-            wall_ms: f64::from_value(field("wall_ms")?)?,
-        })
-    }
 }
 
 /// A scenario the pipeline could not solve (e.g. demands infeasible at the
@@ -279,7 +218,14 @@ pub struct ScenarioFailure {
 }
 
 /// Everything one sweep produces; serializes to the `BENCH_*.json` format.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The serde is derived: an `Option` field is omitted when `None` and reads
+/// back as `None` when its key is absent, so reports that predate a stage or
+/// `spf` still parse, and keys this version does not read (such as the
+/// since-removed destination tile size) are ignored.
+/// [`result_drift`](Self::result_drift) bit-diffs every field except the
+/// execution metadata named in [`REPORT_METADATA`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchReport {
     /// JSON schema version ([`BATCH_SCHEMA_VERSION`]).
     pub schema_version: u64,
@@ -291,56 +237,31 @@ pub struct BatchReport {
     pub total_wall_ms: f64,
     /// Worker threads the batch ran on: rayon's pool size
     /// (`RAYON_NUM_THREADS` if set, else the machine's parallelism).
-    /// Execution metadata — outside the bit-diffed fields.
+    /// Execution metadata.
     pub threads: u64,
     /// Aggregate SPF-engine counters of the batch ([`SpfStatsResult`]);
     /// `None` when the batch executed no SPF builds (or the report
-    /// predates the field). Execution metadata — outside the bit-diffed
-    /// fields, so incremental sweeps diff clean against dense baselines.
+    /// predates the field). Execution metadata, so incremental sweeps diff
+    /// clean against dense baselines.
     pub spf: Option<SpfStatsResult>,
 }
 
-// Hand-written so `spf` is omitted when absent: such reports serialize
-// byte-identically to committed baselines that predate the field, and
-// those baselines parse back without the key. Keys this version does not
-// read are ignored, so reports that recorded the since-removed destination
-// tile size still parse.
-impl Serialize for BatchReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("results".to_string(), self.results.to_value()),
-            ("failures".to_string(), self.failures.to_value()),
-            ("total_wall_ms".to_string(), self.total_wall_ms.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
-        ];
-        if let Some(spf) = &self.spf {
-            fields.push(("spf".to_string(), spf.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for BatchReport {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let field = |key: &str| -> Result<&Value, SerdeError> {
-            value
-                .get_field(key)
-                .ok_or_else(|| SerdeError::custom(format!("missing field `{key}` in BatchReport")))
-        };
-        Ok(BatchReport {
-            schema_version: u64::from_value(field("schema_version")?)?,
-            results: Vec::<ScenarioResult>::from_value(field("results")?)?,
-            failures: Vec::<ScenarioFailure>::from_value(field("failures")?)?,
-            total_wall_ms: f64::from_value(field("total_wall_ms")?)?,
-            threads: u64::from_value(field("threads")?)?,
-            spf: match value.get_field("spf") {
-                None => None,
-                Some(v) => Option::<SpfStatsResult>::from_value(v)?,
-            },
-        })
-    }
-}
+/// The report keys [`BatchReport::result_drift`] skips, value and presence
+/// alike, wherever they appear: the execution metadata. Wall clocks, the
+/// worker count and the SPF engine's counters vary with the run, the
+/// machine or the engine mode; the scale stage's `peak_*_bytes` are memory
+/// high-water marks, which an arena layout change, the worker count or a
+/// chain's earlier scenarios move without moving a result. Every other
+/// field is bit-diffed, so a new report field is gated unless it is added
+/// here.
+pub const REPORT_METADATA: [&str; 6] = [
+    "wall_ms",
+    "total_wall_ms",
+    "threads",
+    "spf",
+    "peak_arena_bytes",
+    "peak_fib_bytes",
+];
 
 impl BatchReport {
     /// Serializes the report as pretty-printed JSON.
@@ -371,100 +292,21 @@ impl BatchReport {
         std::fs::write(path, self.to_json())
     }
 
-    /// Lists every *deterministic* difference between `self` (the baseline)
-    /// and `other` (a candidate run): scenario set and order, per-scenario
-    /// MLU / utility / iterations / NEM convergence, and failures. Wall-clock
-    /// fields (`wall_ms`, `total_wall_ms`) and `threads` are ignored — they
-    /// are the only fields that legitimately vary run to run.
+    /// Lists every difference between `self` (the baseline) and `other` (a
+    /// candidate run), one line each, skipping the keys in
+    /// [`REPORT_METADATA`]. Both reports are serialised and walked in
+    /// lockstep: every leaf is compared (floats **bit for bit**, other
+    /// scalars by equality), and so are array lengths and key presence. A
+    /// `results` or `failures` row is named by its baseline scenario id, so
+    /// a line reads `<scenario id>: <key path> <a> vs <b>` — a stage present
+    /// on one side only is the line `<id>: <stage> present vs absent`.
+    /// Each row's embedded scenario spec is compared whole.
     ///
-    /// Numeric fields are compared for **bit-identical** equality: the sweep
-    /// pipeline is deterministic, so any drift — however small — means an
-    /// algorithmic change and must be triaged, not tolerated.
+    /// The sweep pipeline is deterministic, so any drift — however small —
+    /// means an algorithmic change and must be triaged, not tolerated.
     pub fn result_drift(&self, other: &BatchReport) -> Vec<String> {
         let mut drift = Vec::new();
-        if self.schema_version != other.schema_version {
-            drift.push(format!(
-                "schema version: {} vs {}",
-                self.schema_version, other.schema_version
-            ));
-        }
-        if self.results.len() != other.results.len() {
-            drift.push(format!(
-                "result count: {} vs {}",
-                self.results.len(),
-                other.results.len()
-            ));
-        }
-        for (a, b) in self.results.iter().zip(&other.results) {
-            if a.scenario.id != b.scenario.id {
-                drift.push(format!(
-                    "scenario order: {:?} vs {:?}",
-                    a.scenario.id, b.scenario.id
-                ));
-                continue;
-            }
-            let id = &a.scenario.id;
-            if a.mlu.to_bits() != b.mlu.to_bits() {
-                drift.push(format!("{id}: mlu {} vs {}", a.mlu, b.mlu));
-            }
-            if a.utility.to_bits() != b.utility.to_bits() {
-                drift.push(format!("{id}: utility {} vs {}", a.utility, b.utility));
-            }
-            if a.iterations != b.iterations {
-                drift.push(format!(
-                    "{id}: iterations {} vs {}",
-                    a.iterations, b.iterations
-                ));
-            }
-            if a.nem_converged != b.nem_converged {
-                drift.push(format!(
-                    "{id}: nem_converged {} vs {}",
-                    a.nem_converged, b.nem_converged
-                ));
-            }
-            match (&a.sim, &b.sim) {
-                (None, None) => {}
-                (Some(sa), Some(sb)) => drift_sim(&mut drift, id, sa, sb),
-                (a, b) => drift.push(format!(
-                    "{id}: sim stage present {} vs {}",
-                    a.is_some(),
-                    b.is_some()
-                )),
-            }
-            match (&a.failure, &b.failure) {
-                (None, None) => {}
-                (Some(fa), Some(fb)) => drift_failure(&mut drift, id, fa, fb),
-                (a, b) => drift.push(format!(
-                    "{id}: failure stage present {} vs {}",
-                    a.is_some(),
-                    b.is_some()
-                )),
-            }
-            match (&a.scale, &b.scale) {
-                (None, None) => {}
-                (Some(sa), Some(sb)) => drift_scale(&mut drift, id, sa, sb),
-                (a, b) => drift.push(format!(
-                    "{id}: scale stage present {} vs {}",
-                    a.is_some(),
-                    b.is_some()
-                )),
-            }
-        }
-        if self.failures.len() != other.failures.len() {
-            drift.push(format!(
-                "failure count: {} vs {}",
-                self.failures.len(),
-                other.failures.len()
-            ));
-        }
-        for (a, b) in self.failures.iter().zip(&other.failures) {
-            if a.scenario.id != b.scenario.id || a.error != b.error {
-                drift.push(format!(
-                    "failure {:?} ({}) vs {:?} ({})",
-                    a.scenario.id, a.error, b.scenario.id, b.error
-                ));
-            }
-        }
+        value_drift(&self.to_value(), &other.to_value(), "", &mut drift);
         drift
     }
 
@@ -514,113 +356,54 @@ impl BatchReport {
     }
 }
 
-/// Appends per-field drift lines for a sim-stage pair (bit-identical float
-/// comparison, like the top-level result fields).
-fn drift_sim(drift: &mut Vec<String>, id: &str, a: &SimScenarioResult, b: &SimScenarioResult) {
-    let mut num = |name: &str, x: u64, y: u64| {
-        if x != y {
-            drift.push(format!("{id}: sim {name} {x} vs {y}"));
+/// Appends one line per difference between `a` and `b`. `at` is the start
+/// of each line: empty at the report level, `"<scenario id>: "` at a report
+/// row, with each key below it and a space appended.
+fn value_drift(a: &Value, b: &Value, at: &str, drift: &mut Vec<String>) {
+    match (a, b) {
+        (Value::Object(xs), Value::Object(ys)) => {
+            let gated = |(key, _): &&(String, Value)| !REPORT_METADATA.contains(&key.as_str());
+            for (key, x) in xs.iter().filter(gated) {
+                match b.get_field(key) {
+                    Some(y) => value_drift(x, y, &format!("{at}{key} "), drift),
+                    None => drift.push(format!("{at}{key} present vs absent")),
+                }
+            }
+            for (key, _) in ys.iter().filter(gated) {
+                if a.get_field(key).is_none() {
+                    drift.push(format!("{at}{key} absent vs present"));
+                }
+            }
         }
-    };
-    num(
-        "generated_packets",
-        a.generated_packets,
-        b.generated_packets,
-    );
-    num(
-        "delivered_packets",
-        a.delivered_packets,
-        b.delivered_packets,
-    );
-    num("dropped_packets", a.dropped_packets, b.dropped_packets);
-    num("links_used", a.links_used, b.links_used);
-    num(
-        "peak_packet_slots",
-        a.peak_packet_slots,
-        b.peak_packet_slots,
-    );
-    for (name, x, y) in [
-        ("mean_delay", a.mean_delay, b.mean_delay),
-        ("p99_delay", a.p99_delay, b.p99_delay),
-        (
-            "max_link_load_bps",
-            a.max_link_load_bps,
-            b.max_link_load_bps,
-        ),
-        (
-            "total_link_load_bps",
-            a.total_link_load_bps,
-            b.total_link_load_bps,
-        ),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            drift.push(format!("{id}: sim {name} {x} vs {y}"));
+        (Value::Array(xs), Value::Array(ys)) => {
+            if xs.len() != ys.len() {
+                drift.push(format!("{at}length {} vs {}", xs.len(), ys.len()));
+            }
+            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+                let id = x.get_field("scenario").and_then(|s| s.get_field("id"));
+                let at = match id.and_then(Value::as_str) {
+                    Some(id) => format!("{id}: "),
+                    None => format!("{at}{i} "),
+                };
+                value_drift(x, y, &at, drift);
+            }
         }
+        _ if !same_leaf(a, b) => {
+            let json = |v: &Value| serde_json::to_string(v).expect("a value renders as JSON");
+            drift.push(format!("{at}{} vs {}", json(a), json(b)));
+        }
+        _ => {}
     }
 }
 
-/// Appends per-field drift lines for a failure-stage pair (bit-identical
-/// float comparison, like the top-level result fields).
-fn drift_failure(
-    drift: &mut Vec<String>,
-    id: &str,
-    a: &FailureScenarioResult,
-    b: &FailureScenarioResult,
-) {
-    if a.reopt_iterations != b.reopt_iterations {
-        drift.push(format!(
-            "{id}: failure reopt_iterations {} vs {}",
-            a.reopt_iterations, b.reopt_iterations
-        ));
-    }
-    if a.reconfig_steps != b.reconfig_steps {
-        drift.push(format!(
-            "{id}: failure reconfig_steps {} vs {}",
-            a.reconfig_steps, b.reconfig_steps
-        ));
-    }
-    for (name, x, y) in [
-        ("mlu_ospf", a.mlu_ospf, b.mlu_ospf),
-        ("mlu_stale", a.mlu_stale, b.mlu_stale),
-        ("mlu_reopt", a.mlu_reopt, b.mlu_reopt),
-        ("mlu_robust", a.mlu_robust, b.mlu_robust),
-        (
-            "reconfig_peak_mlu",
-            a.reconfig_peak_mlu,
-            b.reconfig_peak_mlu,
-        ),
-        (
-            "reconfig_greedy_peak_mlu",
-            a.reconfig_greedy_peak_mlu,
-            b.reconfig_greedy_peak_mlu,
-        ),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            drift.push(format!("{id}: failure {name} {x} vs {y}"));
+/// Leaf equality for the drift walk: floats bit for bit (so `0.0` and
+/// `-0.0` differ), everything else by value.
+fn same_leaf(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Number(Number::Float(x)), Value::Number(Number::Float(y))) => {
+            x.to_bits() == y.to_bits()
         }
-    }
-}
-
-/// Appends per-field drift lines for a scale-stage pair. The size counts
-/// are bit-compared; the `peak_*_bytes` memory witnesses are deliberately
-/// ignored — they are memory measurements that vary with arena layouts and
-/// chain-shared workspace history (see [`ScaleScenarioResult`]).
-fn drift_scale(
-    drift: &mut Vec<String>,
-    id: &str,
-    a: &ScaleScenarioResult,
-    b: &ScaleScenarioResult,
-) {
-    for (name, x, y) in [
-        ("nodes", a.nodes, b.nodes),
-        ("links", a.links, b.links),
-        ("dests", a.dests, b.dests),
-        ("fib_entries", a.fib_entries, b.fib_entries),
-        ("ospf_fib_entries", a.ospf_fib_entries, b.ospf_fib_entries),
-    ] {
-        if x != y {
-            drift.push(format!("{id}: scale {name} {x} vs {y}"));
-        }
+        _ => a == b,
     }
 }
 
@@ -911,11 +694,8 @@ fn failure_stage(
 
 /// Runs a scenario's optional scale stage: record the instance's size
 /// counts and OSPF's forwarding entries next to the routing's, plus the
-/// workspace and FIB arena high-water marks reached while solving it.
-/// Size counts are bit-diffed; the byte peaks are excluded from
-/// [`result_drift`] because they are memory measurements, not results
-/// (and reflect the chain-shared workspace's history rather than one
-/// scenario).
+/// workspace and FIB arena high-water marks reached while solving it
+/// (see [`ScaleScenarioResult`] for which of them are diffed).
 fn scale_stage(
     scenario: &Scenario,
     solved: &SolvedPipeline,

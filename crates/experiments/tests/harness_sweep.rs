@@ -2,14 +2,17 @@
 //! runs, batches against isolated runs, JSON round-tripping of the batch
 //! report, the packet-level `sim` scenario family (schedule-independent
 //! results, old-baseline compatibility), panic isolation, the committed
-//! baselines' families and the scale stage's forwarding-entry counts.
+//! baselines' families and layout, the scale stage's forwarding-entry
+//! counts, and the regression gate leaf by leaf.
 
 use std::collections::HashSet;
 use std::path::Path;
 
+use serde::{Deserialize, Number, Serialize, Value};
 use spef_baselines::OspfRouting;
 use spef_experiments::harness::{
     run_batch, run_scenario, BatchOptions, BatchReport, ScenarioFailure, BATCH_SCHEMA_VERSION,
+    REPORT_METADATA,
 };
 use spef_experiments::scenario::{
     FailureSpec, ObjectiveSpec, Scenario, ScenarioGrid, SimSpec, SolverSpec, TopologySpec,
@@ -39,14 +42,26 @@ fn isolated(scenarios: &[Scenario]) -> BatchReport {
     report
 }
 
-/// Parses a committed baseline from the repository root.
-fn committed_baseline(name: &str) -> BatchReport {
+/// The four committed baselines, one per sweep family.
+const COMMITTED_BASELINES: [&str; 4] = [
+    "BENCH_te.json",
+    "BENCH_sim.json",
+    "BENCH_failure.json",
+    "BENCH_scale.json",
+];
+
+/// Reads a committed baseline's text from the repository root.
+fn committed_text(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("committed baseline {name} readable: {e}"));
-    BatchReport::from_json(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"))
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("committed baseline {name} readable: {e}"))
+}
+
+/// Parses a committed baseline from the repository root.
+fn committed_baseline(name: &str) -> BatchReport {
+    BatchReport::from_json(&committed_text(name)).unwrap_or_else(|e| panic!("{name} parses: {e}"))
 }
 
 /// A 3-scenario sweep: fig1 at two seeds plus Abilene.
@@ -480,4 +495,134 @@ fn scale_stage_counts_both_fibs_and_diffs_the_ospf_count() {
     let drift = report.result_drift(&other);
     assert_eq!(drift.len(), 1, "{drift:?}");
     assert!(drift[0].contains("scale ospf_fib_entries"), "{drift:?}");
+}
+
+#[test]
+fn committed_baselines_reserialize_byte_identically() {
+    // The derived serde writes the committed layout: key order, omitted
+    // stages and `spf`, float spelling, no trailing newline.
+    for name in COMMITTED_BASELINES {
+        assert_eq!(
+            committed_baseline(name).to_json(),
+            committed_text(name),
+            "{name}"
+        );
+    }
+}
+
+/// One step of a key path into a report's value tree.
+#[derive(Debug, Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// Collects the path of every leaf (a scalar) below `value`.
+fn leaf_paths(value: &Value, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    match value {
+        Value::Object(fields) => {
+            for (key, child) in fields {
+                path.push(Step::Key(key.clone()));
+                leaf_paths(child, path, out);
+                path.pop();
+            }
+        }
+        Value::Array(items) => {
+            for (i, child) in items.iter().enumerate() {
+                path.push(Step::Index(i));
+                leaf_paths(child, path, out);
+                path.pop();
+            }
+        }
+        _ => out.push(path.clone()),
+    }
+}
+
+/// The value at `path`, mutably.
+fn at_path<'v>(mut value: &'v mut Value, path: &[Step]) -> &'v mut Value {
+    for step in path {
+        value = match (value, step) {
+            (Value::Object(fields), Step::Key(key)) => {
+                &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+            }
+            (Value::Array(items), Step::Index(i)) => &mut items[*i],
+            (other, _) => panic!("{step:?} does not index {other:?}"),
+        };
+    }
+    value
+}
+
+#[test]
+fn the_gate_catches_every_leaf_but_the_metadata() {
+    // Every leaf of every committed baseline is nudged in turn — the next
+    // float up, integer + 1, a flipped bool, one character appended to a
+    // string — and must drift exactly one line naming its key path, unless
+    // a key on its path is execution metadata. Nothing is solved.
+    let mut checked = 0;
+    let mut skipped = Vec::new();
+    for name in COMMITTED_BASELINES {
+        let baseline = committed_baseline(name);
+        let tree = baseline.to_value();
+        let mut paths = Vec::new();
+        leaf_paths(&tree, &mut Vec::new(), &mut paths);
+        for path in paths {
+            let mut nudged = tree.clone();
+            let leaf = at_path(&mut nudged, &path);
+            *leaf = match &*leaf {
+                Value::Number(Number::Float(x)) => Value::from(x.next_up()),
+                Value::Number(Number::UInt(n)) => Value::from(n + 1),
+                Value::Bool(b) => Value::Bool(!b),
+                Value::String(s) => Value::String(format!("{s}x")),
+                other => panic!("{name}: unexpected leaf {other:?} at {path:?}"),
+            };
+            let keys: Vec<&str> = path
+                .iter()
+                .filter_map(|step| match step {
+                    Step::Key(key) => Some(key.as_str()),
+                    Step::Index(_) => None,
+                })
+                .collect();
+            // An enum spelled as a string no longer parses once nudged.
+            let Ok(candidate) = BatchReport::from_value(&nudged) else {
+                skipped.push(keys.last().unwrap().to_string());
+                continue;
+            };
+            let drift = baseline.result_drift(&candidate);
+            checked += 1;
+            if keys.iter().any(|key| REPORT_METADATA.contains(key)) {
+                assert!(drift.is_empty(), "{name} {path:?}: {drift:?}");
+                continue;
+            }
+            assert_eq!(drift.len(), 1, "{name} {path:?}: {drift:?}");
+            // A row's line starts with its scenario id and names the keys
+            // below the row; a top-level line names the key.
+            let expected = match path.get(1) {
+                Some(Step::Index(row)) => {
+                    let rows = tree.get_field(keys[0]).and_then(Value::as_array).unwrap();
+                    let scenario = rows[*row].get_field("scenario").unwrap();
+                    let id = scenario.get_field("id").and_then(Value::as_str).unwrap();
+                    format!("{id}: {} ", keys[1..].join(" "))
+                }
+                _ => format!("{} ", keys.join(" ")),
+            };
+            assert!(
+                drift[0].starts_with(&expected),
+                "{name} {path:?}: {:?} does not start with {expected:?}",
+                drift[0]
+            );
+        }
+    }
+    // Only the enum-valued strings are skipped, and they are few.
+    let skips = skipped.len();
+    assert!(
+        skips < checked,
+        "{skips} skips against {checked} leaves checked"
+    );
+    skipped.sort_unstable();
+    skipped.dedup();
+    assert_eq!(
+        skipped,
+        ["model", "solver", "topology"],
+        "unparsable nudges"
+    );
 }

@@ -1,8 +1,7 @@
 //! Bellman–Ford shortest paths under possibly negative edge weights.
 //!
-//! The min-cost-flow solver in `spef-lp` works on residual graphs whose
-//! reverse arcs carry negated costs; it needs one Bellman–Ford pass to
-//! initialise Johnson potentials before switching to Dijkstra.
+//! No routing code calls it: it is the independent reference the property
+//! tests check Dijkstra against.
 
 use crate::{EdgeId, Graph, GraphError, NodeId};
 

@@ -13,8 +13,9 @@
 //!   destination, built with a configurable **cost tolerance** as required by
 //!   §V.G of the paper (integer weights make path costs equal only up to a
 //!   tolerance),
-//! * [`bellman_ford`] — shortest paths under possibly negative weights, used
-//!   to initialise node potentials in the min-cost-flow solver of `spef-lp`,
+//! * [`bellman_ford`] — shortest paths under possibly negative weights, the
+//!   oracle `tests/properties.rs` checks Dijkstra against (no routing code
+//!   calls it),
 //! * [`traversal`] — reachability and connectivity checks used to validate
 //!   topologies,
 //! * [`csr`] / [`batch`] — the **batched routing engine**: flat CSR

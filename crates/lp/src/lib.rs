@@ -1,16 +1,13 @@
 //! Linear-programming substrate for the SPEF traffic-engineering
 //! reproduction.
 //!
-//! The paper needs exact linear optimisation in three places:
+//! The paper needs exact linear optimisation in two places:
 //!
 //! * the **β = 0** objective of the (q, β) load-balance family is linear
 //!   (`V_ij(s) = q_ij·s`), so its optimal first weights are LP duals
 //!   (TABLE I, Fig. 6/7 with SPEF0);
 //! * the **min-MLU** and **min-max** columns of TABLE I are solutions of the
-//!   classic maximum-link-utilization LP;
-//! * the `Route_t` subproblem of Algorithm 1 is a min-cost network-flow
-//!   problem, which we cross-validate against a dedicated combinatorial
-//!   solver.
+//!   classic maximum-link-utilization LP.
 //!
 //! No sufficiently capable LP crate is available offline, so this crate
 //! implements the substrate from scratch:
@@ -22,8 +19,10 @@
 //!   warm-start [`resolve`](LinearProgram::resolve) path for repeated
 //!   solves,
 //! * [`mincost_flow`] — successive shortest paths with Johnson potentials,
-//! * [`maxflow`] — Dinic's algorithm, used for feasibility checks when
-//!   scaling traffic matrices.
+//! * [`maxflow`] — Dinic's algorithm.
+//!
+//! The two combinatorial solvers have no caller outside the tests: they are
+//! the oracles `tests/cross_validation.rs` checks the simplex against.
 //!
 //! # Example
 //!

@@ -1,9 +1,7 @@
 //! Maximum flow via Dinic's algorithm.
 //!
-//! Used by the experiment harness to check that a scaled traffic matrix is
-//! routable at all (the paper scales demands "until the maximal link
-//! utilization almost reaches 100% with SPEF"; max-flow bounds give a quick
-//! per-pair feasibility certificate before running the convex solver).
+//! No routing code calls it: it is the combinatorial reference the
+//! cross-validation tests check the simplex's max-flow LP against.
 
 use spef_graph::{EdgeId, Graph, NodeId};
 

@@ -3,13 +3,13 @@
 //!
 //! The `Route_t(w; d_t)` subproblem of Algorithm 1 is a min-cost flow
 //! problem (Remark 1 of the paper reduces the whole `Network(G,c,D;w)`
-//! problem to one). This combinatorial solver provides an exact reference
-//! that is much faster than the simplex on network matrices, and the two are
-//! cross-validated against each other in the test-suite.
+//! problem to one). No routing code calls this solver: it is the exact
+//! combinatorial reference the cross-validation tests check the simplex
+//! against.
 
 use std::fmt;
 
-use spef_graph::{bellman_ford, EdgeId, Graph, NodeId};
+use spef_graph::{EdgeId, Graph, NodeId};
 
 /// Errors returned by [`MinCostFlow::solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +175,6 @@ impl<'g> MinCostFlow<'g> {
 
         // Potentials: costs are non-negative, so zero potentials are valid.
         let mut pi = vec![0.0; n];
-        let _ = bellman_ford::distances_from; // (kept for general-cost variants)
 
         let mut remaining: Vec<f64> = supply.to_vec();
         // Dijkstra scratch, hoisted out of the augmentation loop so each
