@@ -12,7 +12,7 @@
 //! non-unique (any `a ∈ [0.1, 0.9]` split of the 1→3 demand attains
 //! MLU 0.9), which min-max / (q, β → ∞) load balance then refines.
 
-use spef_core::{Flows, SpefError};
+use spef_core::{te, Flows, SpefError};
 use spef_lp::simplex::{LinearProgram, Relation, SimplexError, SimplexWorkspace};
 use spef_topology::{Network, TrafficMatrix};
 
@@ -52,10 +52,10 @@ impl MluSolution {
     }
 
     /// Like [`solve`](MluSolution::solve), but reuses `workspace` across
-    /// calls: the simplex tableau arena and basis bookkeeping are recycled,
-    /// and structurally identical re-solves (same topology and destination
-    /// set, different demands/capacities — the per-scenario MLU LPs of a
-    /// sweep) warm-start from the previous optimal basis.
+    /// calls: the simplex tableau arena and basis bookkeeping are recycled.
+    /// The workspace keeps no basis between solves, so the answer is
+    /// [`solve`](MluSolution::solve)'s, bit for bit, whatever the
+    /// workspace solved before.
     ///
     /// # Errors
     ///
@@ -78,57 +78,31 @@ impl MluSolution {
                 "traffic matrix is empty".to_string(),
             ));
         }
-        let g = network.graph();
-        let m = g.edge_count();
-        // Variables: f^t_e blocks, then θ last.
+        let m = network.graph().edge_count();
+        // Variables: the f^t_e blocks of `spef_core::te`, then θ last.
         let theta = dests.len() * m;
-        let var = |ti: usize, e: usize| ti * m + e;
         let mut lp = LinearProgram::minimize(theta + 1);
         lp.set_objective(theta, 1.0);
 
         let mut cap_rows = Vec::with_capacity(m);
         for e in 0..m {
-            let mut row: Vec<(usize, f64)> = (0..dests.len()).map(|ti| (var(ti, e), 1.0)).collect();
+            let mut row: Vec<(usize, f64)> = (0..dests.len()).map(|ti| (ti * m + e, 1.0)).collect();
             row.push((theta, -network.capacity(e.into())));
             cap_rows.push(lp.add_constraint(&row, Relation::Le, 0.0));
         }
-        for (ti, &t) in dests.iter().enumerate() {
-            let demands = traffic.demands_to(t);
-            for node in g.nodes() {
-                if node == t {
-                    continue;
-                }
-                let mut row: Vec<(usize, f64)> = Vec::new();
-                for &e in g.out_edges(node) {
-                    row.push((var(ti, e.index()), 1.0));
-                }
-                for &e in g.in_edges(node) {
-                    row.push((var(ti, e.index()), -1.0));
-                }
-                lp.add_constraint(&row, Relation::Eq, demands[node.index()]);
-            }
-        }
+        te::add_conservation_rows(&mut lp, network, traffic, &dests);
 
-        let sol = match lp.resolve(workspace) {
+        let sol = match lp.solve_with(workspace) {
             Ok(sol) => sol,
             Err(SimplexError::Infeasible) => return Err(SpefError::Infeasible),
             Err(e) => return Err(SpefError::InvalidInput(format!("min-MLU LP failed: {e}"))),
         };
 
-        let mut per_dest = Vec::with_capacity(dests.len());
-        let mut aggregate = vec![0.0; m];
-        for ti in 0..dests.len() {
-            let f: Vec<f64> = (0..m).map(|e| sol.value(var(ti, e))).collect();
-            for (agg, fe) in aggregate.iter_mut().zip(&f) {
-                *agg += fe;
-            }
-            per_dest.push(f);
-        }
         // Min-problem Le duals are ≤ 0; report positive prices.
         let link_prices: Vec<f64> = cap_rows.iter().map(|&r| -sol.dual(r)).collect();
         Ok(MluSolution {
             mlu: sol.value(theta),
-            flows: Flows::assemble(dests, per_dest, aggregate),
+            flows: te::lp_flows(&sol, dests, m),
             link_prices,
         })
     }
@@ -195,29 +169,30 @@ mod tests {
         assert!(MluSolution::solve(&net, &TrafficMatrix::new(4)).is_err());
     }
 
+    /// Every number of a solution, as bits.
+    fn bits(sol: &MluSolution) -> Vec<u64> {
+        let mut v = vec![sol.mlu.to_bits()];
+        for &t in sol.flows.destinations() {
+            let f = sol.flows.for_destination(t).unwrap();
+            v.extend(f.iter().map(|x| x.to_bits()));
+        }
+        v.extend(sol.link_prices.iter().map(|x| x.to_bits()));
+        v
+    }
+
     #[test]
-    fn workspace_reuse_warm_starts_across_demand_scales() {
+    fn workspace_reuse_matches_cold_across_demand_scales() {
         // The per-scenario pattern: same topology, demands move. A shared
-        // workspace must reproduce the cold MLU at every scale.
+        // workspace must reproduce the cold solve bit for bit at every
+        // scale.
         let net = standard::fig1();
         let tm = standard::fig1_demands();
         let mut ws = spef_lp::SimplexWorkspace::new();
         for scale in [1.0, 0.5, 0.25, 0.75, 1.0] {
             let scaled = tm.scaled(scale);
-            let warm = MluSolution::solve_in(&net, &scaled, &mut ws).unwrap();
+            let reused = MluSolution::solve_in(&net, &scaled, &mut ws).unwrap();
             let cold = MluSolution::solve(&net, &scaled).unwrap();
-            assert!(
-                (warm.mlu - cold.mlu).abs() < 1e-9,
-                "scale {scale}: warm {} vs cold {}",
-                warm.mlu,
-                cold.mlu
-            );
-            // The warm vertex may differ on the degenerate optimal face,
-            // but it must still be a feasible flow achieving the same MLU.
-            assert!(
-                (metrics::max_link_utilization(&net, warm.flows.aggregate()) - warm.mlu).abs()
-                    < 1e-7
-            );
+            assert_eq!(bits(&reused), bits(&cold), "scale {scale}");
         }
     }
 
@@ -231,15 +206,6 @@ mod tests {
         let err = MluSolution::solve_in(&big, &big_tm, &mut ws);
         assert!(matches!(err, Err(SpefError::InvalidInput(_))), "{err:?}");
 
-        let bits = |sol: &MluSolution| -> Vec<u64> {
-            let mut v = vec![sol.mlu.to_bits()];
-            for &t in sol.flows.destinations() {
-                let f = sol.flows.for_destination(t).unwrap();
-                v.extend(f.iter().map(|x| x.to_bits()));
-            }
-            v.extend(sol.link_prices.iter().map(|x| x.to_bits()));
-            v
-        };
         let net = standard::abilene();
         let tm = TrafficMatrix::fortz_thorup(&net, 1).scaled_to_network_load(&net, 0.1);
         let reused = MluSolution::solve_in(&net, &tm, &mut ws).unwrap();

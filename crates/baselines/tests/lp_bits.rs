@@ -1,12 +1,14 @@
 //! Pins the exact bits of the LP answers the repository is checked
 //! against: the min-MLU LP (`MluSolution`) and the β = 0 TE LP.
 //!
-//! Each case folds an FNV-1a digest over the `to_bits` of every returned
-//! number, so any change to the simplex kernel that moves a single bit of
-//! a certificate (a different pivot sequence, a reassociated update, a
-//! `-0.0` that escapes extraction) fails here, even when the values still
+//! Each pinned case folds an FNV-1a digest over the `to_bits` of every
+//! returned number, so any change to the simplex kernel that moves a single
+//! bit of a certificate (a different pivot sequence, a reassociated update,
+//! a `-0.0` that escapes extraction) fails here, even when the values still
 //! agree to tolerance. The constants were recorded on the dense full-row
-//! elimination kernel that the nonzero-column elimination replaced.
+//! elimination kernel that the nonzero-column elimination replaced. A
+//! reused workspace must not move a bit either: case (a) compares a chain
+//! of solves on one workspace with cold solves, answer by answer.
 
 use spef_baselines::MluSolution;
 use spef_core::{FrankWolfeConfig, Objective, TeInstance, TeSolution, TeSolver};
@@ -62,22 +64,30 @@ fn backbones() -> [Network; 2] {
 }
 
 /// (a) One `solve_in` chain per network. Each matrix is followed by two
-/// rescaled copies of itself: a rescaled rhs keeps the previous optimal
-/// basis primal-feasible, so those solves warm-restore it. The next seed's
-/// matrix usually does not, and falls back to a cold solve.
+/// rescaled copies of itself, which share its structure and its optimal
+/// basis; the next seed's matrix does not. Every answer must be the cold
+/// solve's, bit for bit.
 #[test]
-fn mlu_lp_warm_chains_are_bit_pinned() {
-    let mut digest = Digest::new();
+fn mlu_lp_chains_equal_cold_solves() {
     for net in backbones() {
         let mut ws = SimplexWorkspace::new();
-        for tm in matrices(&net) {
-            for traffic in [tm.clone(), tm.scaled(0.75), tm.scaled(0.5)] {
-                let sol = MluSolution::solve_in(&net, &traffic, &mut ws).expect("mlu lp");
-                digest.eat_mlu(&sol);
+        for (seed, tm) in matrices(&net).into_iter().enumerate() {
+            for scale in [1.0, 0.75, 0.5] {
+                let traffic = tm.scaled(scale);
+                let mut chained = Digest::new();
+                chained.eat_mlu(&MluSolution::solve_in(&net, &traffic, &mut ws).expect("mlu lp"));
+                let mut cold = Digest::new();
+                cold.eat_mlu(&MluSolution::solve(&net, &traffic).expect("mlu lp"));
+                assert_eq!(
+                    chained.0,
+                    cold.0,
+                    "{} seed {} scale {scale}",
+                    net.name(),
+                    seed + 1
+                );
             }
         }
     }
-    assert_eq!(digest.0, 0xcbf2_670c_9289_22c0, "digest {:#018x}", digest.0);
 }
 
 /// (b) Cold solves of the same matrices.

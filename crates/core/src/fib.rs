@@ -33,7 +33,7 @@ use std::fmt;
 
 use spef_graph::{EdgeId, NodeId};
 
-use crate::traffic_dist::{SplitTable, SplitTableSet};
+use crate::traffic_dist::SplitTableSet;
 
 /// Sentinel in `dest_index` marking a node that is not a destination.
 const NO_DEST: u32 = u32::MAX;
@@ -355,21 +355,6 @@ impl ForwardingTable {
         for (per_node, &t) in tables.iter().zip(&dests) {
             assert_eq!(per_node.len(), node_count, "one row per node");
             set.push_destination(t, |u| per_node[u].as_slice());
-        }
-        ForwardingTable { set }
-    }
-
-    /// Builds the table from per-destination [`SplitTable`]s.
-    pub fn from_split_tables(
-        node_count: usize,
-        dests: &[NodeId],
-        tables: &[SplitTable],
-    ) -> ForwardingTable {
-        assert_eq!(tables.len(), dests.len(), "one table per destination");
-        let mut set = FibSet::new();
-        set.begin(node_count);
-        for (table, &t) in tables.iter().zip(dests) {
-            set.push_destination(t, |u| table.next_hops(NodeId::new(u)));
         }
         ForwardingTable { set }
     }

@@ -13,9 +13,14 @@
 //!   optimal first weights are the LP duals `w_e = q_e − y_e` where `y_e ≤ 0`
 //!   is the capacity shadow price, computed exactly with the `spef-lp`
 //!   simplex.
+//!
+//! [`add_conservation_rows`] and [`lp_flows`] are the multicommodity parts
+//! this LP shares with the min-MLU LP of `spef-baselines`: the variable of
+//! destination slot `ti` on edge `e` is `ti·m + e` (t-major blocks of `m`
+//! edges), and any further variables come after the `|D|·m` flows.
 
 use spef_graph::{EdgeId, NodeId};
-use spef_lp::simplex::{LinearProgram, Relation, SimplexError};
+use spef_lp::simplex::{LinearProgram, Relation, SimplexError, Solution};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::frank_wolfe::{self, FrankWolfeConfig};
@@ -89,15 +94,13 @@ fn solve_beta_zero(
     objective: &Objective,
     ws: &mut TeWorkspace,
 ) -> Result<TeSolution, SpefError> {
-    let g = network.graph();
-    let m = g.edge_count();
+    let m = network.graph().edge_count();
     let dests = traffic.destinations();
     if dests.is_empty() {
         return Err(SpefError::InvalidInput(
             "traffic matrix is empty".to_string(),
         ));
     }
-    // Variables: f^t_e laid out as t-major blocks of m.
     let var = |ti: usize, e: usize| ti * m + e;
     let mut lp = LinearProgram::minimize(dests.len() * m);
     for ti in 0..dests.len() {
@@ -111,45 +114,19 @@ fn solve_beta_zero(
         let row: Vec<(usize, f64)> = (0..dests.len()).map(|ti| (var(ti, e), 1.0)).collect();
         cap_rows.push(lp.add_constraint(&row, Relation::Le, network.capacity(EdgeId::new(e))));
     }
-    // Conservation rows per destination and non-destination node.
-    for (ti, &t) in dests.iter().enumerate() {
-        let demands = traffic.demands_to(t);
-        for node in g.nodes() {
-            if node == t {
-                continue;
-            }
-            let mut row: Vec<(usize, f64)> = Vec::new();
-            for &e in g.out_edges(node) {
-                row.push((var(ti, e.index()), 1.0));
-            }
-            for &e in g.in_edges(node) {
-                row.push((var(ti, e.index()), -1.0));
-            }
-            lp.add_constraint(&row, Relation::Eq, demands[node.index()]);
-        }
-    }
-    // The LP is built fresh each call (the constraint matrix depends on
-    // the demands), so the pivots run cold — but the tableau arena in the
-    // workspace is reused across solves.
+    add_conservation_rows(&mut lp, network, traffic, &dests);
     let sol = match lp.solve_with(&mut ws.simplex) {
         Ok(sol) => sol,
         Err(SimplexError::Infeasible) => return Err(SpefError::Infeasible),
         Err(e) => return Err(SpefError::InvalidInput(format!("beta=0 LP failed: {e}"))),
     };
 
-    let mut per_dest = Vec::with_capacity(dests.len());
-    let mut aggregate = vec![0.0; m];
-    for ti in 0..dests.len() {
-        let f: Vec<f64> = (0..m).map(|e| sol.value(var(ti, e))).collect();
-        for (agg, fe) in aggregate.iter_mut().zip(&f) {
-            *agg += fe;
-        }
-        per_dest.push(f);
-    }
+    let flows = lp_flows(&sol, dests, m);
+    let aggregate = flows.aggregate();
     let spare: Vec<f64> = network
         .capacities()
         .iter()
-        .zip(&aggregate)
+        .zip(aggregate)
         .map(|(c, f)| (c - f).max(0.0))
         .collect();
     let utility = objective.aggregate_utility(&spare);
@@ -160,7 +137,6 @@ fn solve_beta_zero(
         .map(|(e, &row)| objective.q(EdgeId::new(e)) - sol.dual(row))
         .collect();
 
-    let flows = Flows::from_parts(dests, per_dest, aggregate);
     Ok(TeSolution {
         flows,
         spare,
@@ -171,24 +147,54 @@ fn solve_beta_zero(
     })
 }
 
-impl Flows {
-    /// Assembles a `Flows` value from raw parts (used by the solvers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-destination list is misaligned with `dests` or the
-    /// aggregate length differs from the per-destination vectors.
-    pub(crate) fn from_parts(
-        dests: Vec<NodeId>,
-        per_dest: Vec<Vec<f64>>,
-        aggregate: Vec<f64>,
-    ) -> Flows {
-        assert_eq!(dests.len(), per_dest.len());
-        for f in &per_dest {
-            assert_eq!(f.len(), aggregate.len());
+/// Adds the flow-conservation rows `B f^t = d^t` of every destination in
+/// `dests` to `lp`: one row per destination slot `ti` and node other than
+/// the destination, over the flow variables `ti·m + e` (see the module
+/// docs).
+pub fn add_conservation_rows(
+    lp: &mut LinearProgram,
+    network: &Network,
+    traffic: &TrafficMatrix,
+    dests: &[NodeId],
+) {
+    let g = network.graph();
+    let m = g.edge_count();
+    for (ti, &t) in dests.iter().enumerate() {
+        let demands = traffic.demands_to(t);
+        for node in g.nodes() {
+            if node == t {
+                continue;
+            }
+            let mut row: Vec<(usize, f64)> = Vec::new();
+            for &e in g.out_edges(node) {
+                row.push((ti * m + e.index(), 1.0));
+            }
+            for &e in g.in_edges(node) {
+                row.push((ti * m + e.index(), -1.0));
+            }
+            lp.add_constraint(&row, Relation::Eq, demands[node.index()]);
         }
-        Flows::new_unchecked(dests, per_dest, aggregate)
     }
+}
+
+/// Reads the per-destination flows of `dests` over `m` edges out of an LP
+/// solution laid out as in the module docs, with their aggregate.
+///
+/// # Panics
+///
+/// Panics if `sol` has fewer than `dests.len() · m` variables.
+pub fn lp_flows(sol: &Solution, dests: Vec<NodeId>, m: usize) -> Flows {
+    let mut aggregate = vec![0.0; m];
+    let per_dest = (0..dests.len())
+        .map(|ti| {
+            let f = sol.values()[ti * m..(ti + 1) * m].to_vec();
+            for (agg, fe) in aggregate.iter_mut().zip(&f) {
+                *agg += fe;
+            }
+            f
+        })
+        .collect();
+    Flows::assemble(dests, per_dest, aggregate)
 }
 
 #[cfg(test)]

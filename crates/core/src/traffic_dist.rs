@@ -555,19 +555,6 @@ impl Flows {
         }
     }
 
-    pub(crate) fn new_unchecked(
-        dests: Vec<NodeId>,
-        per_dest: Vec<Vec<f64>>,
-        aggregate: Vec<f64>,
-    ) -> Flows {
-        Flows {
-            dests,
-            per_dest,
-            aggregate,
-            stamp: 0,
-        }
-    }
-
     /// The freshness stamp (`0` = no engine distribution owns this
     /// buffer's contents).
     pub(crate) fn stamp(&self) -> u64 {

@@ -391,8 +391,9 @@ fn a_panicking_scenario_is_a_failure_row_and_its_chain_runs_on() {
 #[test]
 fn each_committed_baseline_is_exactly_its_family() {
     // The `.gitignore` allow-lines are the list of committed baselines;
-    // each must be one family's grid, scenario for scenario, and no
-    // scenario may be pinned by two baselines.
+    // each must be one family's grid, whole scenario spec for whole
+    // scenario spec (an id does not pin every field), and no scenario may
+    // be pinned by two baselines.
     let gitignore =
         std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.gitignore"))
             .expect(".gitignore readable");
@@ -411,18 +412,18 @@ fn each_committed_baseline_is_exactly_its_family() {
             "failure" => ScenarioGrid::failure_family(),
             _ => ScenarioGrid::scale_family(),
         };
-        let mut want: Vec<String> = grid.build().into_iter().map(|s| s.id).collect();
+        let mut want = grid.build();
         let baseline = committed_baseline(&format!("BENCH_{family}.json"));
-        let mut got: Vec<String> = baseline
+        let mut got: Vec<Scenario> = baseline
             .results
-            .iter()
-            .map(|r| r.scenario.id.clone())
-            .chain(baseline.failures.iter().map(|f| f.scenario.id.clone()))
+            .into_iter()
+            .map(|r| r.scenario)
+            .chain(baseline.failures.into_iter().map(|f| f.scenario))
             .collect();
-        want.sort_unstable();
-        got.sort_unstable();
+        want.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+        got.sort_unstable_by(|a, b| a.id.cmp(&b.id));
         assert_eq!(got, want, "BENCH_{family}.json");
-        for id in got {
+        for id in got.into_iter().map(|s| s.id) {
             assert!(pinned.insert(id.clone()), "{id} is in two baselines");
         }
     }

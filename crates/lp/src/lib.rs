@@ -15,9 +15,9 @@
 //! * [`simplex`] — a two-phase simplex on a flat single-allocation tableau
 //!   arena for general LPs `min/max c'x  s.t.  Ax {≤,=,≥} b, x ≥ 0`, with
 //!   **dual extraction** (strong duality and complementary slackness are
-//!   verified in tests) and a reusable [`SimplexWorkspace`] with a
-//!   warm-start [`resolve`](LinearProgram::resolve) path for repeated
-//!   solves,
+//!   verified in tests) and a reusable [`SimplexWorkspace`] that recycles
+//!   the arena across solves but keeps no basis, so a solve's answer does
+//!   not depend on what the workspace solved before,
 //! * [`mincost_flow`] — successive shortest paths with Johnson potentials,
 //! * [`maxflow`] — Dinic's algorithm.
 //!

@@ -1,5 +1,5 @@
 //! Two-phase simplex on a flat, single-allocation tableau arena, with dual
-//! extraction and a reusable workspace / warm-start API.
+//! extraction and a reusable workspace.
 //!
 //! Solves `min/max c'x` subject to `Ax {≤, =, ≥} b`, `x ≥ 0`.
 //!
@@ -50,19 +50,15 @@
 //!   unbounded, otherwise its optimal value is 0), which shrinks the
 //!   per-pivot row stride on sparse models;
 //! * [`LinearProgram::solve_with`] reuses a workspace's allocations across
-//!   solves, and [`LinearProgram::resolve`] additionally **warm-starts**
-//!   from the previous optimal basis when the constraint structure is
-//!   unchanged (same rows/relations/sparsity; coefficients, rhs magnitudes
-//!   and costs may differ), falling back to a cold two-phase solve whenever
-//!   the old basis is unusable.
+//!   solves. The workspace holds arenas only: every solve rebuilds the
+//!   tableau and runs both phases, so its answer does not depend on what
+//!   the workspace solved before.
 //!
 //! `solve` and `solve_with` run the exact cold pivot sequence of the legacy
 //! dense engine. For finite tableaux their solutions are also the same bit
 //! for bit: skipping a zero pivot-row column changes other entries only in
 //! the sign of a zero, which no pivoting decision can see, and `extract`
-//! maps every zero (and all noise below 1e-11) to `+0.0`. `resolve` may
-//! return a different vertex of a degenerate optimal face (same objective
-//! value, duals still certify optimality).
+//! maps every zero (and all noise below 1e-11) to `+0.0`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,11 +148,10 @@ static NEXT_PROGRAM_TOKEN: AtomicU64 = AtomicU64::new(1);
 ///
 /// Build with [`LinearProgram::minimize`] or [`LinearProgram::maximize`],
 /// set objective coefficients, add constraint rows, then [`solve`]
-/// (or [`solve_with`] / [`resolve`] to reuse a [`SimplexWorkspace`]).
+/// (or [`solve_with`] to reuse a [`SimplexWorkspace`]).
 ///
 /// [`solve`]: LinearProgram::solve
 /// [`solve_with`]: LinearProgram::solve_with
-/// [`resolve`]: LinearProgram::resolve
 ///
 /// # Example
 ///
@@ -369,83 +364,39 @@ impl LinearProgram {
         self.solve_with(&mut SimplexWorkspace::new())
     }
 
-    /// Solves the program cold, reusing `ws`'s allocations.
+    /// Solves the program, reusing `ws`'s allocations.
     ///
     /// The pivot sequence (and hence the solution) is identical to
-    /// [`solve`](LinearProgram::solve); the only difference is that the
-    /// tableau arena and all bookkeeping buffers are recycled, so repeated
-    /// solves allocate nothing beyond the returned [`Solution`] once the
-    /// workspace has grown to the largest problem size seen.
+    /// [`solve`](LinearProgram::solve) whatever `ws` solved before; the
+    /// only difference is that the tableau arena and all bookkeeping
+    /// buffers are recycled, so repeated solves allocate nothing beyond the
+    /// returned [`Solution`] once the workspace has grown to the largest
+    /// problem size seen.
     ///
     /// # Errors
     ///
     /// Same as [`solve`](LinearProgram::solve).
     pub fn solve_with(&self, ws: &mut SimplexWorkspace) -> Result<Solution, SimplexError> {
         self.validate()?;
-        ws.warm_ready = false;
         ws.prepare(self)?;
-        ws.cold_solve(self)
-    }
-
-    /// Re-solves the program, warm-starting from the optimal basis `ws`
-    /// kept from its previous successful solve.
-    ///
-    /// The warm path applies when the constraint *structure* matches what
-    /// the workspace last solved: same number of variables and rows, same
-    /// relations, same rhs signs, and the same sparsity pattern. Objective
-    /// coefficients, matrix coefficient values, and rhs magnitudes may all
-    /// differ — that is the intended use: repeated solves of one model
-    /// family (per-scenario MLU LPs, per-destination flow blocks) where
-    /// only the numbers move. When the old basis cannot be reinstated
-    /// (structure changed, basis numerically singular, or primal-infeasible
-    /// for the new rhs) this falls back to a cold solve automatically.
-    ///
-    /// Unlike the cold path, a warm solve on a *degenerate* optimal face
-    /// may return a different optimal vertex than
-    /// [`solve`](LinearProgram::solve); the objective value and dual
-    /// certificates agree to numerical tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](LinearProgram::solve).
-    pub fn resolve(&self, ws: &mut SimplexWorkspace) -> Result<Solution, SimplexError> {
-        self.validate()?;
-        ws.prepare(self)?;
-        if ws.warm_ready && ws.saved_fingerprint == ws.fingerprint(self) {
-            ws.warm_ready = false;
-            if ws.try_restore_basis() {
-                if ws.pruned_negative_cost {
-                    return Err(SimplexError::Unbounded);
-                }
-                match ws.phase2() {
-                    Ok(()) => {
-                        let sol = ws.extract(self);
-                        ws.save_basis(self);
-                        return Ok(sol);
-                    }
-                    Err(SimplexError::Unbounded) => return Err(SimplexError::Unbounded),
-                    // Numerical trouble on the warm path: rebuild and run
-                    // the full two-phase solve instead.
-                    Err(_) => {}
-                }
-            }
-            // The failed restore attempt dirtied the arena.
-            ws.prepare(self)?;
-        } else {
-            ws.warm_ready = false;
+        ws.phase1()?;
+        if ws.pruned_negative_cost {
+            return Err(SimplexError::Unbounded);
         }
-        ws.cold_solve(self)
+        ws.phase2()?;
+        Ok(ws.extract(self))
     }
 }
 
 /// Reusable scratch state of the flat-arena simplex engine.
 ///
 /// Owns every allocation the solver needs: the row-major tableau arena, the
-/// basis bookkeeping, the cached entering-column buffer, and the saved basis
-/// used by [`LinearProgram::resolve`]. See the module docs for the layout.
+/// basis bookkeeping and the cached entering-column buffer. See the module
+/// docs for the layout.
 ///
-/// A workspace may be reused freely across programs of different shapes;
-/// buffers grow to the largest problem seen and are then recycled.
+/// A workspace holds arenas only and may be reused freely across programs
+/// of different shapes; buffers grow to the largest problem seen and are
+/// then recycled, and no state carries from one solve to the next.
 #[derive(Debug, Clone, Default)]
 pub struct SimplexWorkspace {
     /// `(m + 1) × stride` row-major arena; entry `[i * stride + cols]` is
@@ -480,12 +431,6 @@ pub struct SimplexWorkspace {
     /// A pruned column has a negative minimisation cost (⇒ unbounded once
     /// feasibility is established).
     pruned_negative_cost: bool,
-    /// Saved optimal basis for [`LinearProgram::resolve`].
-    saved_basis: Vec<usize>,
-    /// Scratch column permutation used while restoring the saved basis.
-    restore_scratch: Vec<usize>,
-    saved_fingerprint: u64,
-    warm_ready: bool,
 }
 
 impl SimplexWorkspace {
@@ -498,8 +443,8 @@ impl SimplexWorkspace {
     /// buffer: zero-column pruning, rhs-sign normalisation, slack/surplus
     /// and artificial columns, and the initial basis.
     ///
-    /// Fails with [`SimplexError::TooLarge`], and forgets any saved basis,
-    /// when the arena's size overflows or the allocator refuses it.
+    /// Fails with [`SimplexError::TooLarge`] when the arena's size overflows
+    /// or the allocator refuses it.
     fn prepare(&mut self, lp: &LinearProgram) -> Result<(), SimplexError> {
         let m = lp.rows.len();
         let n = lp.num_vars;
@@ -573,7 +518,6 @@ impl SimplexWorkspace {
         match (m + 1).checked_mul(self.stride) {
             Some(len) if self.t.try_reserve_exact(len).is_ok() => self.t.resize(len, 0.0),
             _ => {
-                self.warm_ready = false;
                 return Err(SimplexError::TooLarge {
                     rows: m + 1,
                     cols: self.stride,
@@ -632,109 +576,6 @@ impl SimplexWorkspace {
             }
         }
         Ok(())
-    }
-
-    /// The full two-phase solve over a prepared arena.
-    fn cold_solve(&mut self, lp: &LinearProgram) -> Result<Solution, SimplexError> {
-        self.phase1()?;
-        if self.pruned_negative_cost {
-            return Err(SimplexError::Unbounded);
-        }
-        self.phase2()?;
-        let sol = self.extract(lp);
-        self.save_basis(lp);
-        Ok(sol)
-    }
-
-    /// Structural fingerprint of `lp` under the current column mapping;
-    /// [`LinearProgram::resolve`] warm-starts only on a match. Hashes the
-    /// row relations, rhs signs and the pruned-column mapping — everything
-    /// that determines the tableau's *column layout* — in O(n + m). It
-    /// deliberately excludes coefficient values and per-row sparsity: a
-    /// layout match guarantees the saved basis names only structural/slack
-    /// columns of the new tableau (never artificials), and the numeric
-    /// restore checks (nonsingularity, rhs feasibility) catch any deeper
-    /// mismatch by falling back to a cold solve. A stale warm start can
-    /// therefore cost time, never correctness.
-    fn fingerprint(&self, lp: &LinearProgram) -> u64 {
-        // FNV-1a.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        eat(lp.num_vars as u64);
-        eat(lp.rows.len() as u64);
-        for row in &lp.rows {
-            eat(match row.relation {
-                Relation::Le => 1,
-                Relation::Eq => 2,
-                Relation::Ge => 3,
-            });
-            eat(u64::from(row.rhs < 0.0));
-        }
-        for &v in &self.var_of_col {
-            eat(v as u64);
-        }
-        h
-    }
-
-    /// Records the final basis for future warm starts. Only clean optima
-    /// qualify: every row active and no artificial column left basic.
-    fn save_basis(&mut self, lp: &LinearProgram) {
-        self.warm_ready =
-            self.row_active.iter().all(|&a| a) && self.basis.iter().all(|&b| b < self.art_start);
-        if self.warm_ready {
-            self.saved_basis.clear();
-            self.saved_basis.extend_from_slice(&self.basis);
-            self.saved_fingerprint = self.fingerprint(lp);
-        }
-    }
-
-    /// Reinstates the saved basis on a freshly prepared arena by Gaussian
-    /// elimination: each row pivots on the remaining saved column with the
-    /// largest magnitude (column partial pivoting cannot break down on a
-    /// nonsingular basis matrix). Returns `false` — leaving the arena dirty,
-    /// the caller re-prepares — when the basis is numerically singular or
-    /// not primal-feasible for the new rhs.
-    fn try_restore_basis(&mut self) -> bool {
-        if self.saved_basis.len() != self.m {
-            return false;
-        }
-        self.restore_scratch.clear();
-        self.restore_scratch.extend_from_slice(&self.saved_basis);
-        let stride = self.stride;
-        for i in 0..self.m {
-            let base = i * stride;
-            let mut best = usize::MAX;
-            let mut best_mag = PIVOT_EPS;
-            for (k, &c) in self.restore_scratch[i..].iter().enumerate() {
-                let mag = self.t[base + c].abs();
-                if mag > best_mag {
-                    best_mag = mag;
-                    best = i + k;
-                }
-            }
-            if best == usize::MAX {
-                return false;
-            }
-            self.restore_scratch.swap(i, best);
-            let c = self.restore_scratch[i];
-            self.pivot(i, c);
-        }
-        // The restored basis must be primal-feasible for the new rhs; tiny
-        // negative values are degenerate noise and clamp to the invariant
-        // rhs ≥ 0 the ratio test relies on.
-        for i in 0..self.m {
-            let rhs = self.t[i * stride + self.cols];
-            if rhs < -PIVOT_EPS {
-                return false;
-            }
-            if rhs < 0.0 {
-                self.t[i * stride + self.cols] = 0.0;
-            }
-        }
-        true
     }
 
     /// Phase 1: minimise the sum of artificial variables.
@@ -1197,6 +1038,25 @@ mod tests {
     }
 
     #[test]
+    fn resolve_falls_back_on_structure_change() {
+        let mut a = LinearProgram::minimize(2);
+        a.set_objective(0, 1.0);
+        a.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 2.0);
+        let mut ws = SimplexWorkspace::new();
+        assert_eq!(a.solve_with(&mut ws), a.solve());
+
+        // Same variable count, different rows: the reused workspace must
+        // carry nothing of `a` into the solve of `b`.
+        let mut b = LinearProgram::minimize(2);
+        b.set_objective(0, 2.0);
+        b.set_objective(1, 1.0);
+        b.add_constraint(&[(0, 1.0)], Relation::Le, 5.0);
+        b.add_constraint(&[(1, 1.0)], Relation::Ge, 3.0);
+        let reused = b.solve_with(&mut ws).unwrap();
+        assert_eq!(reused, b.solve().unwrap());
+    }
+
+    #[test]
     fn zero_columns_are_pruned_not_mispriced() {
         // x1 and x3 never appear in a constraint (pruned); x2 has entries
         // that cancel exactly within one row (kept as an all-zero column
@@ -1235,55 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_warm_start_tracks_rhs_changes() {
-        // Solve a transportation-shaped LP, then sweep the rhs; resolve()
-        // must agree with a cold solve at every step.
-        let build = |supply: f64, cap: f64| {
-            let mut lp = LinearProgram::minimize(2);
-            lp.set_objective(0, 1.0);
-            lp.set_objective(1, 3.0);
-            lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Eq, supply);
-            lp.add_constraint(&[(0, 1.0)], Relation::Le, cap);
-            lp
-        };
-        let mut ws = SimplexWorkspace::new();
-        build(1.0, 0.4).resolve(&mut ws).unwrap();
-        for (supply, cap) in [(2.0, 0.4), (1.5, 1.0), (0.3, 0.4), (1.0, 0.0)] {
-            let lp = build(supply, cap);
-            let warm = lp.resolve(&mut ws).unwrap();
-            let cold = lp.solve().unwrap();
-            assert!(
-                (warm.objective() - cold.objective()).abs() < 1e-9,
-                "objective diverged at ({supply}, {cap}): {} vs {}",
-                warm.objective(),
-                cold.objective()
-            );
-            for v in 0..2 {
-                assert!((warm.value(v) - cold.value(v)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn resolve_falls_back_on_structure_change() {
-        let mut a = LinearProgram::minimize(2);
-        a.set_objective(0, 1.0);
-        a.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 2.0);
-        let mut ws = SimplexWorkspace::new();
-        a.resolve(&mut ws).unwrap();
-
-        // Different row structure: must cold-solve, not reuse the basis.
-        let mut b = LinearProgram::minimize(2);
-        b.set_objective(0, 2.0);
-        b.set_objective(1, 1.0);
-        b.add_constraint(&[(0, 1.0)], Relation::Le, 5.0);
-        b.add_constraint(&[(1, 1.0)], Relation::Ge, 3.0);
-        let warm = b.resolve(&mut ws).unwrap();
-        assert_eq!(warm, b.solve().unwrap());
-    }
-
-    #[test]
-    fn resolve_reports_infeasible_and_recovers() {
+    fn reuse_reports_infeasible_and_recovers() {
         let build = |rhs: f64| {
             let mut lp = LinearProgram::minimize(1);
             lp.set_objective(0, 1.0);
@@ -1292,11 +1104,17 @@ mod tests {
             lp
         };
         let mut ws = SimplexWorkspace::new();
-        build(0.5).resolve(&mut ws).unwrap();
-        assert_eq!(build(2.0).resolve(&mut ws), Err(SimplexError::Infeasible));
-        // And a feasible follow-up still solves.
-        let sol = build(0.25).resolve(&mut ws).unwrap();
-        assert_close(sol.objective(), 0.25);
+        let first = build(0.5);
+        assert_eq!(first.solve_with(&mut ws), first.solve());
+        assert_eq!(
+            build(2.0).solve_with(&mut ws),
+            Err(SimplexError::Infeasible)
+        );
+        // A feasible follow-up solves as on a fresh workspace.
+        let next = build(0.25);
+        let sol = next.solve_with(&mut ws);
+        assert_eq!(sol, next.solve());
+        assert_close(sol.unwrap().objective(), 0.25);
     }
 
     #[test]
@@ -1315,15 +1133,14 @@ mod tests {
             rows: rows + 1,
             cols: rows + 2,
         };
-        assert_eq!(huge.solve_with(&mut ws), Err(err.clone()));
-        assert_eq!(huge.resolve(&mut ws), Err(err));
+        assert_eq!(huge.solve_with(&mut ws), Err(err));
 
         let mut small = LinearProgram::minimize(2);
         small.set_objective(0, 2.0);
         small.set_objective(1, 3.0);
         small.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 4.0);
         small.add_constraint(&[(0, 1.0), (1, 3.0)], Relation::Ge, 6.0);
-        assert_eq!(small.resolve(&mut ws), small.solve());
+        assert_eq!(small.solve_with(&mut ws), small.solve());
     }
 
     #[test]
