@@ -16,7 +16,7 @@ use spef_core::{RoutingEngine, SpefError, SpfStats};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::ospf::{self, OspfRouting};
-use crate::util::shuffle;
+use crate::util::{rounded_invcap, WeightScan};
 
 /// The Fortz–Thorup piecewise-linear link cost Φ.
 ///
@@ -147,7 +147,8 @@ pub struct FtOutcome {
 impl FtOutcome {
     /// Runs the local search: starting from rounded-InvCap weights (and
     /// `restarts` random vectors), repeatedly rescans links trying every
-    /// candidate weight `1..=max_weight` and keeps the best improvement.
+    /// candidate weight `1..=max_weight`, keeping first improvements, and
+    /// returns the best end point.
     ///
     /// # Errors
     ///
@@ -168,26 +169,13 @@ impl FtOutcome {
         let mut engine = RoutingEngine::new(network.graph());
         engine.set_incremental(!config.full_rebuild);
         let mut flows = engine.distribute_fresh();
-        let cost_of = |weights: &[f64],
-                       engine: &mut RoutingEngine<'_>,
-                       flows: &mut spef_core::Flows|
-         -> Result<f64, SpefError> {
-            ospf::route_flows_into(engine, traffic, &dests, weights, flows)?;
-            Ok(FtCost.total_cost(network, flows.aggregate()))
+        let mut cost_of = |weights: &[f64]| -> Result<(f64, ()), SpefError> {
+            ospf::route_flows_into(&mut engine, traffic, &dests, weights, &mut flows)?;
+            Ok((FtCost.total_cost(network, flows.aggregate()), ()))
         };
 
         // Start points: rounded InvCap, then random vectors.
-        let max_cap = network
-            .capacities()
-            .iter()
-            .cloned()
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let invcap: Vec<f64> = network
-            .capacities()
-            .iter()
-            .map(|c| (max_cap / c).round().clamp(1.0, config.max_weight as f64))
-            .collect();
-        let mut starts = vec![invcap];
+        let mut starts = vec![rounded_invcap(network, config.max_weight)];
         for _ in 0..config.restarts {
             starts.push(
                 (0..m)
@@ -196,48 +184,16 @@ impl FtOutcome {
             );
         }
 
+        // One scan per start, all drawing on one evaluation budget.
+        let mut scan = WeightScan::new(config.max_weight, config.max_evaluations);
         let mut best: Option<(f64, Vec<f64>)> = None;
-        let mut trace = Vec::new();
-        let mut evaluations = 0;
-
-        for start in starts {
-            let mut weights = start;
-            let mut cost = cost_of(&weights, &mut engine, &mut flows)?;
-            evaluations += 1;
-            let mut improved = true;
-            while improved && evaluations < config.max_evaluations {
-                improved = false;
-                // Scan links in random order; first-improvement per link.
-                let mut order: Vec<usize> = (0..m).collect();
-                shuffle(&mut order, &mut rng);
-                'links: for e in order {
-                    let original = weights[e];
-                    for cand in 1..=config.max_weight {
-                        let cand = cand as f64;
-                        if cand == original {
-                            continue;
-                        }
-                        weights[e] = cand;
-                        let c_new = cost_of(&weights, &mut engine, &mut flows)?;
-                        evaluations += 1;
-                        if c_new < cost - 1e-9 {
-                            cost = c_new;
-                            improved = true;
-                            trace.push(cost);
-                            continue 'links; // keep the improvement, next link
-                        }
-                        weights[e] = original;
-                        if evaluations >= config.max_evaluations {
-                            break 'links;
-                        }
-                    }
-                }
-            }
+        for mut weights in starts {
+            let (cost, ()) = scan.run(&mut weights, &mut rng, &mut cost_of)?;
             match &best {
                 Some((bc, ..)) if *bc <= cost => {}
-                _ => best = Some((cost, weights.clone())),
+                _ => best = Some((cost, weights)),
             }
-            if evaluations >= config.max_evaluations {
+            if scan.exhausted() {
                 break;
             }
         }
@@ -249,8 +205,8 @@ impl FtOutcome {
             weights,
             cost,
             routing,
-            cost_trace: trace,
-            evaluations,
+            cost_trace: scan.trace,
+            evaluations: scan.evaluations,
             spf_stats: engine.spf_stats(),
         })
     }

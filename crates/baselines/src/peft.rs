@@ -23,10 +23,8 @@
 //! penalty concentrates traffic near the shortest paths while SPEF spreads
 //! it uniformly over an engineered equal-cost set.
 
-use spef_core::{metrics, FibSet, Flows, ForwardingTable, SpefError};
-use spef_graph::{
-    batch_distances_to, Csr, DistanceSet, EdgeId, NodeId, Parallelism, RoutingWorkspace,
-};
+use spef_core::{metrics, Flows, ForwardingTable, RoutingEngine, SpefError};
+use spef_graph::{EdgeId, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
 /// A Downward-PEFT routing of a traffic matrix under given link weights.
@@ -82,39 +80,23 @@ impl PeftRouting {
         // The FIB is built destination by destination straight into the
         // flat CSR arena; the per-node ratio rows below are scratch reused
         // across destinations, never retained.
-        let mut fib = FibSet::new();
+        let mut fib = ForwardingTable::default();
         fib.begin(n);
 
-        // All per-destination distances in one batched sweep: weights are
-        // validated once and the Dijkstra scratch is shared (parallel for
-        // large destination sets).
-        let in_csr = Csr::in_of(g);
-        let mut ws = RoutingWorkspace::new();
-        let mut dset = DistanceSet::new();
-        batch_distances_to(
-            g,
-            &in_csr,
-            weights,
-            &dests,
-            Parallelism::Auto,
-            &mut ws,
-            &mut dset,
-        )?;
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        // Every destination's shortest distances, and its reachable nodes
+        // by decreasing distance (ties by node id), from one batched DAG
+        // build: weights are validated once and the Dijkstra scratch is
+        // shared (parallel for large destination sets).
+        let mut engine = RoutingEngine::new(g);
+        engine.build_dags(weights, &dests, 0.0)?;
         let mut log_gamma = vec![f64::NEG_INFINITY; n];
         let mut ratios: Vec<Vec<(EdgeId, f64)>> = vec![Vec::new(); n];
         let mut incoming = vec![0.0f64; n];
 
-        for (di, &t) in dests.iter().enumerate() {
-            let dist = dset.row(di);
-            // Nodes by decreasing distance (finite only).
-            order.clear();
-            order.extend(g.nodes().filter(|u| dist[u.index()].is_finite()));
-            order.sort_by(|a, b| {
-                dist[b.index()]
-                    .total_cmp(&dist[a.index()])
-                    .then_with(|| a.index().cmp(&b.index()))
-            });
+        for dag in engine.dag_set().iter() {
+            let t = dag.target();
+            let dist = dag.distances();
+            let order = dag.nodes_by_decreasing_distance();
 
             // Γ recursion in log space, increasing distance.
             log_gamma.fill(f64::NEG_INFINITY);
@@ -167,7 +149,7 @@ impl PeftRouting {
                     });
                 }
             }
-            for &u in &order {
+            for &u in order {
                 if u == t {
                     continue;
                 }
@@ -194,7 +176,6 @@ impl PeftRouting {
         }
 
         let flows = Flows::assemble(dests, per_dest, aggregate);
-        let fib = ForwardingTable::from(fib);
         Ok(PeftRouting {
             weights: weights.to_vec(),
             flows,

@@ -37,7 +37,7 @@ use spef_core::{metrics, RoutingEngine, SpefError, SpfStats};
 use spef_topology::{Network, TrafficMatrix};
 
 use crate::ospf;
-use crate::util::shuffle;
+use crate::util::{rounded_invcap, WeightScan};
 
 /// Configuration of the robust weight search.
 ///
@@ -114,21 +114,8 @@ impl RobustOutcome {
         traffic: &TrafficMatrix,
         config: &RobustConfig,
     ) -> Result<RobustOutcome, SpefError> {
-        let m = network.link_count();
         let dests = ospf::validate_ospf_inputs(network, traffic)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-
-        // Start point: rounded InvCap (the FT convention).
-        let max_cap = network
-            .capacities()
-            .iter()
-            .cloned()
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let start: Vec<f64> = network
-            .capacities()
-            .iter()
-            .map(|c| (max_cap / c).round().clamp(1.0, config.max_weight as f64))
-            .collect();
 
         // Every degraded topology is built once, with one engine + weight
         // buffer + flow buffer per scenario.
@@ -163,7 +150,7 @@ impl RobustOutcome {
         // Worst-case MLU of one candidate across all scenarios. The intact
         // MLU is returned alongside so the final report does not need an
         // extra pass.
-        let mut cost_of = |weights: &[f64]| -> Result<(f64, f64), SpefError> {
+        let cost_of = |weights: &[f64]| -> Result<(f64, f64), SpefError> {
             ospf::route_flows_into(&mut intact_engine, traffic, &dests, weights, &mut flows)?;
             let intact = metrics::max_link_utilization(network, flows.aggregate());
             let mut worst = intact;
@@ -178,80 +165,27 @@ impl RobustOutcome {
             }
             Ok((worst, intact))
         };
-        let (weights, cost, intact_mlu, evaluations) =
-            first_improvement_search(m, config, &mut rng, start, &mut cost_of)?;
+        // One scan from rounded InvCap (the FT convention).
+        let mut weights = rounded_invcap(network, config.max_weight);
+        let mut scan = WeightScan::new(config.max_weight, config.max_evaluations);
+        let (cost, intact_mlu) = scan.run(&mut weights, &mut rng, cost_of)?;
 
         let mut spf_stats = intact_engine.spf_stats();
         let mut arena_bytes = intact_engine.arena_bytes();
         for e in &engines {
-            let s = e.spf_stats();
-            spf_stats.builds += s.builds;
-            spf_stats.incremental_builds += s.incremental_builds;
-            spf_stats.slots_rebuilt += s.slots_rebuilt;
-            spf_stats.last_dirty = spf_stats.last_dirty.max(s.last_dirty);
+            spf_stats.add(e.spf_stats());
             arena_bytes += e.arena_bytes();
         }
         Ok(RobustOutcome {
             weights,
             worst_mlu: cost,
             intact_mlu,
-            evaluations,
+            evaluations: scan.evaluations,
             skipped_circuits,
             spf_stats,
             arena_bytes,
         })
     }
-}
-
-/// `(worst-case MLU, intact MLU)` of one candidate weight vector.
-type CandidateCost = Result<(f64, f64), SpefError>;
-
-/// The first-improvement scan over integer weights: seeded-random link
-/// order, candidates `1..=max_weight` per link, keep the first candidate
-/// improving the cost, stop when a full rescan improves nothing or the
-/// evaluation budget runs out. The trajectory is a pure function of
-/// `(start, config, cost values)` — two cost functions that agree bit for
-/// bit walk the same path.
-///
-/// Returns `(weights, cost, intact_mlu, evaluations)`.
-fn first_improvement_search(
-    m: usize,
-    config: &RobustConfig,
-    rng: &mut StdRng,
-    mut weights: Vec<f64>,
-    cost_of: &mut dyn FnMut(&[f64]) -> CandidateCost,
-) -> Result<(Vec<f64>, f64, f64, usize), SpefError> {
-    let (mut cost, mut intact_mlu) = cost_of(&weights)?;
-    let mut evaluations = 1usize;
-    let mut improved = true;
-    while improved && evaluations < config.max_evaluations {
-        improved = false;
-        let mut order: Vec<usize> = (0..m).collect();
-        shuffle(&mut order, rng);
-        'links: for e in order {
-            let original = weights[e];
-            for cand in 1..=config.max_weight {
-                let cand = cand as f64;
-                if cand == original {
-                    continue;
-                }
-                weights[e] = cand;
-                let (c_new, i_new) = cost_of(&weights)?;
-                evaluations += 1;
-                if c_new < cost - 1e-9 {
-                    cost = c_new;
-                    intact_mlu = i_new;
-                    improved = true;
-                    continue 'links; // keep the improvement, next link
-                }
-                weights[e] = original;
-                if evaluations >= config.max_evaluations {
-                    break 'links;
-                }
-            }
-        }
-    }
-    Ok((weights, cost, intact_mlu, evaluations))
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ use spef_graph::batch::{
 use spef_graph::{Csr, Graph, GraphError, NodeId};
 use spef_topology::TrafficMatrix;
 
-use crate::fib::{FibSet, ForwardingTable};
+use crate::fib::ForwardingTable;
 use crate::traffic_dist::{
     distribute_batch, distribute_one_into, next_flow_stamp, validate_rule, DistScratch, Flows,
     SplitRule, SplitTableSet,
@@ -127,6 +127,19 @@ pub struct SpfStats {
     /// field stays only because the benchmark's per-layer report reads
     /// it.
     pub topology_builds: u64,
+}
+
+impl SpfStats {
+    /// Adds another engine's counters into this running total.
+    /// `last_dirty`, a gauge, takes the maximum, as "most recent" is
+    /// meaningless across engines.
+    pub fn add(&mut self, other: SpfStats) {
+        self.builds += other.builds;
+        self.incremental_builds += other.incremental_builds;
+        self.slots_rebuilt += other.slots_rebuilt;
+        self.last_dirty = self.last_dirty.max(other.last_dirty);
+        self.topology_builds += other.topology_builds;
+    }
 }
 
 /// The detached, owned arenas of a [`RoutingEngine`]: everything the
@@ -769,7 +782,7 @@ impl<'g> RoutingEngine<'g> {
         validate_rule(self.graph, rule)?;
         let n = self.graph.node_count();
         let s = &mut self.state;
-        let mut fib = FibSet::new();
+        let mut fib = ForwardingTable::default();
         fib.begin(n);
         fib.reserve_exact(s.dags.len(), s.dags.successor_total());
         for dag in s.dags.iter() {
@@ -778,7 +791,7 @@ impl<'g> RoutingEngine<'g> {
             let table = s.table.table(0);
             fib.push_destination(dag.target(), |u| table.next_hops(NodeId::new(u)));
         }
-        Ok(ForwardingTable::from(fib))
+        Ok(fib)
     }
 
     /// Convenience wrapper around

@@ -7,7 +7,7 @@
 //! linear scan to find the destination's index — put three pointer chases
 //! and an `O(dests)` search on the per-packet hot path of the simulator.
 //!
-//! [`FibSet`] stores the same table as three flat arrays:
+//! [`ForwardingTable`] stores the same table as three flat arrays:
 //!
 //! ```text
 //! dest_index : node id      → dest slot   (u32, sentinel for non-dests)
@@ -24,10 +24,6 @@
 //! stored cumulative array would, and the FIB keeps no such array. Every
 //! non-empty row's ratios are validated at build time to sum to 1 within
 //! `1e-6`.
-//!
-//! [`ForwardingTable`] — the public type the protocol, baselines and the
-//! simulator exchange — is a thin facade over a `FibSet` that keeps the
-//! pre-flat constructor and lookup API unchanged.
 
 use std::fmt;
 
@@ -38,16 +34,16 @@ use crate::traffic_dist::SplitTableSet;
 /// Sentinel in `dest_index` marking a node that is not a destination.
 const NO_DEST: u32 = u32::MAX;
 
-/// The SPEF forwarding information base as a flat CSR arena: per
-/// `(destination, router)` the next-hop links and their split ratios —
-/// the operational reduction of the paper's TABLE II. See the [module
-/// docs](self) for the layout.
+/// The SPEF forwarding tables the protocol, the baselines and the
+/// simulator exchange, as one flat CSR arena: per `(destination, router)`
+/// the next-hop links and their split ratios — the operational reduction
+/// of the paper's TABLE II. See the [module docs](self) for the layout.
 ///
-/// A `FibSet` is also a reusable workspace: the `rebuild_*` methods clear
-/// and refill the arenas without dropping their allocations, so repeated
-/// builds over same-shaped inputs are allocation-free.
+/// An empty table is [`ForwardingTable::default`]; a build calls
+/// [`begin`](Self::begin) once and then
+/// [`push_destination`](Self::push_destination) per destination.
 #[derive(Clone, PartialEq, Default)]
-pub struct FibSet {
+pub struct ForwardingTable {
     node_count: usize,
     dests: Vec<NodeId>,
     /// `dest_index[t] = slot` for destinations, [`NO_DEST`] otherwise.
@@ -59,13 +55,33 @@ pub struct FibSet {
     hops: Vec<(EdgeId, f64)>,
 }
 
-impl FibSet {
-    /// Creates an empty set; arenas grow on first build.
-    pub fn new() -> FibSet {
-        FibSet::default()
+impl ForwardingTable {
+    /// Builds a forwarding table from explicit per-destination next-hop
+    /// ratio rows. `tables[d][node]` lists `(edge, ratio)` entries; rows
+    /// must be empty or have ratios summing to ≈ 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables.len() != dests.len()`, a destination is out of
+    /// range or duplicated, a per-node table does not have exactly
+    /// `node_count` rows, or some non-empty row's ratios do not sum to 1
+    /// within 1e-6.
+    pub fn new(
+        node_count: usize,
+        dests: Vec<NodeId>,
+        tables: Vec<Vec<Vec<(EdgeId, f64)>>>,
+    ) -> ForwardingTable {
+        assert_eq!(tables.len(), dests.len(), "one table per destination");
+        let mut fib = ForwardingTable::default();
+        fib.begin(node_count);
+        for (per_node, &t) in tables.iter().zip(&dests) {
+            assert_eq!(per_node.len(), node_count, "one row per node");
+            fib.push_destination(t, |u| per_node[u].as_slice());
+        }
+        fib
     }
 
-    /// Builds a `FibSet` from a batched [`SplitTableSet`] (the routing
+    /// Builds the table from a batched [`SplitTableSet`] (the routing
     /// engine's arena form) without materialising any owned rows.
     ///
     /// # Panics
@@ -77,34 +93,19 @@ impl FibSet {
         node_count: usize,
         dests: &[NodeId],
         tables: &SplitTableSet,
-    ) -> FibSet {
-        let mut set = FibSet::new();
-        set.rebuild_from_split_table_set(node_count, dests, tables);
-        set
-    }
-
-    /// Like [`FibSet::from_split_table_set`], but refills `self` in place,
-    /// reusing the arenas — allocation-free once warmed on the shape.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FibSet::from_split_table_set`].
-    pub fn rebuild_from_split_table_set(
-        &mut self,
-        node_count: usize,
-        dests: &[NodeId],
-        tables: &SplitTableSet,
-    ) {
+    ) -> ForwardingTable {
         assert_eq!(tables.len(), dests.len(), "one table per destination");
-        self.begin(node_count);
+        let mut fib = ForwardingTable::default();
+        fib.begin(node_count);
         for (i, &t) in dests.iter().enumerate() {
             let table = tables.table(i);
-            self.push_destination(t, |u| table.next_hops(NodeId::new(u)));
+            fib.push_destination(t, |u| table.next_hops(NodeId::new(u)));
         }
+        fib
     }
 
-    /// Starts an incremental rebuild: clears the arenas (keeping their
-    /// allocations) and fixes the node count. Follow with one
+    /// Starts a build over `node_count` routers: empties the table and
+    /// fixes the node count. Follow with one
     /// [`push_destination`](Self::push_destination) call per destination.
     pub fn begin(&mut self, node_count: usize) {
         self.node_count = node_count;
@@ -186,8 +187,7 @@ impl FibSet {
     }
 
     /// Bytes reserved by the FIB arenas (capacities, not lengths) — the
-    /// high-water mark of the forwarding-plane state, since the arenas
-    /// never shrink across rebuilds.
+    /// forwarding-plane state's memory.
     pub fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
         self.dests.capacity() * size_of::<NodeId>()
@@ -244,11 +244,17 @@ impl FibSet {
             })
         })
     }
+
+    /// Returns `self`: the table is its own flat arena. Kept only so
+    /// existing callers still build; new code should not call it.
+    pub fn fib(&self) -> &ForwardingTable {
+        self
+    }
 }
 
-impl fmt::Debug for FibSet {
+impl fmt::Debug for ForwardingTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FibSet")
+        f.debug_struct("ForwardingTable")
             .field("node_count", &self.node_count)
             .field("dests", &self.dests)
             .field("entries", &self.hops.len())
@@ -256,8 +262,8 @@ impl fmt::Debug for FibSet {
     }
 }
 
-/// One `(destination, router)` row of a [`FibSet`]: the `(edge, ratio)`
-/// entries.
+/// One `(destination, router)` row of a [`ForwardingTable`]: the
+/// `(edge, ratio)` entries.
 #[derive(Debug, Clone, Copy)]
 pub struct FibRow<'a> {
     hops: &'a [(EdgeId, f64)],
@@ -305,112 +311,6 @@ impl<'a> FibRow<'a> {
         }
         self.hops.last().expect("non-empty next-hop row").0
     }
-
-    /// The cumulative probability through entry `i`: the running ratio
-    /// sum, except that the last entry of the row is exactly `1.0`, since
-    /// [`select`](Self::select) takes it for every draw the sum leaves
-    /// over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn cum_prob(&self, i: usize) -> f64 {
-        if i + 1 == self.hops.len() {
-            return 1.0;
-        }
-        self.hops[..=i].iter().fold(0.0, |acc, &(_, r)| acc + r)
-    }
-}
-
-/// The SPEF forwarding tables exchanged between the protocol, the
-/// baselines and the simulator — a thin facade over [`FibSet`] that keeps
-/// the pre-flat constructor and lookup API. New code that sits on a
-/// per-packet path should fetch the backing set once via
-/// [`fib`](ForwardingTable::fib) and use slot-based lookups.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardingTable {
-    set: FibSet,
-}
-
-impl ForwardingTable {
-    /// Builds a forwarding table from explicit per-destination next-hop
-    /// ratio rows. `tables[d][node]` lists `(edge, ratio)` entries; rows
-    /// must be empty or have ratios summing to ≈ 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables.len() != dests.len()`, a destination is out of
-    /// range or duplicated, a per-node table does not have exactly
-    /// `node_count` rows, or some non-empty row's ratios do not sum to 1
-    /// within 1e-6.
-    pub fn new(
-        node_count: usize,
-        dests: Vec<NodeId>,
-        tables: Vec<Vec<Vec<(EdgeId, f64)>>>,
-    ) -> ForwardingTable {
-        assert_eq!(tables.len(), dests.len(), "one table per destination");
-        let mut set = FibSet::new();
-        set.begin(node_count);
-        for (per_node, &t) in tables.iter().zip(&dests) {
-            assert_eq!(per_node.len(), node_count, "one row per node");
-            set.push_destination(t, |u| per_node[u].as_slice());
-        }
-        ForwardingTable { set }
-    }
-
-    /// Builds the table from a batched [`SplitTableSet`] (the engine's
-    /// arena form) — a zero-copy flattening, no owned rows materialised.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables.len() != dests.len()` or a non-empty row's ratios
-    /// do not sum to 1 within 1e-6.
-    pub fn from_split_table_set(
-        node_count: usize,
-        dests: &[NodeId],
-        tables: &SplitTableSet,
-    ) -> ForwardingTable {
-        ForwardingTable {
-            set: FibSet::from_split_table_set(node_count, dests, tables),
-        }
-    }
-
-    /// Destinations the table covers.
-    pub fn destinations(&self) -> &[NodeId] {
-        self.set.destinations()
-    }
-
-    /// Next-hop `(edge, ratio)` entries of `node` toward `dest`, or `None`
-    /// if `dest` is not a covered destination. An empty slice means the
-    /// node is the destination itself or cannot reach it.
-    pub fn next_hops(&self, node: NodeId, dest: NodeId) -> Option<&[(EdgeId, f64)]> {
-        self.set.next_hops(node, dest)
-    }
-
-    /// Total next-hop entries across all `(destination, router)` rows, in
-    /// `O(1)` — the control-plane state count the sweep harness's scale
-    /// stage reports as `fib_entries`.
-    pub fn entry_count(&self) -> usize {
-        self.set.entry_count()
-    }
-
-    /// The backing flat [`FibSet`] — what per-packet consumers (the
-    /// simulator) resolve destination slots against.
-    pub fn fib(&self) -> &FibSet {
-        &self.set
-    }
-
-    /// Bytes reserved by the backing FIB arenas (capacities, not lengths).
-    pub fn arena_bytes(&self) -> usize {
-        self.set.arena_bytes()
-    }
-}
-
-impl From<FibSet> for ForwardingTable {
-    fn from(set: FibSet) -> ForwardingTable {
-        ForwardingTable { set }
-    }
 }
 
 #[cfg(test)]
@@ -449,10 +349,9 @@ mod tests {
     #[test]
     fn slot_lookup_and_selection() {
         let fib = diamond_table();
-        let set = fib.fib();
-        let slot = set.dest_slot(NodeId::new(3)).unwrap();
-        assert_eq!(set.dest_slot(NodeId::new(1)), None);
-        let row = set.row(slot, NodeId::new(0));
+        let slot = fib.dest_slot(NodeId::new(3)).unwrap();
+        assert_eq!(fib.dest_slot(NodeId::new(1)), None);
+        let row = fib.row(slot, NodeId::new(0));
         assert_eq!(row.len(), 2);
         // Below 0.3 → edge 0; at/above → edge 1 (the legacy `x < acc`
         // strictness: a draw equal to a boundary goes right).
@@ -460,14 +359,12 @@ mod tests {
         assert_eq!(row.select(0.29999), EdgeId::new(0));
         assert_eq!(row.select(0.3), EdgeId::new(1));
         assert_eq!(row.select(0.999_999_999), EdgeId::new(1));
-        // The final cumulative is pinned to exactly 1.0.
-        assert_eq!(row.cum_prob(1), 1.0);
     }
 
     #[test]
     fn rows_iterates_every_cell() {
         let fib = diamond_table();
-        let cells: Vec<_> = fib.fib().rows().collect();
+        let cells: Vec<_> = fib.rows().collect();
         assert_eq!(cells.len(), 4);
         assert!(cells.iter().all(|&(t, _, _)| t == NodeId::new(3)));
         let total: usize = cells.iter().map(|(_, _, r)| r.len()).sum();
@@ -489,27 +386,5 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_range_destination_rejected() {
         ForwardingTable::new(2, vec![NodeId::new(5)], vec![vec![vec![], vec![]]]);
-    }
-
-    #[test]
-    fn warm_rebuild_reuses_and_matches() {
-        use crate::engine::RoutingEngine;
-        use crate::traffic_dist::SplitRule;
-        use spef_topology::standard;
-
-        let net = standard::fig4();
-        let tm = standard::fig4_demands();
-        let dests = tm.destinations();
-        let w = vec![1.0; net.link_count()];
-        let mut engine = RoutingEngine::new(net.graph());
-        engine.build_dags(&w, &dests, 0.0).unwrap();
-        engine.build_split_tables(SplitRule::EvenEcmp).unwrap();
-
-        let fresh = FibSet::from_split_table_set(net.node_count(), &dests, engine.split_tables());
-        let mut warm = FibSet::new();
-        for _ in 0..3 {
-            warm.rebuild_from_split_table_set(net.node_count(), &dests, engine.split_tables());
-            assert!(warm == fresh, "warm rebuild must match a fresh build");
-        }
     }
 }

@@ -38,25 +38,24 @@ use crate::{Objective, SpefError};
 /// [`ConvergenceCriteria::gap_tolerance`] is `None`.
 pub const DEFAULT_RELATIVE_GAP: f64 = 1e-8;
 
+/// Bisection steps of the exact line search.
+const LINE_SEARCH_ITERATIONS: usize = 60;
+
+/// Barrier smoothing threshold as a fraction of link capacity.
+const SMOOTHING_FRACTION: f64 = 1e-7;
+
 /// Configuration of the Frank–Wolfe solver.
 #[derive(Debug, Clone)]
 pub struct FrankWolfeConfig {
     /// Stopping rules (default: 1500 iterations, relative duality gap
     /// [`DEFAULT_RELATIVE_GAP`]).
     pub convergence: ConvergenceCriteria,
-    /// Bisection steps of the exact line search (default 60).
-    pub line_search_iterations: usize,
-    /// Barrier smoothing threshold as a fraction of link capacity
-    /// (default 1e-7).
-    pub smoothing_fraction: f64,
 }
 
 impl Default for FrankWolfeConfig {
     fn default() -> Self {
         FrankWolfeConfig {
             convergence: ConvergenceCriteria::budget(1500),
-            line_search_iterations: 60,
-            smoothing_fraction: 1e-7,
         }
     }
 }
@@ -67,7 +66,6 @@ impl FrankWolfeConfig {
     pub fn fast() -> Self {
         FrankWolfeConfig {
             convergence: ConvergenceCriteria::with_tolerance(500, 1e-6),
-            ..Self::default()
         }
     }
 }
@@ -189,7 +187,7 @@ fn run(
 ) -> Result<(f64, Vec<f64>, f64, usize), SpefError> {
     let m = network.graph().edge_count();
     let caps = network.capacities();
-    let smooth = SmoothedUtility::new(objective, caps, config.smoothing_fraction);
+    let smooth = SmoothedUtility::new(objective, caps, SMOOTHING_FRACTION);
     let gap_tol = config
         .convergence
         .gap_tolerance
@@ -250,7 +248,7 @@ fn run(
             1.0
         } else {
             let (mut lo, mut hi) = (0.0f64, 1.0f64);
-            for _ in 0..config.line_search_iterations {
+            for _ in 0..LINE_SEARCH_ITERATIONS {
                 let mid = 0.5 * (lo + hi);
                 if phi_prime(mid) > 0.0 {
                     lo = mid;
@@ -613,7 +611,6 @@ mod tests {
         let obj = Objective::proportional(net.link_count());
         let config = FrankWolfeConfig {
             convergence: ConvergenceCriteria::pinned(30),
-            ..FrankWolfeConfig::default()
         };
         let (d, m) = (tm.destinations().len(), net.link_count());
         let mut ws = TeWorkspace::new();

@@ -29,7 +29,7 @@
 //! | [`traffic_dist`] | **Algorithm 3** — `TrafficDistribution(v)`, Eq. (22) |
 //! | [`nem`] | **Algorithm 2** — second weights, Fig. 12(b) |
 //! | [`weights`] | §V.G integer weights and Dijkstra tolerances |
-//! | [`fib`] | TABLE II as a flat CSR arena ([`FibSet`]) |
+//! | [`fib`] | TABLE II as a flat CSR arena ([`ForwardingTable`]) |
 //! | [`protocol`] | **Algorithm 4** — SPEF routing + TABLE II FIBs |
 //! | [`metrics`] | MLU, normalized utility, TABLE V path census |
 //! | [`solver`] | solver sessions: [`TeSolver`], [`TeWorkspace`] |
@@ -79,10 +79,10 @@ pub use objective::Objective;
 
 pub use dual_decomp::{DualDecompConfig, DualDecompOutcome, StepRule};
 pub use engine::{EngineState, RoutingEngine, SpfStats};
-pub use fib::{FibRow, FibSet};
+pub use fib::{FibRow, ForwardingTable};
 pub use frank_wolfe::FrankWolfeConfig;
 pub use nem::{NemConfig, NemOutcome};
-pub use protocol::{ForwardingTable, SpefConfig, SpefRouting, TeSolverKind, WeightMode};
+pub use protocol::{SpefConfig, SpefRouting, TeSolverKind, WeightMode};
 pub use solver::{
     ConvergenceCriteria, NemInstance, TeInstance, TeSolver, TeWorkspace, STALE_WEIGHT_DAG_RTOL,
 };

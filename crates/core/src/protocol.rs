@@ -18,6 +18,7 @@ use spef_topology::{Network, TrafficMatrix};
 
 use crate::dual_decomp::{self, DualDecompConfig};
 use crate::engine::RoutingEngine;
+use crate::fib::ForwardingTable;
 use crate::frank_wolfe::FrankWolfeConfig;
 use crate::nem::{self, NemConfig, NemOutcome};
 use crate::solver::TeWorkspace;
@@ -339,8 +340,6 @@ pub fn support_slack_tolerance(
     let max_w = floored.iter().cloned().fold(0.0, f64::max);
     Ok((1.1 * max_slack).max(1e-9 * max_w))
 }
-
-pub use crate::fib::ForwardingTable;
 
 #[cfg(test)]
 mod tests {

@@ -375,11 +375,7 @@ impl TeWorkspace {
             .into_iter()
             .flatten()
         {
-            let s = engine.spf_stats();
-            total.builds += s.builds;
-            total.incremental_builds += s.incremental_builds;
-            total.slots_rebuilt += s.slots_rebuilt;
-            total.last_dirty = total.last_dirty.max(s.last_dirty);
+            total.add(engine.spf_stats());
         }
         total
     }

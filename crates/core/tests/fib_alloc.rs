@@ -1,12 +1,10 @@
-//! Verifies the flat FIB's allocation contract: lookups and cum-prob
-//! selections never touch the heap, and rebuilding a [`FibSet`] from a
-//! [`SplitTableSet`] into a warmed workspace is allocation-free — the
-//! arenas are refilled, never dropped and re-grown.
+//! Verifies the flat FIB's allocation contract: destination-slot
+//! resolution, row lookups and next-hop selections never touch the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use spef_core::{FibSet, RoutingEngine, SplitRule};
+use spef_core::{ForwardingTable, RoutingEngine, SplitRule};
 use spef_graph::NodeId;
 use spef_topology::{standard, TrafficMatrix};
 
@@ -38,7 +36,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn warm_rebuild_and_lookups_are_allocation_free() {
+fn lookups_are_allocation_free() {
     // CERNET2-sized split tables through the routing engine.
     let net = standard::cernet2();
     let tm = TrafficMatrix::gravity(&net, 1.0, 3).scaled_to_network_load(&net, 0.15);
@@ -52,25 +50,10 @@ fn warm_rebuild_and_lookups_are_allocation_free() {
         .unwrap();
     let n = net.node_count();
 
-    // Warm the workspace once (this run may allocate the arenas) …
-    let mut fib = FibSet::new();
-    fib.rebuild_from_split_table_set(n, &dests, engine.split_tables());
-    let reference = fib.clone();
+    let fib = ForwardingTable::from_split_table_set(n, &dests, engine.split_tables());
 
-    // … then every further same-shape rebuild must refill in place.
-    let before = allocations();
-    for _ in 0..5 {
-        fib.rebuild_from_split_table_set(n, &dests, engine.split_tables());
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm FibSet rebuilds must not allocate"
-    );
-    assert!(fib == reference, "warm rebuild changed the table");
-
-    // Per-lookup path: slot resolution, row fetch, and cum-prob selection
-    // across every cell and a sweep of draws — zero allocations.
+    // Per-lookup path: row fetch and next-hop selection across every cell
+    // and a sweep of draws — zero allocations.
     let before = allocations();
     let mut acc = 0usize;
     for (slot, _) in dests.iter().enumerate() {

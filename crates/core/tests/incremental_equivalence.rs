@@ -228,7 +228,6 @@ proptest! {
         let obj = Objective::proportional(net.link_count());
         let fw = FrankWolfeConfig {
             convergence: ConvergenceCriteria::pinned(30),
-            ..FrankWolfeConfig::default()
         };
         let tm_hi = tm.scaled(scale);
         let cold_lo = fw.solve(TeInstance::new(&net, &tm, &obj)).unwrap();

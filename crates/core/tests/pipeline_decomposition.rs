@@ -171,7 +171,6 @@ proptest! {
         let obj = Objective::proportional(net.link_count());
         let fw = TeSolverKind::FrankWolfe(FrankWolfeConfig {
             convergence: ConvergenceCriteria::pinned(8),
-            ..FrankWolfeConfig::default()
         });
         let mut all_pairs = TrafficMatrix::new(net.node_count());
         for s in net.graph().nodes() {

@@ -54,7 +54,6 @@ fn warmed_solve_allocs(budget: usize, ws: &mut TeWorkspace) -> u64 {
     let obj = Objective::proportional(net.link_count());
     let fw = FrankWolfeConfig {
         convergence: ConvergenceCriteria::pinned(budget),
-        ..FrankWolfeConfig::default()
     };
     fw.solve_in(TeInstance::new(&net, &tm, &obj), ws)
         .expect("feasible");
@@ -75,7 +74,6 @@ fn warmed_nem_allocs(budget: usize, ws: &mut TeWorkspace) -> u64 {
     let obj = Objective::proportional(net.link_count());
     let te = FrankWolfeConfig {
         convergence: ConvergenceCriteria::pinned(12),
-        ..FrankWolfeConfig::default()
     }
     .solve(TeInstance::new(&net, &tm, &obj))
     .expect("feasible");
@@ -105,7 +103,6 @@ fn warmed_spef_allocs(budget: usize, ws: &mut TeWorkspace) -> u64 {
     let config = SpefConfig {
         solver: TeSolverKind::FrankWolfe(FrankWolfeConfig {
             convergence: ConvergenceCriteria::pinned(12),
-            ..FrankWolfeConfig::default()
         }),
         nem: NemConfig {
             convergence: ConvergenceCriteria::pinned(budget),

@@ -54,7 +54,6 @@ proptest! {
         let obj = Objective::proportional(net.link_count());
         let fw = FrankWolfeConfig {
             convergence: ConvergenceCriteria::pinned(40),
-            ..FrankWolfeConfig::default()
         };
         let tm_hi = tm.scaled(scale);
         let cold_lo = fw.solve(TeInstance::new(&net, &tm, &obj)).unwrap();
@@ -108,7 +107,6 @@ proptest! {
         let cfg = SpefConfig {
             solver: TeSolverKind::FrankWolfe(FrankWolfeConfig {
                 convergence: ConvergenceCriteria::pinned(40),
-                ..FrankWolfeConfig::default()
             }),
             nem: NemConfig {
                 convergence: ConvergenceCriteria::pinned(120),

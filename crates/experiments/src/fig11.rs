@@ -83,9 +83,9 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
     // One simulator workspace across all four runs (2 panels × SPEF/PEFT):
     // after the first, event queue, arenas and histogram are recycled. The
-    // forwarding tables handed to the simulator are flat CSR `FibSet`s —
-    // the per-hop lookup inside is two index ops plus a cum-prob binary
-    // search, with destination slots resolved once per run.
+    // forwarding tables handed to the simulator are flat CSR arenas — the
+    // per-hop lookup inside is two index ops plus a walk of the row's
+    // running ratio sum, with destination slots resolved once per run.
     let mut sim_ws = SimWorkspace::new();
     for spec in panels() {
         let obj = Objective::proportional(spec.net.link_count());

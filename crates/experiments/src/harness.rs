@@ -170,15 +170,6 @@ impl SpfStatsResult {
     }
 }
 
-/// Adds one engine's counters into a running total (`last_dirty`, a
-/// gauge, takes the maximum).
-fn add_spf(total: &mut SpfStats, s: SpfStats) {
-    total.builds += s.builds;
-    total.incremental_builds += s.incremental_builds;
-    total.slots_rebuilt += s.slots_rebuilt;
-    total.last_dirty = total.last_dirty.max(s.last_dirty);
-}
-
 /// Measurements of one successfully solved scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioResult {
@@ -511,7 +502,7 @@ fn solve_pipeline(
     let routing = if scenario.solver == SolverSpec::FortzThorup {
         let cfg = sweep_ft_config(options.full_rebuild);
         let ft = FtOutcome::local_search(&network, &traffic, &cfg).map_err(|e| e.to_string())?;
-        add_spf(spf, ft.spf_stats);
+        spf.add(ft.spf_stats);
         // An overloaded best routing has no finite utility, which the
         // report's JSON round trip cannot carry — report it as a
         // deterministic scenario failure (like the infeasible Frank–Wolfe
@@ -658,7 +649,7 @@ fn failure_stage(
             };
             let out = RobustOutcome::local_search(&solved.network, &solved.traffic, &cfg)
                 .map_err(|e| format!("failure stage: robust weight search: {e}"))?;
-            add_spf(spf, out.spf_stats);
+            spf.add(out.spf_stats);
             robust_memo.push((robust_key, out.worst_mlu));
             out.worst_mlu
         }
@@ -678,7 +669,7 @@ fn failure_stage(
         options.full_rebuild,
     )
     .map_err(|e| format!("failure stage: reconfiguration transient: {e}"))?;
-    add_spf(spf, transit_spf);
+    spf.add(transit_spf);
 
     Ok(Some(FailureScenarioResult {
         mlu_ospf,
@@ -784,9 +775,9 @@ impl ChainArenas {
 
     /// Adds the SPF counters of the arenas' engines into `total`.
     fn add_spf_to(&self, total: &mut SpfStats) {
-        add_spf(total, self.ws.spf_stats());
+        total.add(self.ws.spf_stats());
         for probe in self.probes.spf_stats() {
-            add_spf(total, probe);
+            total.add(probe);
         }
     }
 }
@@ -889,7 +880,7 @@ pub fn run_batch(scenarios: Vec<Scenario>, options: &BatchOptions) -> BatchRepor
     let mut outcomes: Vec<IndexedOutcome> = per_chain
         .into_iter()
         .flat_map(|(outcomes, spf)| {
-            add_spf(&mut spf_total, spf);
+            spf_total.add(spf);
             outcomes
         })
         .collect();

@@ -62,7 +62,6 @@ impl Quality {
             Quality::Full => spef_core::FrankWolfeConfig::default(),
             Quality::Quick => spef_core::FrankWolfeConfig {
                 convergence: spef_core::ConvergenceCriteria::with_tolerance(300, 1e-6),
-                ..spef_core::FrankWolfeConfig::default()
             },
         }
     }

@@ -23,7 +23,6 @@ pub fn max_feasible_load(
     let obj = Objective::proportional(network.link_count());
     let fw = FrankWolfeConfig {
         convergence: ConvergenceCriteria::with_tolerance(300, 1e-6),
-        ..FrankWolfeConfig::default()
     };
     let feasible = |load: f64| -> Result<bool, SpefError> {
         let tm = shape.scaled_to_network_load(network, load);

@@ -357,7 +357,6 @@ impl SolverSpec {
             SolverSpec::FrankWolfePinned => SpefConfig {
                 solver: TeSolverKind::FrankWolfe(FrankWolfeConfig {
                     convergence: ConvergenceCriteria::pinned(12),
-                    ..FrankWolfeConfig::default()
                 }),
                 nem: NemConfig {
                     convergence: ConvergenceCriteria::pinned(40),

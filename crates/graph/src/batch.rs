@@ -692,11 +692,7 @@ fn build_one_dag(
         order_len,
     } = task;
 
-    let mut len = 0;
-    dijkstra_csr(in_csr, weights, target, dist, scratch, |u| {
-        order[len] = u;
-        len += 1;
-    });
+    let len = dijkstra_csr(in_csr, weights, target, dist, order, scratch);
 
     // Classify edges (in id order, exactly like the legacy path) into the
     // worker's membership scratch and count successors per node.
@@ -746,8 +742,9 @@ fn build_one_dag(
 }
 
 /// Dijkstra toward `origin` over the in-edge CSR, writing distances into
-/// `dist` and passing each node to `on_settle` as it is settled. Weights
-/// are assumed pre-validated. Pops and relaxations follow the legacy
+/// `dist` and the nodes, in the order they are settled, into the front of
+/// `settled`; returns how many were settled. Weights are assumed
+/// pre-validated. Pops and relaxations follow the legacy
 /// [`crate::distances_to`] exactly, so the distances are the same values,
 /// bit for bit.
 ///
@@ -760,9 +757,9 @@ fn dijkstra_csr(
     weights: &[f64],
     origin: NodeId,
     dist: &mut [f64],
+    settled: &mut [NodeId],
     scratch: &mut SlotScratch,
-    mut on_settle: impl FnMut(NodeId),
-) {
+) -> usize {
     dist.fill(f64::INFINITY);
     scratch.settled.fill(false);
     scratch.heap.clear();
@@ -771,12 +768,14 @@ fn dijkstra_csr(
         dist: 0.0,
         node: origin,
     });
+    let mut len = 0;
     while let Some(HeapEntry { dist: d, node: u }) = scratch.heap.pop() {
         if scratch.settled[u.index()] {
             continue;
         }
         scratch.settled[u.index()] = true;
-        on_settle(u);
+        settled[len] = u;
+        len += 1;
         for &(e, v) in in_csr.neighbors(u) {
             let nd = d + weights[e.index()];
             if nd < dist[v.index()] {
@@ -785,82 +784,12 @@ fn dijkstra_csr(
             }
         }
     }
-}
-
-/// Distances from every node to each of a set of targets, stored as one
-/// flat `targets x nodes` arena.
-#[derive(Debug, Clone, Default)]
-pub struct DistanceSet {
-    n: usize,
-    targets: Vec<NodeId>,
-    dist: Vec<f64>,
-}
-
-impl DistanceSet {
-    /// Creates an empty set; the arena grows on first use.
-    pub fn new() -> DistanceSet {
-        DistanceSet::default()
-    }
-
-    /// The targets, in build order.
-    pub fn targets(&self) -> &[NodeId] {
-        &self.targets
-    }
-
-    /// Distances to target `i`, indexed by node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn row(&self, i: usize) -> &[f64] {
-        assert!(i < self.targets.len(), "target index {i} out of range");
-        &self.dist[i * self.n..(i + 1) * self.n]
-    }
-}
-
-/// Computes [`crate::distances_to`] for every target in one validated,
-/// workspace-reusing (and, for large batches, parallel) sweep.
-///
-/// `in_csr` must be [`Csr::in_of`] of `graph`.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::distances_to`].
-pub fn batch_distances_to(
-    graph: &Graph,
-    in_csr: &Csr,
-    weights: &[f64],
-    targets: &[NodeId],
-    par: Parallelism,
-    ws: &mut RoutingWorkspace,
-    out: &mut DistanceSet,
-) -> Result<(), GraphError> {
-    validate_weights(graph.edge_count(), weights)?;
-    let n = graph.node_count();
-    for &t in targets {
-        if t.index() >= n {
-            return Err(GraphError::NodeOutOfRange { node: t, nodes: n });
-        }
-    }
-    out.n = n;
-    out.targets.clear();
-    out.targets.extend_from_slice(targets);
-    out.dist.resize(targets.len() * n, 0.0);
-    fan_out(
-        ws,
-        par,
-        (n, graph.edge_count()),
-        targets.len(),
-        out.dist.chunks_mut(n).zip(targets.iter().copied()),
-        |scratch, (dist, t)| dijkstra_csr(in_csr, weights, t, dist, scratch, |_| {}),
-    );
-    Ok(())
+    len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distances_to;
 
     fn near_tie(eps: f64) -> (Graph, Vec<f64>) {
         let mut g = Graph::with_nodes(4);
@@ -1020,21 +949,6 @@ mod tests {
         // Empty destination set is fine.
         build_dag_set(&g, &csr, &w, &[], 0.0, Parallelism::Auto, &mut ws, &mut set).unwrap();
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn batch_distances_match_single_calls() {
-        let (g, w) = near_tie(0.2);
-        let csr = Csr::in_of(&g);
-        let mut ws = RoutingWorkspace::new();
-        let mut set = DistanceSet::new();
-        let targets: Vec<NodeId> = g.nodes().collect();
-        for par in [Parallelism::Never, Parallelism::Always] {
-            batch_distances_to(&g, &csr, &w, &targets, par, &mut ws, &mut set).unwrap();
-            for (i, &t) in targets.iter().enumerate() {
-                assert_eq!(set.row(i), distances_to(&g, &w, t).unwrap(), "target {t}");
-            }
-        }
     }
 
     #[test]

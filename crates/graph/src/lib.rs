@@ -22,7 +22,9 @@
 //!   adjacency, reusable scratch arenas ([`RoutingWorkspace`]) and
 //!   all-destinations DAG construction ([`DagSet`], with parallel fan-out
 //!   over destinations) producing results bit-identical to the
-//!   per-destination path above.
+//!   per-destination path above. A [`DagSet`] is also the one batched
+//!   form of the shortest distances: each destination's distances and
+//!   decreasing-distance node order are read from its [`DagRef`].
 //!
 //! # Example
 //!
@@ -63,10 +65,7 @@ pub mod traversal;
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, NodeId};
 
-pub use batch::{
-    batch_distances_to, build_dag_set, DagAccess, DagRef, DagSet, DistanceSet, Parallelism,
-    RoutingWorkspace,
-};
+pub use batch::{build_dag_set, DagAccess, DagRef, DagSet, Parallelism, RoutingWorkspace};
 pub use csr::Csr;
 pub use dag::ShortestPathDag;
 pub use dijkstra::{distances_from, distances_to};

@@ -13,8 +13,7 @@
 
 use proptest::prelude::*;
 use spef_graph::{
-    batch_distances_to, build_dag_set, distances_to, Csr, DagSet, DistanceSet, Graph, NodeId,
-    Parallelism, RoutingWorkspace, ShortestPathDag,
+    build_dag_set, Csr, DagSet, Graph, NodeId, Parallelism, RoutingWorkspace, ShortestPathDag,
 };
 
 /// Strategy: a strongly connected digraph (Hamiltonian backbone plus
@@ -152,20 +151,6 @@ proptest! {
             for u in g.nodes() {
                 prop_assert_eq!(a.successors(u), b.successors(u));
             }
-        }
-    }
-
-    /// Batched distances equal per-call `distances_to` exactly.
-    #[test]
-    fn batched_distances_are_bit_identical((g, w) in random_network()) {
-        let targets: Vec<NodeId> = g.nodes().collect();
-        let csr = Csr::in_of(&g);
-        let mut ws = RoutingWorkspace::new();
-        let mut set = DistanceSet::new();
-        batch_distances_to(&g, &csr, &w, &targets, Parallelism::Auto, &mut ws, &mut set)
-            .unwrap();
-        for (i, &t) in targets.iter().enumerate() {
-            prop_assert_eq!(set.row(i), distances_to(&g, &w, t).unwrap().as_slice());
         }
     }
 

@@ -3,7 +3,7 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spef_core::{FibSet, ForwardingTable};
+use spef_core::ForwardingTable;
 use spef_graph::{EdgeId, NodeId};
 use spef_topology::{Network, TrafficMatrix};
 
@@ -141,9 +141,9 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct Packet {
     destination: NodeId,
-    /// The destination's dense [`FibSet`] slot, resolved once per demand
-    /// pair at setup — per-hop forwarding never touches the dest-index
-    /// table again.
+    /// The destination's dense [`ForwardingTable`] slot, resolved once
+    /// per demand pair at setup — per-hop forwarding never touches the
+    /// dest-index table again.
     dest_slot: u32,
     created_at: Nanos,
 }
@@ -400,9 +400,6 @@ pub fn simulate_with(
     validate(network, traffic, config)?;
     let g = network.graph();
     let m = g.edge_count();
-    // The flat forwarding plane: slot-based row lookups, cum-prob sampling.
-    let fib: &FibSet = fib.fib();
-
     let mut rng = StdRng::seed_from_u64(config.seed);
     ws.pairs.clear();
     ws.pairs.extend(traffic.pairs());

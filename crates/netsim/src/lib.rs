@@ -11,12 +11,12 @@
 //! * **Sources** generate fixed-size packets per demand pair as a Poisson
 //!   process matching the pair's offered rate;
 //! * **Routers** forward hop by hop: each packet independently samples a
-//!   next hop from the [`ForwardingTable`](spef_core::ForwardingTable) split ratios of its destination
-//!   (exactly how SPEF/PEFT routers use their weights). The table is the
-//!   flat CSR `spef_core::FibSet`: destination slots are resolved once per
-//!   run and stamped into packets, so a hop is two index operations plus a
-//!   binary search over precomputed cumulative split probabilities —
-//!   bit-identical in its choices to the legacy linear ratio walk;
+//!   next hop from the [`ForwardingTable`](spef_core::ForwardingTable)
+//!   split ratios of its destination (exactly how SPEF/PEFT routers use
+//!   their weights). The table is one flat CSR arena: destination slots
+//!   are resolved once per run and stamped into packets, so a hop is two
+//!   index operations plus a walk of the row's running ratio sum — the
+//!   legacy per-draw walk itself;
 //! * **Links** are FIFO, drop-tail, with finite rate (serialisation
 //!   delay), constant propagation delay and bounded buffers;
 //! * **Measurements**: per-link mean load (bits/s over the measurement

@@ -17,8 +17,6 @@ pub enum TopologyError {
     /// The network is not strongly connected, so some demand pairs could
     /// never be routed.
     NotStronglyConnected,
-    /// A node name was referenced that does not exist.
-    UnknownNode(String),
 }
 
 impl fmt::Display for TopologyError {
@@ -30,7 +28,6 @@ impl fmt::Display for TopologyError {
             TopologyError::NotStronglyConnected => {
                 write!(f, "network is not strongly connected")
             }
-            TopologyError::UnknownNode(name) => write!(f, "unknown node name {name:?}"),
         }
     }
 }

@@ -207,7 +207,6 @@ fn nem_flows_are_one_step_behind_the_returned_second_weights() {
         SpefConfig {
             solver: TeSolverKind::FrankWolfe(FrankWolfeConfig {
                 convergence: ConvergenceCriteria::pinned(12),
-                ..FrankWolfeConfig::default()
             }),
             nem: NemConfig {
                 convergence: ConvergenceCriteria::pinned(nem_iterations),
