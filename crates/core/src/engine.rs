@@ -603,7 +603,6 @@ impl<'g> RoutingEngine<'g> {
             &mut s.table,
             &mut s.scratch,
             out,
-            |_| {},
         )?;
         self.record_distribution(traffic, rule, out);
         Ok(())

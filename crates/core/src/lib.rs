@@ -88,6 +88,5 @@ pub use solver::{
 };
 pub use te::TeSolution;
 pub use traffic_dist::{
-    build_dags, traffic_distribution, traffic_distribution_detailed, Flows, SplitRule, SplitTable,
-    SplitTableRef, SplitTableSet,
+    build_dags, traffic_distribution, Flows, SplitRule, SplitTable, SplitTableRef, SplitTableSet,
 };

@@ -237,16 +237,6 @@ impl SplitTable {
     pub fn log_path_sum(&self, u: NodeId) -> f64 {
         self.sums[u.index()].log()
     }
-
-    /// Materialises an owned table from an arena-backed view.
-    fn from_ref(view: SplitTableRef<'_>, n: usize) -> SplitTable {
-        SplitTable {
-            ratios: (0..n)
-                .map(|u| view.next_hops(NodeId::new(u)).to_vec())
-                .collect(),
-            sums: view.sums.to_vec(),
-        }
-    }
 }
 
 /// Split tables for a run of destinations, stored as flat arenas.
@@ -524,11 +514,6 @@ impl Flows {
         &self.aggregate
     }
 
-    /// Consumes the flows, returning the aggregate vector.
-    pub fn into_aggregate(self) -> Vec<f64> {
-        self.aggregate
-    }
-
     /// Assembles a `Flows` value from per-destination flow vectors,
     /// computing the aggregate — the constructor external routing schemes
     /// (e.g. the PEFT baseline) use to interoperate with the metrics and
@@ -702,40 +687,8 @@ pub fn traffic_distribution(
         &mut SplitTableSet::new(),
         &mut DistScratch::default(),
         &mut flows,
-        |_| {},
     )?;
     Ok(flows)
-}
-
-/// Like [`traffic_distribution`], but also returns the per-destination
-/// [`SplitTable`]s — the materialised forwarding tables (TABLE II), whose
-/// log path sums the NEM dual objective needs.
-///
-/// # Errors
-///
-/// Same conditions as [`traffic_distribution`].
-pub fn traffic_distribution_detailed(
-    graph: &Graph,
-    dags: &[ShortestPathDag],
-    traffic: &TrafficMatrix,
-    rule: SplitRule<'_>,
-) -> Result<(Flows, Vec<SplitTable>), SpefError> {
-    let dests = traffic.destinations();
-    let n = graph.node_count();
-    let mut flows = Flows::empty();
-    let mut owned = Vec::with_capacity(dests.len());
-    distribute_batch(
-        graph,
-        &dests,
-        dags.iter(),
-        traffic,
-        rule,
-        &mut SplitTableSet::new(),
-        &mut DistScratch::default(),
-        &mut flows,
-        |table| owned.push(SplitTable::from_ref(table, n)),
-    )?;
-    Ok((flows, owned))
 }
 
 /// Validates an [`SplitRule::Exponential`] weight vector: its length must
@@ -763,10 +716,9 @@ pub(crate) fn validate_rule(graph: &Graph, rule: SplitRule<'_>) -> Result<(), Sp
 /// The shared distribution kernel behind [`traffic_distribution`] and the
 /// engine's dense path: routes each destination in turn through the
 /// one-destination split-table scratch `table` and writes the flows into
-/// `out`, reusing all buffers. `on_table` sees each destination's table
-/// while it is live. Generic over the DAG storage ([`ShortestPathDag`]
-/// references or arena-backed [`spef_graph::DagRef`]s); results are
-/// bit-identical either way.
+/// `out`, reusing all buffers. Generic over the DAG storage
+/// ([`ShortestPathDag`] references or arena-backed
+/// [`spef_graph::DagRef`]s); results are bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn distribute_batch<D, I>(
     graph: &Graph,
@@ -777,7 +729,6 @@ pub(crate) fn distribute_batch<D, I>(
     table: &mut SplitTableSet,
     scratch: &mut DistScratch,
     out: &mut Flows,
-    mut on_table: impl FnMut(SplitTableRef<'_>),
 ) -> Result<(), SpefError>
 where
     D: DagAccess,
@@ -799,7 +750,6 @@ where
         distribute_destination(
             graph, t, &dag, traffic, rule, table, scratch, column, aggregate,
         )?;
-        on_table(table.table(0));
     }
     Ok(())
 }

@@ -11,9 +11,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use spef_core::protocol::support_slack_tolerance;
 use spef_core::{
-    dual_decomp, traffic_distribution_detailed, ConvergenceCriteria, ForwardingTable,
-    FrankWolfeConfig, NemConfig, NemInstance, NemOutcome, Objective, RoutingEngine, SpefConfig,
-    SplitRule, TeInstance, TeSolver, TeSolverKind, TeWorkspace,
+    dual_decomp, ConvergenceCriteria, ForwardingTable, FrankWolfeConfig, NemConfig, NemInstance,
+    NemOutcome, Objective, RoutingEngine, SpefConfig, SplitRule, SplitTable, TeInstance, TeSolver,
+    TeSolverKind, TeWorkspace,
 };
 use spef_graph::{NodeId, ShortestPathDag};
 use spef_topology::{gen, Network, TrafficMatrix};
@@ -111,11 +111,10 @@ fn dual_objective(
     v: &[f64],
     target: &[f64],
 ) -> f64 {
-    let (_, tables) =
-        traffic_distribution_detailed(net.graph(), dags, tm, SplitRule::Exponential(v)).unwrap();
     let mut column = Vec::new();
     let mut dual = 0.0;
-    for (table, &t) in tables.iter().zip(&tm.destinations()) {
+    for (dag, &t) in dags.iter().zip(&tm.destinations()) {
+        let table = SplitTable::build(net.graph(), dag, SplitRule::Exponential(v)).unwrap();
         tm.demands_to_into(t, &mut column);
         for (s, &d) in column.iter().enumerate() {
             if d > 0.0 {

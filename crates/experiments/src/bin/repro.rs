@@ -32,7 +32,6 @@ use std::process::ExitCode;
 use spef_experiments::{
     harness::{run_batch, BatchOptions, BatchReport},
     run_experiment, Quality, ScenarioGrid, SolverSpec, TopologySpec, TrafficModel, ALL_EXPERIMENTS,
-    EXTRA_EXPERIMENTS,
 };
 
 struct Args {
@@ -65,10 +64,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--exp all|id,id,...] [--out DIR] [--quick] [--list]\n\
-                     paper artifacts: {}\n\
-                     extensions:      {}",
-                    ALL_EXPERIMENTS.join(", "),
-                    EXTRA_EXPERIMENTS.join(", ")
+                     paper artifacts: {}",
+                    ALL_EXPERIMENTS.join(", ")
                 );
                 std::process::exit(0);
             }
@@ -360,7 +357,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        for id in ALL_EXPERIMENTS.into_iter().chain(EXTRA_EXPERIMENTS) {
+        for id in ALL_EXPERIMENTS {
             println!("{id}");
         }
         return ExitCode::SUCCESS;

@@ -144,11 +144,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn spef_dominates_and_gap_widens() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig10");
         assert_eq!(r.csvs.len(), 2); // Abilene + Cernet2 in quick mode
         for csv in &r.csvs {
             let rows: Vec<Vec<f64>> = csv

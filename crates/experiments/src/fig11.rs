@@ -171,11 +171,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn spef_spreads_load_at_least_as_widely_as_peft() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig11");
         for csv in &r.csvs {
             let rows: Vec<Vec<f64>> = csv
                 .content

@@ -138,7 +138,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     fn parse(csv: &str) -> Vec<Vec<f64>> {
         csv.lines()
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn traces_have_paper_shape() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig12");
         let te = parse(&r.csvs[0].content);
         let nem = parse(&r.csvs[1].content);
         // Every ratio's TE dual decreases substantially from its start

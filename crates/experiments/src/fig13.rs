@@ -77,11 +77,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn integer_degradation_small_at_low_load() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig13");
         for csv in &r.csvs {
             let rows: Vec<Vec<f64>> = csv
                 .content

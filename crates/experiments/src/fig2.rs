@@ -58,6 +58,7 @@ pub fn run() -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn curves_have_paper_shape() {
@@ -78,7 +79,7 @@ mod tests {
 
     #[test]
     fn run_produces_full_csv() {
-        let r = run();
+        let r = quick_run("fig2");
         assert_eq!(r.csvs[0].content.lines().count(), SAMPLES + 1);
         assert_eq!(r.tables[0].rows.len(), 6);
     }

@@ -77,11 +77,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn paper_shape_holds() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig3");
         let rows = &r.csvs[0].content;
         let parsed: Vec<Vec<f64>> = rows
             .lines()

@@ -86,11 +86,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn paper_shape_holds() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig6");
         let rows: Vec<Vec<f64>> = r.csvs[0]
             .content
             .lines()

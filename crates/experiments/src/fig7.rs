@@ -62,7 +62,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     fn parse(csv: &str) -> Vec<Vec<f64>> {
         csv.lines()
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn paper_shape_holds() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig7");
         let first = parse(&r.csvs[0].content);
         let second = parse(&r.csvs[1].content);
         assert_eq!(first.len(), 13);

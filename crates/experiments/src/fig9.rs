@@ -93,11 +93,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn spef_flattens_the_curve() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("fig9");
         assert_eq!(r.csvs.len(), 2);
         for csv in &r.csvs {
             let rows: Vec<Vec<f64>> = csv

@@ -25,15 +25,15 @@
 //!
 //! Routing during the transient is plain even-split ECMP: the second
 //! weights are stale the moment the path set changes, so the split ratios
-//! degenerate exactly as in the stale-failure model (see
-//! [`crate::failure`]). Equal-cost ties are detected with the shared
+//! degenerate exactly as in the stale-failure model
+//! ([`StaleWeightProbes`]). Equal-cost ties are detected with the shared
 //! stale-weight threshold [`spef_core::STALE_WEIGHT_DAG_RTOL`] scaled by
 //! the largest weight of the *current mixed vector*.
 //!
 //! The stale-weight failure model itself lives here too: [`MluProbe`]
 //! routes one weight setting on a circuit's degraded clone, and
 //! [`StaleWeightProbes`] pairs OSPF's InvCap probe with SPEF's stale-weight
-//! probe for the `failure` experiment and the sweep's failure stage.
+//! probe for the sweep's failure stage.
 
 use spef_core::{
     metrics, EngineState, Flows, RoutingEngine, SpefError, SpfStats, SplitRule,
@@ -165,13 +165,13 @@ impl MluProbe {
     }
 }
 
-/// The stale-weight failure model's probe pair, shared by the `failure`
-/// experiment and the sweep harness's failure stage: after a circuit
-/// fails, OSPF reconverges on InvCap weights, and SPEF keeps routing on its
-/// stale intact-optimal first weights with even ECMP (the second weights'
-/// split ratios are meaningless once the path set changed). Each setting
-/// has its own persistent [`MluProbe`], so a sweep over circuits routes
-/// every degraded clone in that probe's warmed arenas.
+/// The stale-weight failure model's probe pair, used by the sweep
+/// harness's failure stage: after a circuit fails, OSPF reconverges on
+/// InvCap weights, and SPEF keeps routing on its stale intact-optimal
+/// first weights with even ECMP (the second weights' split ratios are
+/// meaningless once the path set changed). Each setting has its own
+/// persistent [`MluProbe`], so a sweep over circuits routes every degraded
+/// clone in that probe's warmed arenas.
 pub struct StaleWeightProbes {
     ospf: MluProbe,
     stale: MluProbe,

@@ -18,9 +18,8 @@ use spef_topology::{gen, standard, Network, TrafficMatrix};
 /// Which evaluation network a scenario runs on.
 ///
 /// The named variants are the paper's networks (§V.B TABLE III plus the two
-/// pedagogical examples); [`TopologySpec::Random`] and
-/// [`TopologySpec::Hierarchical`] expose the generators directly so sweeps
-/// can scale beyond the paper.
+/// pedagogical examples) and the tiered scaling ladder;
+/// [`TopologySpec::Random`] exposes the random generator directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
     /// Fig. 1's 4-node example.
@@ -59,17 +58,6 @@ pub enum TopologySpec {
         /// Generator seed.
         seed: u64,
     },
-    /// A 2-level hierarchical network of `domains × per_domain` nodes.
-    Hierarchical {
-        /// Number of top-level domains.
-        domains: usize,
-        /// Nodes per domain.
-        per_domain: usize,
-        /// Directed link count.
-        links: usize,
-        /// Generator seed.
-        seed: u64,
-    },
 }
 
 impl TopologySpec {
@@ -91,18 +79,6 @@ impl TopologySpec {
             TopologySpec::Random { nodes, links, seed } => {
                 gen::random_network(&format!("Rand{nodes}"), *nodes, *links, *seed)
             }
-            TopologySpec::Hierarchical {
-                domains,
-                per_domain,
-                links,
-                seed,
-            } => gen::hierarchical_network(
-                &format!("Hier{}", domains * per_domain),
-                *domains,
-                *per_domain,
-                *links,
-                *seed,
-            ),
         }
     }
 
@@ -124,12 +100,6 @@ impl TopologySpec {
             TopologySpec::Random { nodes, links, seed } => {
                 format!("random-n{nodes}-m{links}-s{seed}")
             }
-            TopologySpec::Hierarchical {
-                domains,
-                per_domain,
-                links,
-                seed,
-            } => format!("hier-d{domains}x{per_domain}-m{links}-s{seed}"),
         }
     }
 
@@ -161,9 +131,9 @@ impl TopologySpec {
     }
 }
 
-// The offline serde derive handles fieldless enums only, so the two
-// data-carrying variants are encoded by hand: named networks serialize as
-// their id string, generator variants as a single-key object.
+// The offline serde derive handles fieldless enums only, so the
+// data-carrying variant is encoded by hand: named networks serialize as
+// their id string, `Random` as a single-key `random` object.
 impl Serialize for TopologySpec {
     fn to_value(&self) -> Value {
         match self {
@@ -171,20 +141,6 @@ impl Serialize for TopologySpec {
                 "random".to_string(),
                 Value::Object(vec![
                     ("nodes".to_string(), nodes.to_value()),
-                    ("links".to_string(), links.to_value()),
-                    ("seed".to_string(), seed.to_value()),
-                ]),
-            )]),
-            TopologySpec::Hierarchical {
-                domains,
-                per_domain,
-                links,
-                seed,
-            } => Value::Object(vec![(
-                "hierarchical".to_string(),
-                Value::Object(vec![
-                    ("domains".to_string(), domains.to_value()),
-                    ("per_domain".to_string(), per_domain.to_value()),
                     ("links".to_string(), links.to_value()),
                     ("seed".to_string(), seed.to_value()),
                 ]),
@@ -208,17 +164,6 @@ impl Deserialize for TopologySpec {
         if let Some(body) = value.get_field("random") {
             return Ok(TopologySpec::Random {
                 nodes: field(body, "nodes")?,
-                links: field(body, "links")?,
-                seed: u64::from_value(
-                    body.get_field("seed")
-                        .ok_or_else(|| SerdeError::custom("missing field `seed`"))?,
-                )?,
-            });
-        }
-        if let Some(body) = value.get_field("hierarchical") {
-            return Ok(TopologySpec::Hierarchical {
-                domains: field(body, "domains")?,
-                per_domain: field(body, "per_domain")?,
                 links: field(body, "links")?,
                 seed: u64::from_value(
                     body.get_field("seed")
@@ -1011,12 +956,6 @@ mod tests {
                 nodes: 30,
                 links: 120,
                 seed: 9,
-            },
-            TopologySpec::Hierarchical {
-                domains: 5,
-                per_domain: 10,
-                links: 222,
-                seed: 0xA11CE,
             },
         ] {
             let v = spec.to_value();

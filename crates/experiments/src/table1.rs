@@ -112,6 +112,7 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pinned::quick_run;
 
     fn cell(result: &ExperimentResult, row: usize, col: usize) -> f64 {
         result.tables[0].rows[row][col].parse().unwrap()
@@ -119,28 +120,28 @@ mod tests {
 
     #[test]
     fn matches_paper_columns() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("table1");
         // β=1 column (paper: weights 3, 10, 1.5, 1.5; utils .67 .90 .33 .33).
-        assert!((cell(&r, 0, 3) - 3.0).abs() < 0.1, "w(1,3) beta1");
-        assert!((cell(&r, 1, 3) - 10.0).abs() < 0.1, "w(3,4) beta1");
-        assert!((cell(&r, 0, 4) - 0.667).abs() < 0.01, "u(1,3) beta1");
-        assert!((cell(&r, 2, 4) - 0.333).abs() < 0.01, "u(1,2) beta1");
+        assert!((cell(r, 0, 3) - 3.0).abs() < 0.1, "w(1,3) beta1");
+        assert!((cell(r, 1, 3) - 10.0).abs() < 0.1, "w(3,4) beta1");
+        assert!((cell(r, 0, 4) - 0.667).abs() < 0.01, "u(1,3) beta1");
+        assert!((cell(r, 2, 4) - 0.333).abs() < 0.01, "u(1,2) beta1");
         // min-max column utilizations: 0.5, 0.9, 0.5, 0.5.
-        assert!((cell(&r, 0, 8) - 0.5).abs() < 0.02, "u(1,3) minmax");
-        assert!((cell(&r, 1, 8) - 0.9).abs() < 0.01, "u(3,4) minmax");
+        assert!((cell(r, 0, 8) - 0.5).abs() < 0.02, "u(1,3) minmax");
+        assert!((cell(r, 1, 8) - 0.9).abs() < 0.01, "u(3,4) minmax");
         // MLU column: bottleneck (3,4) at 0.9, direct link util in
         // [0.1, 0.9] (the paper's free constant a).
-        assert!((cell(&r, 1, 10) - 0.9).abs() < 1e-6);
-        let a = cell(&r, 0, 10);
+        assert!((cell(r, 1, 10) - 0.9).abs() < 1e-6);
+        let a = cell(r, 0, 10);
         assert!((0.1..=0.9).contains(&a), "a = {a}");
         // β=0: direct link saturated, no detour flow.
-        assert!((cell(&r, 0, 2) - 1.0).abs() < 1e-6);
-        assert!(cell(&r, 2, 2).abs() < 1e-6);
+        assert!((cell(r, 0, 2) - 1.0).abs() < 1e-6);
+        assert!(cell(r, 2, 2).abs() < 1e-6);
     }
 
     #[test]
     fn csv_emitted() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("table1");
         assert_eq!(r.csvs.len(), 1);
         assert!(r.csvs[0].content.lines().count() == 5);
     }

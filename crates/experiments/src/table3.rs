@@ -43,11 +43,11 @@ pub fn run() -> ExperimentResult {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn matches_paper_table() {
-        let r = run();
+        let r = quick_run("table3");
         let rows = &r.tables[0].rows;
         let expected = [
             ("Abilene", "11", "28"),

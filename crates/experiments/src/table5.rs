@@ -120,11 +120,11 @@ pub fn run(quality: Quality) -> Result<ExperimentResult, SpefError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pinned::quick_run;
 
     #[test]
     fn census_covers_all_pairs_and_spef_uses_multipath() {
-        let r = run(Quality::Quick).unwrap();
+        let r = quick_run("table5");
         let rows = &r.tables[0].rows;
         // First row is OSPF; there are 20×19 = 380 ordered pairs.
         let total: usize = rows[0][2..]

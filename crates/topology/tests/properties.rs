@@ -111,7 +111,7 @@ proptest! {
         let Ok((degraded, kept)) = net.without_links(&failed) else {
             return Ok(());
         };
-        // Forward remap (the failure experiments' `remap` closure), then
+        // Forward remap (how `MluProbe` maps weights onto a clone), then
         // scatter back: every kept id sees its original value again.
         let vals: Vec<f64> = (0..net.link_count()).map(|e| e as f64 + 0.25).collect();
         let remapped: Vec<f64> = kept.iter().map(|&old| vals[old.index()]).collect();
